@@ -12,7 +12,7 @@ from .errors import (CheckpointError, CheckpointShapeError,
 from .model import (LINE_START_ID, POEM_START_ID, GenerationContext,
                     ModelConfig, PoemModel, decode_step, encode_context,
                     generate_line, generate_poem, init_params, output_probs,
-                    prepare_context, zeros_model)
+                    prepare_context)
 from .numerics import Tape, Tensor, grad_check
 from .rng import SeededRng
 from .topic_memory import MemoryBank, address, encode_keywords, fuse, read

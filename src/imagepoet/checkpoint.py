@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (CheckpointShapeError, CheckpointTruncatedError,
                      CheckpointVersionError)
-from .model import ModelConfig, zeros_model
+from .model import ModelConfig, init_params
 
 MAGIC = b"IPOETCK\x00"
 VERSION = 1
@@ -70,7 +70,7 @@ def read_checkpoint(fh):
             raise
         raise CheckpointVersionError("corrupted checkpoint config: %s" % exc)
 
-    model = zeros_model(config)
+    model = init_params(config)
     expected = dict(model.parameters())
     (count,) = struct.unpack("<I", _read_exact(fh, 4))
     if count != len(expected):

@@ -67,7 +67,6 @@ def build_parser():
                    help="keyword file: one +-joined id sequence per line")
     p.add_argument("--lambda", dest="topic_weight", type=float, default=None,
                    help="override the checkpoint's topic bias weight")
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--validate", action="store_true",
                    help="append a form report (needs --lexicon and --pattern)")
     p.add_argument("--lexicon", default=None, help="tone/rhyme lexicon file")
@@ -80,7 +79,6 @@ def build_parser():
     p.add_argument("--corpus", required=True)
     p.add_argument("--lexicon", required=True)
     p.add_argument("--lambda", dest="topic_weight", type=float, default=None)
-    p.add_argument("--seed", type=int, default=1)
 
     p = sub.add_parser("check", help="run gradient and distribution checks")
     p.add_argument("--seed", type=int, default=7)

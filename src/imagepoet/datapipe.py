@@ -126,6 +126,8 @@ def load_feature_file(path):
         raise DataError("%s: expected %d feature values, file holds %d bytes"
                         % (path, rows * cols, len(blob)))
     values = np.frombuffer(blob, dtype="<f4").astype(np.float64)
+    if not np.all(np.isfinite(values)):
+        raise DataError("%s: non-finite feature values" % path)
     return values.reshape(rows, cols)
 
 
@@ -215,7 +217,7 @@ def image_keywords(image, lexicon):
     return sorted(keywords)
 
 
-def build_samples(matches, images, poems, lexicon, feature_cache=None):
+def build_samples(matches, images, poems, lexicon):
     """One TrainSample per (match, poem line).
 
     Match entry (image, poem, j) contributes every line of the poem as a
@@ -224,7 +226,7 @@ def build_samples(matches, images, poems, lexicon, feature_cache=None):
     """
     image_by_id = {img.image_id: img for img in images}
     poem_by_id = {p.poem_id: p for p in poems}
-    cache = {} if feature_cache is None else feature_cache
+    cache = {}
     samples = []
     for image_id, poem_id, _ in matches:
         if image_id not in image_by_id:

@@ -19,15 +19,13 @@ from .errors import DimensionError, DomainError, VocabularyError
 from .numerics import Tensor
 
 
-def _param(rng, *shape):
+def param(rng, *shape):
+    """Trainable tensor drawn uniform on [-0.08, 0.08]; zeros if rng is None."""
+    if rng is None:
+        return Tensor(np.zeros(shape), requires_grad=True)
     n = int(np.prod(shape))
-    t = Tensor(rng.uniform_array(n, -0.08, 0.08).reshape(shape),
-               requires_grad=True)
-    return t
-
-
-def _zeros_param(*shape):
-    return Tensor(np.zeros(shape), requires_grad=True)
+    return Tensor(rng.uniform_array(n, -0.08, 0.08).reshape(shape),
+                  requires_grad=True)
 
 
 class EmbeddingTable:
@@ -40,9 +38,7 @@ class EmbeddingTable:
 
     @classmethod
     def create(cls, vocab_size, dim, rng=None):
-        weights = (_param(rng, vocab_size, dim) if rng is not None
-                   else _zeros_param(vocab_size, dim))
-        return cls(vocab_size, dim, weights)
+        return cls(vocab_size, dim, param(rng, vocab_size, dim))
 
     def lookup(self, char_id):
         char_id = int(char_id)
@@ -70,14 +66,9 @@ class GRUCell:
     def create(cls, input_dim, hidden_dim, rng=None):
         params = []
         for gate in ("z", "r", "h"):
-            if rng is not None:
-                params += [_param(rng, hidden_dim, input_dim),
-                           _param(rng, hidden_dim, hidden_dim),
-                           _param(rng, hidden_dim)]
-            else:
-                params += [_zeros_param(hidden_dim, input_dim),
-                           _zeros_param(hidden_dim, hidden_dim),
-                           _zeros_param(hidden_dim)]
+            params += [param(rng, hidden_dim, input_dim),
+                       param(rng, hidden_dim, hidden_dim),
+                       param(rng, hidden_dim)]
         return cls(input_dim, hidden_dim, params)
 
     def zero_state(self):
@@ -143,13 +134,9 @@ class AttentionParams:
 
     @classmethod
     def create(cls, query_dim, key_dim, proj_dim, rng=None):
-        if rng is not None:
-            return cls(_param(rng, proj_dim),
-                       _param(rng, proj_dim, query_dim),
-                       _param(rng, key_dim, proj_dim))
-        return cls(_zeros_param(proj_dim),
-                   _zeros_param(proj_dim, query_dim),
-                   _zeros_param(key_dim, proj_dim))
+        return cls(param(rng, proj_dim),
+                   param(rng, proj_dim, query_dim),
+                   param(rng, key_dim, proj_dim))
 
     def parameters(self):
         return [("score", self.score), ("query_proj", self.query_proj),
@@ -181,15 +168,10 @@ class OutputHead:
 
     @classmethod
     def create(cls, input_dim, hidden_dim, output_dim, rng=None):
-        if rng is not None:
-            return cls(_param(rng, hidden_dim, input_dim),
-                       _param(rng, hidden_dim),
-                       _param(rng, output_dim, hidden_dim),
-                       _param(rng, output_dim))
-        return cls(_zeros_param(hidden_dim, input_dim),
-                   _zeros_param(hidden_dim),
-                   _zeros_param(output_dim, hidden_dim),
-                   _zeros_param(output_dim))
+        return cls(param(rng, hidden_dim, input_dim),
+                   param(rng, hidden_dim),
+                   param(rng, output_dim, hidden_dim),
+                   param(rng, output_dim))
 
     def logits(self, features):
         hidden = nm.tanh(nm.add(nm.matmul(self.w_hidden, features),

@@ -20,7 +20,7 @@ from . import numerics as nm
 from . import topic_memory as tmem
 from .errors import ConfigError, DimensionError, VocabularyError
 from .layers import (AttentionParams, EmbeddingTable, GRUCell, OutputHead,
-                     attend, gru_step, bigru_encode)
+                     attend, gru_step, bigru_encode, param)
 from .numerics import Tensor
 
 # Reserved vocabulary ids.
@@ -136,18 +136,14 @@ class PoemModel:
         return sum(p.size for _, p in self.parameters())
 
 
-def _construct(config, rng):
-    """Build a model, drawing parameters from rng (zeros when rng is None)."""
+def init_params(config, rng=None):
+    """Fresh model, every parameter uniform on [-0.08, 0.08] from rng.
+
+    With rng None every parameter is zero; checkpoint loading fills such
+    a model in.
+    """
     config.validate()
     h, v, dv = config.hidden_dim, config.vocab_size, config.visual_dim
-
-    def param(*shape):
-        if rng is None:
-            return Tensor(np.zeros(shape), requires_grad=True)
-        n = int(np.prod(shape))
-        return Tensor(rng.uniform_array(n, -0.08, 0.08).reshape(shape),
-                      requires_grad=True)
-
     embedding = EmbeddingTable.create(v, h, rng)
     encoder_fw = GRUCell.create(h, h, rng)
     encoder_bw = GRUCell.create(h, h, rng)
@@ -159,21 +155,11 @@ def _construct(config, rng):
     head_in = h + dv + 2 * h
     head_generic = OutputHead.create(head_in, h, v, rng)
     head_topic = OutputHead.create(head_in, h, v, rng)
-    init_w = param(h, 2 * h)
-    init_b = param(h)
+    init_w = param(rng, h, 2 * h)
+    init_b = param(rng, h)
     return PoemModel(config, embedding, encoder_fw, encoder_bw, keyword_fw,
                      keyword_bw, decoder, text_attention, visual_attention,
                      init_w, init_b, head_generic, head_topic)
-
-
-def init_params(config, rng):
-    """Fresh model with every parameter uniform on [-0.08, 0.08]."""
-    return _construct(config, rng)
-
-
-def zeros_model(config):
-    """Model with all-zero parameters (checkpoint loading target)."""
-    return _construct(config, None)
 
 
 @dataclasses.dataclass

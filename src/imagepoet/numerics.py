@@ -24,7 +24,9 @@ class Tensor:
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(self.data) if requires_grad else None
+        # np.zeros, unlike zeros_like, leaves large buffers unmapped until
+        # first written, so a model that never trains holds no gradient pages.
+        self.grad = np.zeros(self.data.shape) if requires_grad else None
 
     @property
     def shape(self):
@@ -39,7 +41,7 @@ class Tensor:
 
     def zero_grad(self):
         if self.requires_grad:
-            self.grad = np.zeros_like(self.data)
+            self.grad = np.zeros(self.data.shape)
 
     def __repr__(self):
         return "Tensor(shape=%s, requires_grad=%s)" % (self.shape,
@@ -332,11 +334,6 @@ def mean_of(parts):
     """Mean of a list of same-shape 1-d tensors."""
     weights = Tensor(np.full(len(parts), 1.0 / len(parts)))
     return matmul(weights, stack(parts))
-
-
-def backward(loss, tape):
-    """Replay adjoints of a scalar loss over the given tape."""
-    tape.backward(loss)
 
 
 def grad_check(f, x, h=1e-5):

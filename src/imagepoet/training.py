@@ -104,13 +104,7 @@ def cross_entropy_loss(model, batch):
 
 def evaluate_loss(model, pool):
     """Forward-only mean per-character loss over a sample pool."""
-    total = 0.0
-    chars = 0
-    for sample in pool:
-        loss_sum, n = _sample_loss_sum(model, sample)
-        total += loss_sum.item()
-        chars += n
-    return total / chars
+    return cross_entropy_loss(model, pool).item()
 
 
 def accumulate_gradients(model, batch, worker_threads=1):
@@ -127,16 +121,20 @@ def accumulate_gradients(model, batch, worker_threads=1):
 
     if worker_threads > 1 and len(batch) > 1:
         with ThreadPoolExecutor(max_workers=worker_threads) as pool:
-            results = list(pool.map(one, batch))
-    else:
-        results = [one(sample) for sample in batch]
+            return _reduce_gradients(model, pool.map(one, batch))
+    return _reduce_gradients(model, map(one, batch))
 
+
+def _reduce_gradients(model, results):
+    """Add each (loss, chars, gradients) result into .grad as it arrives."""
     total = 0.0
-    chars = sum(n for _, n, _ in results)
-    for value, _, grads in results:
+    chars = 0
+    for value, n, grads in results:
         total += value
-        for tensor, grad in grads.items():
-            tensor.grad += grad
+        chars += n
+        for tensor in grads:
+            tensor.grad += grads[tensor]
+        del grads  # one sample's gradients alive at a time, not the batch's
     inv = 1.0 / chars
     for _, p in model.parameters():
         p.grad *= inv

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,14 @@ def test_same_seed_means_byte_identical_checkpoints(config):
     a = checkpoint_bytes(init_params(config, SeededRng(33)))
     b = checkpoint_bytes(init_params(config, SeededRng(33)))
     assert a == b
+
+
+def test_seeded_parameters_are_pinned(config):
+    # Pins which parameter draws which numbers: a change to the draw order
+    # or to the initializer changes this digest.
+    blob = checkpoint_bytes(init_params(config, SeededRng(33)))
+    assert hashlib.sha256(blob).hexdigest() == (
+        "191da10cd974466f87f8a96e265562e28b742b5ac6b925882e53253a4cc0c3aa")
 
 
 def test_toy_checkpoint_is_small(model):

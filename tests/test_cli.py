@@ -152,6 +152,18 @@ class TestGenerate:
         assert code == 2
         assert "absent.vfgr" in capsys.readouterr().err
 
+    def test_non_finite_features_name_the_path(self, corpus, tmp_path,
+                                               capsys):
+        ckpt = train_once(corpus, tmp_path)
+        keywords = write_keyword_file(tmp_path, [(2,)])
+        from imagepoet.datapipe import write_feature_file
+        nan = str(tmp_path / "nan.vfgr")
+        write_feature_file(nan, np.full((2, 3), np.nan))
+        code, out = run_cli("generate", "--checkpoint", ckpt,
+                            "--features", nan, "--keywords", keywords)
+        assert code == 2 and out == ""
+        assert nan in capsys.readouterr().err
+
     def test_feature_shape_mismatch_is_an_input_error(self, corpus, tmp_path):
         ckpt = train_once(corpus, tmp_path)
         keywords = write_keyword_file(tmp_path, [(2,)])

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -229,6 +230,17 @@ class TestTensorInvariants:
     def test_grad_shape_matches_data(self):
         t = Tensor(np.zeros((3, 2)), requires_grad=True)
         assert t.grad.shape == t.data.shape
+
+    def test_gradient_buffer_stays_unmapped_until_written(self):
+        def resident_bytes():
+            with open("/proc/self/statm") as fh:
+                return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+        before = resident_bytes()
+        t = Tensor(np.zeros((2048, 2048)), requires_grad=True)
+        grown = resident_bytes() - before
+        assert t.grad.shape == (2048, 2048)
+        assert grown < 8 << 20, grown
 
     def test_values_finite_after_chained_ops(self, rng):
         x = Tensor(arr(rng, 6))

@@ -1,10 +1,11 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from imagepoet.errors import ConfigError, NumericalError, VocabularyError
-from imagepoet.model import init_params, zeros_model
+from imagepoet.model import init_params
 from imagepoet.numerics import Tape, Tensor
 from imagepoet.rng import SeededRng
 from imagepoet.training import (AdaDeltaState, TrainConfig, TrainSample,
@@ -47,7 +48,7 @@ class TestCrossEntropy:
     def test_uniform_model_loss_is_log_vocab(self, config, rng):
         # All-zero parameters give uniform generic probabilities; with no
         # keywords the mixture is the generic distribution itself.
-        model = zeros_model(config)
+        model = init_params(config)
         sample = make_sample(config, rng, keywords=())
         loss = cross_entropy_loss(model, [sample]).item()
         assert abs(loss - math.log(config.vocab_size)) < 1e-12
@@ -141,6 +142,27 @@ class TestGradientAccumulation:
         tape.backward(loss)
         for name, p in model.parameters():
             assert np.max(np.abs(per_sample[name] - p.grad)) < 1e-12, name
+
+    def test_one_sample_gradient_dict_alive_at_a_time(self, model, rng,
+                                                      monkeypatch):
+        class Grads(dict):
+            __hash__ = object.__hash__
+
+        alive = weakref.WeakSet()
+        leftovers = []
+        gradients = Tape.gradients
+
+        def recording(tape, loss):
+            grads = Grads(gradients(tape, loss))
+            leftovers.append(len(alive))  # earlier samples' dicts still alive
+            alive.add(grads)
+            return grads
+
+        monkeypatch.setattr(Tape, "gradients", recording)
+        model.zero_grads()
+        accumulate_gradients(model, make_pool(model.config, rng, 3))
+        assert leftovers == [0, 0, 0]
+        assert len(alive) == 0
 
     def test_bitwise_identical_across_thread_counts(self, model, rng):
         batch = make_pool(model.config, rng, 4)
