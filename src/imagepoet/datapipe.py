@@ -222,11 +222,13 @@ def build_samples(matches, images, poems, lexicon):
 
     Match entry (image, poem, j) contributes every line of the poem as a
     target with its true preceding lines, paired with the image's feature
-    grid and keyword realizations.
+    grid and keyword realizations.  Every feature grid must have the
+    shape of the first one loaded.
     """
     image_by_id = {img.image_id: img for img in images}
     poem_by_id = {p.poem_id: p for p in poems}
     cache = {}
+    first = None   # (path, shape) of the first feature grid
     samples = []
     for image_id, poem_id, _ in matches:
         if image_id not in image_by_id:
@@ -239,7 +241,14 @@ def build_samples(matches, images, poems, lexicon):
             if not image.feature_path or not os.path.exists(image.feature_path):
                 raise DataError("feature file missing for image %r (%s)"
                                 % (image_id, image.feature_path or "no path"))
-            cache[image_id] = load_feature_file(image.feature_path)
+            grid = load_feature_file(image.feature_path)
+            if first is None:
+                first = (image.feature_path, grid.shape)
+            elif grid.shape != first[1]:
+                raise DataError("feature file %s holds a %s grid, but %s "
+                                "holds %s" % ((image.feature_path, grid.shape)
+                                              + first))
+            cache[image_id] = grid
         keywords = image_keywords(image, lexicon)
         for i in range(len(poem.lines)):
             preceding = tuple(c for line in poem.lines[:i] for c in line)

@@ -9,7 +9,8 @@ Conventions pinned here (and relied on by the oracles in the test suite):
   score = u . tanh(W q + U k); weights are the softmax over scores and the
   context is the weight-sum of the keys.  The key projection is stored
   transposed, shape (key_dim, proj_dim), so a stack of keys projects in
-  one matmul.
+  one matmul, and U k does not depend on the query: a decoder projects
+  its keys once (project_keys) and reuses them at every step.
 """
 
 import numpy as np
@@ -143,15 +144,36 @@ class AttentionParams:
                 ("key_proj", self.key_proj)]
 
 
-def attend(params, query, keys):
-    """Attention context and weights for a query over a list of keys."""
+def _key_matrix(keys):
+    if isinstance(keys, Tensor):
+        return keys
     keys = list(keys)
     if not keys:
         raise DomainError("attend needs at least one key")
-    key_matrix = nm.stack(keys)
-    projected = nm.add_rowvec(nm.matmul(key_matrix, params.key_proj),
-                              nm.matmul(params.query_proj, query))
-    scores = nm.matmul(nm.tanh(projected), params.score)
+    return nm.stack(keys)
+
+
+def project_keys(params, keys):
+    """(key matrix, key matrix @ key_proj) for keys queried many times.
+
+    keys is a list of 1-d key tensors or a 2-d tensor of key rows.
+    """
+    key_matrix = _key_matrix(keys)
+    return key_matrix, nm.matmul(key_matrix, params.key_proj)
+
+
+def attend(params, query, keys, projected=None):
+    """Attention context and weights for a query over keys.
+
+    keys is a list of 1-d key tensors or a 2-d tensor of key rows;
+    projected, when given, is their projection from project_keys.
+    """
+    key_matrix = _key_matrix(keys)
+    if projected is None:
+        projected = nm.matmul(key_matrix, params.key_proj)
+    scores = nm.matmul(
+        nm.tanh(nm.add_rowvec(projected, nm.matmul(params.query_proj, query))),
+        params.score)
     weights = nm.softmax(scores)
     context = nm.matmul(weights, key_matrix)
     return context, weights
@@ -173,10 +195,14 @@ class OutputHead:
                    param(rng, output_dim, hidden_dim),
                    param(rng, output_dim))
 
-    def logits(self, features):
+    def logits(self, features, rows=None):
+        """Logits of every output, or of the outputs listed in rows only."""
         hidden = nm.tanh(nm.add(nm.matmul(self.w_hidden, features),
                                 self.b_hidden))
-        return nm.add(nm.matmul(self.w_out, hidden), self.b_out)
+        if rows is None:
+            return nm.add(nm.matmul(self.w_out, hidden), self.b_out)
+        return nm.add(nm.matmul(nm.take_rows(self.w_out, rows), hidden),
+                      nm.gather(self.b_out, rows))
 
     def parameters(self):
         return [("w_hidden", self.w_hidden), ("b_hidden", self.b_hidden),

@@ -20,7 +20,7 @@ from . import numerics as nm
 from . import topic_memory as tmem
 from .errors import ConfigError, DimensionError, VocabularyError
 from .layers import (AttentionParams, EmbeddingTable, GRUCell, OutputHead,
-                     attend, gru_step, bigru_encode, param)
+                     attend, gru_step, bigru_encode, param, project_keys)
 from .numerics import Tensor
 
 # Reserved vocabulary ids.
@@ -164,12 +164,18 @@ def init_params(config, rng=None):
 
 @dataclasses.dataclass
 class GenerationContext:
-    """Per-sample inputs prepared for decoding one line."""
+    """Per-sample inputs prepared for decoding one line.
 
-    visual_rows: list
+    visual and text are the (key matrix, projection) pairs of project_keys
+    for the two attention streams, so the keys are projected once per
+    context rather than at every decode step.
+    """
+
+    visual: tuple
     bank: tmem.MemoryBank
     topic_ids: tuple
     h_states: list
+    text: tuple
 
 
 def encode_context(model, preceding):
@@ -185,14 +191,15 @@ def encode_context(model, preceding):
     return bigru_encode(model.encoder_fw, model.encoder_bw, embs)
 
 
-def _visual_rows(model, features):
+def project_visual(model, features):
+    """The feature grid and its visual key projection (see project_keys)."""
     config = model.config
     feats = np.asarray(features, dtype=np.float64)
     if feats.shape != (config.visual_count, config.visual_dim):
         raise DimensionError("visual features %s, expected (%d, %d)"
                              % (feats.shape, config.visual_count,
                                 config.visual_dim))
-    return [Tensor(feats[i]) for i in range(feats.shape[0])]
+    return project_keys(model.visual_attention, Tensor(feats))
 
 
 def topic_vocabulary(keywords, vocab_size):
@@ -205,16 +212,25 @@ def topic_vocabulary(keywords, vocab_size):
     return tuple(ids)
 
 
-def prepare_context(model, features, keywords, preceding, bank=None):
-    """Encode everything one line generation needs."""
+def prepare_context(model, features, keywords, preceding, bank=None,
+                    visual=None):
+    """Encode everything one line generation needs.
+
+    bank and visual, when given, are the keyword bank and project_visual
+    result of these keywords and features, shared by a poem's lines.
+    """
     if bank is None:
         bank = tmem.encode_keywords(model.embedding, model.keyword_fw,
                                     model.keyword_bw, keywords)
+    if visual is None:
+        visual = project_visual(model, features)
+    h_states = encode_context(model, preceding)
     return GenerationContext(
-        visual_rows=_visual_rows(model, features),
+        visual=visual,
         bank=bank,
         topic_ids=topic_vocabulary(keywords, model.config.vocab_size),
-        h_states=encode_context(model, preceding))
+        h_states=h_states,
+        text=project_keys(model.text_attention, h_states))
 
 
 def init_state(model, h_states):
@@ -230,8 +246,8 @@ def decode_step(model, ctx, s_prev, y_prev):
     state then addresses the keyword memory.  An empty bank degrades to
     topic_state == state (the no-keywords variant).
     """
-    h_hat, _ = attend(model.text_attention, s_prev, ctx.h_states)
-    v_hat, _ = attend(model.visual_attention, s_prev, ctx.visual_rows)
+    h_hat, _ = attend(model.text_attention, s_prev, *ctx.text)
+    v_hat, _ = attend(model.visual_attention, s_prev, *ctx.visual)
     x = nm.concat([model.embedding.lookup(y_prev), h_hat, v_hat])
     s_t = gru_step(model.decoder, s_prev, x)
     if ctx.bank.size == 0:
@@ -251,13 +267,14 @@ def generic_distribution(model, o_t, v_hat, h_hat):
 def topic_distribution(model, ctx, o_t, v_hat, h_hat):
     """Distribution restricted to the topic vocabulary; zero elsewhere.
 
-    Returns None when the topic vocabulary is empty (bias disabled).
+    Only the topic vocabulary's rows of the head are evaluated.  Returns
+    None when the topic vocabulary is empty (bias disabled).
     """
     if not ctx.topic_ids:
         return None
     features = nm.concat([o_t, v_hat, h_hat])
-    logits = model.head_topic.logits(features)
-    restricted = nm.softmax(nm.gather(logits, ctx.topic_ids))
+    restricted = nm.softmax(model.head_topic.logits(features,
+                                                    rows=ctx.topic_ids))
     return nm.scatter(restricted, ctx.topic_ids, model.config.vocab_size)
 
 
@@ -301,12 +318,18 @@ def generate_line(model, ctx):
 
 
 def generate_poem(model, features, keywords):
-    """Full poem; each line is conditioned on all previously generated ones."""
+    """Full poem; each line is conditioned on all previously generated ones.
+
+    The keyword bank and the visual key projection are computed once per
+    poem; only the preceding lines change from line to line.
+    """
     bank = tmem.encode_keywords(model.embedding, model.keyword_fw,
                                 model.keyword_bw, keywords)
+    visual = project_visual(model, features)
     lines = []
     for _ in range(model.config.lines_per_poem):
         preceding = [c for line in lines for c in line]
-        ctx = prepare_context(model, features, keywords, preceding, bank=bank)
+        ctx = prepare_context(model, features, keywords, preceding, bank=bank,
+                              visual=visual)
         lines.append(generate_line(model, ctx))
     return lines

@@ -5,7 +5,9 @@ wrapping a numpy float64 array of rank 0, 1 or 2.  Operations executed
 while a Tape is active are recorded in execution order; Tape.backward
 replays their adjoints in exact reverse order.  With no active tape the
 same operations run forward-only, which is how generation and finite
-differencing avoid bookkeeping costs.
+differencing avoid bookkeeping costs.  An op is recorded only when one of
+its inputs needs a gradient, so work on constants (feature grids, say)
+never reaches the tape.
 
 Gradients accumulate: callers zero .grad explicitly before a backward
 pass (see Tensor.zero_grad).
@@ -24,6 +26,9 @@ class Tensor:
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
+        # True when a gradient can flow from this tensor to a leaf; ops set
+        # it on their outputs while a tape is active.
+        self.needs_grad = self.requires_grad
         # np.zeros, unlike zeros_like, leaves large buffers unmapped until
         # first written, so a model that never trains holds no gradient pages.
         self.grad = np.zeros(self.data.shape) if requires_grad else None
@@ -91,25 +96,45 @@ class Tape:
 
         Returns {tensor: ndarray} without touching any .grad field, so
         per-sample tapes can be reduced in a caller-chosen order.
+
+        A tensor's first dense contribution is kept as it is; the second
+        is summed into a new buffer that later ones are added into in
+        place.  Arrays a backward_fn returned are never written to, since
+        one array may be the contribution to several inputs (add returns
+        the same g for both).  A RowGrad is added into that buffer, which
+        it starts from zeros when it comes first.
         """
         if loss.data.shape != ():
             raise ContractError(
                 "backward requires a scalar loss, got shape %s"
                 % (loss.data.shape,))
         adjoint = {id(loss): np.ones(())}
+        owned = set()   # ids whose adjoint is a buffer this pass allocated
         leaves = {}
         for output, inputs, backward_fn in reversed(self._records):
             out_grad = adjoint.pop(id(output), None)
             if out_grad is None:
                 continue
+            owned.discard(id(output))
             for tensor, grad in zip(inputs, backward_fn(out_grad)):
                 if grad is None:
                     continue
                 key = id(tensor)
-                if key in adjoint:
-                    adjoint[key] = adjoint[key] + grad
-                else:
+                acc = adjoint.get(key)
+                if isinstance(grad, RowGrad):
+                    if key not in owned:
+                        acc = (np.zeros(tensor.data.shape) if acc is None
+                               else acc.copy())
+                        adjoint[key] = acc
+                        owned.add(key)
+                    grad.add_to(acc)
+                elif key in owned:
+                    acc += grad
+                elif acc is None:
                     adjoint[key] = grad
+                else:
+                    adjoint[key] = acc + grad
+                    owned.add(key)
                 if tensor.requires_grad:
                     leaves[key] = tensor
         return {t: adjoint[key] for key, t in leaves.items() if key in adjoint}
@@ -120,10 +145,29 @@ class Tape:
             tensor.grad += grad
 
 
+class RowGrad:
+    """Adjoint that is zero outside some rows: values[i] belongs at rows[i].
+
+    take_row, take_rows and gather return one, so a lookup into a large
+    table costs the rows it read, not a dense zero copy of the table.
+    Repeated rows add up.
+    """
+
+    __slots__ = ("rows", "values")
+
+    def __init__(self, rows, values):
+        self.rows = rows
+        self.values = values
+
+    def add_to(self, out):
+        np.add.at(out, self.rows, self.values)
+
+
 def _emit(data, inputs, backward_fn):
     out = Tensor(data)
     tape = _active_tape()
-    if tape is not None:
+    if tape is not None and any(t.needs_grad for t in inputs):
+        out.needs_grad = True
         tape.record(out, inputs, backward_fn)
     return out
 
@@ -143,13 +187,16 @@ def matmul(a, b):
     out = ad @ bd
 
     def backward(g):
-        if ad.ndim == 2 and bd.ndim == 2:
-            return g @ bd.T, ad.T @ g
-        if ad.ndim == 2 and bd.ndim == 1:
-            return np.outer(g, bd), ad.T @ g
-        if ad.ndim == 1 and bd.ndim == 2:
-            return bd @ g, np.outer(ad, g)
-        return g * bd, g * ad
+        if ad.ndim == 1 and bd.ndim == 1:
+            return g * bd, g * ad
+        # Only an operand that a gradient can flow through gets one.
+        ga = gb = None
+        if a.needs_grad:
+            ga = (bd @ g if ad.ndim == 1 else
+                  g @ bd.T if bd.ndim == 2 else np.outer(g, bd))
+        if b.needs_grad:
+            gb = np.outer(ad, g) if ad.ndim == 1 else ad.T @ g
+        return ga, gb
 
     return _emit(out, (a, b), backward)
 
@@ -283,12 +330,20 @@ def take_row(m, index):
         raise DimensionError("take_row: index %d out of range for shape %s"
                              % (index, m.data.shape))
 
-    def backward(g):
-        out = np.zeros_like(m.data)
-        out[index] = g
-        return (out,)
+    return _emit(m.data[index].copy(), (m,),
+                 lambda g: (RowGrad(index, g),))
 
-    return _emit(m.data[index].copy(), (m,), backward)
+
+def take_rows(m, indices):
+    """Rows m[indices] of a 2-d tensor, as a matrix."""
+    idx = np.asarray(indices, dtype=np.intp)
+    if m.data.ndim != 2 or idx.ndim != 1:
+        raise DimensionError("take_rows: %s indices into shape %s"
+                             % (idx.shape, m.data.shape))
+    if idx.size and (idx.min() < 0 or idx.max() >= m.data.shape[0]):
+        raise DimensionError("take_rows: indices out of range for shape %s"
+                             % (m.data.shape,))
+    return _emit(m.data[idx], (m,), lambda g: (RowGrad(idx, g),))
 
 
 def gather(v, indices):
@@ -301,12 +356,7 @@ def gather(v, indices):
         raise DimensionError("gather: indices out of range for shape %s"
                              % (v.data.shape,))
 
-    def backward(g):
-        out = np.zeros_like(v.data)
-        np.add.at(out, idx, g)
-        return (out,)
-
-    return _emit(v.data[idx].copy(), (v,), backward)
+    return _emit(v.data[idx], (v,), lambda g: (RowGrad(idx, g),))
 
 
 def scatter(values, indices, size):

@@ -85,6 +85,9 @@ def _sample_loss_sum(model, sample):
     for target_id in reversed(sample.target):
         s, o_t, h_hat, v_hat = mdl.decode_step(model, ctx, s, y_prev)
         p = mdl.output_probs(model, ctx, o_t, v_hat, h_hat)
+        if p.data[target_id] <= 0.0:
+            raise NumericalError("probability of target character %d "
+                                 "underflowed to 0" % target_id)
         term = nm.neg(nm.log(nm.pick(p, target_id)))
         total = term if total is None else nm.add(total, term)
         y_prev = target_id

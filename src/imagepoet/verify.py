@@ -127,7 +127,7 @@ def distribution_invariants(model, seed, steps=1000):
             s = mdl.init_state(model, ctx.h_states)
             y_prev = mdl.LINE_START_ID
         _, text_weights = attend(model.text_attention, s, ctx.h_states)
-        _, vis_weights = attend(model.visual_attention, s, ctx.visual_rows)
+        _, vis_weights = attend(model.visual_attention, s, *ctx.visual)
         weight_err = max(weight_err,
                          _prob_vector_error(text_weights.data),
                          _prob_vector_error(vis_weights.data))

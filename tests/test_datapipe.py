@@ -113,6 +113,17 @@ class TestBuildSamples:
             build_samples([("img0", "p0", 0)], images, poems, LEXICON)
         assert "img0" in str(info.value)
 
+    def test_mismatched_feature_grid_names_the_file(self, corpus, tmp_path):
+        write_feature_file(str(tmp_path / "img1.vfgr"),
+                           np.zeros((5, 3), dtype=np.float32))
+        images, poems = load_corpus(corpus)
+        matches = match_pairs(images, poems, LEXICON)
+        assert matches[-1][0] == "img1"
+        with pytest.raises(DataError) as info:
+            build_samples(matches, images, poems, LEXICON)
+        assert "img1.vfgr" in str(info.value)
+        assert "img0.vfgr" in str(info.value)
+
     def test_rebuild_from_reloaded_corpus_is_identical(self, corpus):
         def build():
             images, poems = load_corpus(corpus)

@@ -133,7 +133,7 @@ class TestDecodeStep:
         s_t, o_t, h_hat, v_hat = decode_step(model, ctx, s_prev, y_prev)
 
         want_h, _ = attend(model.text_attention, s_prev, ctx.h_states)
-        want_v, _ = attend(model.visual_attention, s_prev, ctx.visual_rows)
+        want_v, _ = attend(model.visual_attention, s_prev, ctx.visual[0])
         x = nm.concat([model.embedding.lookup(y_prev), want_h, want_v])
         want_s = gru_step(model.decoder, s_prev, x)
         z = tmem.address(ctx.bank, want_s)
@@ -195,6 +195,46 @@ class TestOutputProbs:
             # normalization never moves the argmax
             unnormalized = lam * p_t.data + p_g.data
             assert int(np.argmax(p.data)) == int(np.argmax(unnormalized))
+
+
+class TestHoistedWork:
+    def test_visual_keys_are_projected_once_per_poem(self, model, rng,
+                                                     monkeypatch):
+        projections = []
+        matmul = nm.matmul
+
+        def counting(a, b):
+            if b is model.visual_attention.key_proj:
+                projections.append(a.shape)
+            return matmul(a, b)
+
+        monkeypatch.setattr(nm, "matmul", counting)
+        generate_poem(model, features_for(model.config, rng), [(3, 4)])
+        assert projections == [(model.config.visual_count,
+                                model.config.visual_dim)]
+
+    def test_topic_head_scores_only_the_topic_rows(self, model, rng,
+                                                   monkeypatch):
+        ctx = prepare_context(model, features_for(model.config, rng),
+                              [(3, 4), (9,)], [1])
+        s = mdl.init_state(model, ctx.h_states)
+        s, o_t, h_hat, v_hat = decode_step(model, ctx, s, LINE_START_ID)
+        rows = []
+        matmul = nm.matmul
+
+        def recording(a, b):
+            if a.data.ndim == 2:
+                rows.append(a.shape[0])
+            return matmul(a, b)
+
+        monkeypatch.setattr(nm, "matmul", recording)
+        p_topic = topic_distribution(model, ctx, o_t, v_hat, h_hat)
+        monkeypatch.undo()
+        assert rows == [model.config.hidden_dim, len(ctx.topic_ids)]
+        features = nm.concat([o_t, v_hat, h_hat])
+        full = nm.gather(model.head_topic.logits(features), ctx.topic_ids)
+        want = nm.softmax(full).data
+        assert np.max(np.abs(p_topic.data[list(ctx.topic_ids)] - want)) < 1e-15
 
 
 class TestGeneration:

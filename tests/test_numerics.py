@@ -169,7 +169,7 @@ class TestGradCheck:
     @pytest.mark.parametrize("case", [
         "matmul", "add", "sub", "mul", "scale", "add_rowvec", "tanh",
         "sigmoid", "log", "softmax", "concat", "stack", "pick", "take_row",
-        "gather", "scatter",
+        "take_rows", "gather", "scatter",
     ])
     def test_every_op_matches_central_differences(self, case, rng):
         probe = Tensor(arr(rng, 3, 4), requires_grad=True)
@@ -199,6 +199,8 @@ class TestGradCheck:
                 [nm.take_row(t, i) for i in range(3)]))),
             "pick": lambda t: nm.pick(nm.tanh(vec(t)), 7),
             "take_row": lambda t: nm.sum_all(nm.tanh(nm.take_row(t, 1))),
+            "take_rows": lambda t: nm.sum_all(nm.tanh(nm.matmul(
+                nm.take_rows(t, [2, 0, 2]), other_v))),
             "gather": lambda t: nm.sum_all(
                 nm.tanh(nm.gather(vec(t), [0, 3, 3, 11]))),
             "scatter": lambda t: nm.sum_all(nm.tanh(nm.scatter(
@@ -206,6 +208,76 @@ class TestGradCheck:
         }
         err = grad_check(funcs[case], probe, h=1e-5)
         assert err < 1e-5, "%s gradient off by %.3e" % (case, err)
+
+
+class TestAccumulation:
+    def test_one_array_for_two_inputs_is_never_written_to(self, rng):
+        # add's backward returns one array for both a and b; each then
+        # gets a further contribution, which must not reach the other.
+        w = Tensor(arr(rng, 4, 4))
+
+        def f(t):
+            a = nm.tanh(t)
+            b = nm.sigmoid(t)
+            u = nm.mul(a, a)
+            v = nm.matmul(w, b)
+            s = nm.add(a, b)
+            return nm.sum_all(nm.add(nm.mul(s, s), nm.add(u, v)))
+
+        x = Tensor(arr(rng, 4), requires_grad=True)
+        assert grad_check(f, x, h=1e-5) < 1e-7
+        a_val, b_val = np.tanh(x.data), 1.0 / (1.0 + np.exp(-x.data))
+        s_val = a_val + b_val
+        dense = ((2.0 * s_val + 2.0 * a_val) * (1.0 - a_val ** 2)
+                 + (2.0 * s_val + w.data.sum(axis=0)) * b_val * (1.0 - b_val))
+        assert np.max(np.abs(x.grad - dense)) < 1e-12
+
+    def test_repeated_row_lookups_add_up(self, rng):
+        m = Tensor(arr(rng, 5, 3), requires_grad=True)
+        v = Tensor(arr(rng, 5), requires_grad=True)
+        with Tape() as tape:
+            rows = nm.add(nm.add(nm.take_row(m, 2),
+                                 nm.scale(nm.take_row(m, 2), 3.0)),
+                          nm.take_row(m, 4))
+            picked = nm.sum_all(nm.take_rows(m, [4, 1, 4]))
+            gathered = nm.sum_all(nm.gather(v, [3, 3, 0]))
+            loss = nm.add(nm.add(nm.sum_all(rows), picked), gathered)
+        grads = tape.gradients(loss)
+        want_m = np.zeros((5, 3))
+        want_m[2] = 4.0
+        want_m[4] = 3.0
+        want_m[1] = 1.0
+        want_v = np.array([1.0, 0.0, 0.0, 2.0, 0.0])
+        assert np.array_equal(grads[m], want_m)
+        assert np.array_equal(grads[v], want_v)
+
+    def test_gradients_are_dense_arrays_of_the_leaf_shape(self, rng):
+        m = Tensor(arr(rng, 6, 4), requires_grad=True)
+        v = Tensor(arr(rng, 6), requires_grad=True)
+        u = Tensor(arr(rng, 4), requires_grad=True)
+        with Tape() as tape:
+            logits = nm.add(nm.matmul(nm.take_rows(m, [0, 5]), u),
+                            nm.gather(v, [0, 5]))
+            loss = nm.add(nm.sum_all(logits),
+                          nm.sum_all(nm.take_row(m, 3)))
+        grads = tape.gradients(loss)
+        assert set(grads) == {m, v, u}
+        for t in (m, v, u):
+            assert type(grads[t]) is np.ndarray
+            assert grads[t].shape == t.shape
+
+    def test_ops_on_constants_need_no_gradient(self, rng):
+        c = Tensor(arr(rng, 3, 4))
+        p = Tensor(arr(rng, 4), requires_grad=True)
+        with Tape() as tape:
+            constant = nm.tanh(c)
+            tracked = nm.matmul(constant, p)
+            loss = nm.sum_all(tracked)
+        assert not constant.needs_grad
+        assert tracked.needs_grad
+        assert not nm.matmul(c, p).needs_grad   # no tape active
+        assert np.array_equal(tape.gradients(loss)[p],
+                              np.tanh(c.data).sum(axis=0))
 
 
 class TestDeterminism:

@@ -64,6 +64,18 @@ class TestCrossEntropy:
         b = cross_entropy_loss(model, list(reversed(batch))).item()
         assert abs(a - b) < 1e-10
 
+    def test_underflowed_target_probability_is_a_numerical_error(self,
+                                                                  config):
+        model = init_params(config, SeededRng(3))
+        model.head_generic.b_out.data[5] = -1e4
+        sample = TrainSample(features=np.zeros((config.visual_count,
+                                                config.visual_dim)),
+                             keywords=[(3,)], preceding=(),
+                             target=(5,) * config.chars_per_line)
+        with pytest.raises(NumericalError) as info:
+            cross_entropy_loss(model, [sample])
+        assert "underflowed" in str(info.value)
+
     def test_target_outside_vocab_rejected(self, model, rng):
         sample = make_sample(model.config, rng)
         bad = TrainSample(features=sample.features, keywords=sample.keywords,
