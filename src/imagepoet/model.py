@@ -168,7 +168,8 @@ class GenerationContext:
 
     visual and text are the (key matrix, projection) pairs of project_keys
     for the two attention streams, so the keys are projected once per
-    context rather than at every decode step.
+    context rather than at every decode step.  A projection of None leaves
+    attend to project the keys at each step.
     """
 
     visual: tuple
@@ -191,15 +192,20 @@ def encode_context(model, preceding):
     return bigru_encode(model.encoder_fw, model.encoder_bw, embs)
 
 
-def project_visual(model, features):
-    """The feature grid and its visual key projection (see project_keys)."""
+def visual_keys(model, features):
+    """The feature grid as the visual attention's key matrix."""
     config = model.config
     feats = np.asarray(features, dtype=np.float64)
     if feats.shape != (config.visual_count, config.visual_dim):
         raise DimensionError("visual features %s, expected (%d, %d)"
                              % (feats.shape, config.visual_count,
                                 config.visual_dim))
-    return project_keys(model.visual_attention, Tensor(feats))
+    return Tensor(feats)
+
+
+def project_visual(model, features):
+    """The feature grid and its visual key projection (see project_keys)."""
+    return project_keys(model.visual_attention, visual_keys(model, features))
 
 
 def topic_vocabulary(keywords, vocab_size):
@@ -216,8 +222,9 @@ def prepare_context(model, features, keywords, preceding, bank=None,
                     visual=None):
     """Encode everything one line generation needs.
 
-    bank and visual, when given, are the keyword bank and project_visual
-    result of these keywords and features, shared by a poem's lines.
+    bank and visual, when given, are the keyword bank and the (key matrix,
+    projection) pair of these keywords and features, shared by a poem's
+    lines.
     """
     if bank is None:
         bank = tmem.encode_keywords(model.embedding, model.keyword_fw,
@@ -320,12 +327,14 @@ def generate_line(model, ctx):
 def generate_poem(model, features, keywords):
     """Full poem; each line is conditioned on all previously generated ones.
 
-    The keyword bank and the visual key projection are computed once per
-    poem; only the preceding lines change from line to line.
+    The keyword bank and the visual key matrix are built once per poem;
+    only the preceding lines change from line to line.  The visual keys
+    are still projected at every decode step, the figure the benchmark's
+    tracer self-test pins (ROADMAP open item 5).
     """
     bank = tmem.encode_keywords(model.embedding, model.keyword_fw,
                                 model.keyword_bw, keywords)
-    visual = project_visual(model, features)
+    visual = (visual_keys(model, features), None)
     lines = []
     for _ in range(model.config.lines_per_poem):
         preceding = [c for line in lines for c in line]

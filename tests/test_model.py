@@ -198,20 +198,27 @@ class TestOutputProbs:
 
 
 class TestHoistedWork:
-    def test_visual_keys_are_projected_once_per_poem(self, model, rng,
-                                                     monkeypatch):
+    def test_keys_are_projected_once_per_context(self, model, rng,
+                                                 monkeypatch):
+        from imagepoet.training import TrainSample, cross_entropy_loss
+        sample = TrainSample(features=features_for(model.config, rng),
+                             keywords=[(3, 4)], preceding=(1, 2, 3),
+                             target=(5, 6, 7, 8, 9))
         projections = []
         matmul = nm.matmul
 
         def counting(a, b):
             if b is model.visual_attention.key_proj:
-                projections.append(a.shape)
+                projections.append(("visual", a.shape))
+            if b is model.text_attention.key_proj:
+                projections.append(("text", a.shape))
             return matmul(a, b)
 
         monkeypatch.setattr(nm, "matmul", counting)
-        generate_poem(model, features_for(model.config, rng), [(3, 4)])
-        assert projections == [(model.config.visual_count,
-                                model.config.visual_dim)]
+        cross_entropy_loss(model, [sample])
+        assert projections == [
+            ("visual", (model.config.visual_count, model.config.visual_dim)),
+            ("text", (3, 2 * model.config.hidden_dim))]
 
     def test_topic_head_scores_only_the_topic_rows(self, model, rng,
                                                    monkeypatch):
