@@ -29,9 +29,23 @@ class Tensor:
         # True when a gradient can flow from this tensor to a leaf; ops set
         # it on their outputs while a tape is active.
         self.needs_grad = self.requires_grad
-        # np.zeros, unlike zeros_like, leaves large buffers unmapped until
-        # first written, so a model that never trains holds no gradient pages.
-        self.grad = np.zeros(self.data.shape) if requires_grad else None
+        # The gradient buffer is made on first use, so a model that never
+        # trains holds none.  np.zeros alone does not ensure that: when the
+        # allocator hands back recycled heap memory, calloc writes its zeros
+        # and every page of the buffer becomes resident.
+        self._grad = None
+
+    @property
+    def grad(self):
+        """Accumulated gradient, zeros until written; None without
+        requires_grad."""
+        if self._grad is None and self.requires_grad:
+            self._grad = np.zeros(self.data.shape)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value):
+        self._grad = value
 
     @property
     def shape(self):
@@ -45,8 +59,10 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self):
+        # Eager, unlike construction: a training step allocates its
+        # gradients before the forward pass, not among the tape's buffers.
         if self.requires_grad:
-            self.grad = np.zeros(self.data.shape)
+            self._grad = np.zeros(self.data.shape)
 
     def __repr__(self):
         return "Tensor(shape=%s, requires_grad=%s)" % (self.shape,

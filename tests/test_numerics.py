@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,6 +314,26 @@ class TestTensorInvariants:
         grown = resident_bytes() - before
         assert t.grad.shape == (2048, 2048)
         assert grown < 8 << 20, grown
+
+    def test_gradient_buffer_is_made_on_first_use(self):
+        # A model that never trains (a loaded checkpoint used to generate)
+        # must not allocate its gradients: on recycled heap memory calloc
+        # writes the zeros, and every page of the buffer becomes resident.
+        data = np.zeros((512, 512))
+        tracemalloc.start()
+        try:
+            t = Tensor(data, requires_grad=True)
+            made, _ = tracemalloc.get_traced_memory()
+            assert t.grad.shape == data.shape
+            used, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert made < data.nbytes // 2, made
+        assert used - made >= data.nbytes
+        t.grad += 1.0
+        t.zero_grad()
+        assert np.array_equal(t.grad, np.zeros(data.shape))
+        assert Tensor(data).grad is None
 
     def test_values_finite_after_chained_ops(self, rng):
         x = Tensor(arr(rng, 6))
