@@ -118,7 +118,10 @@ class Tape:
         place.  Arrays a backward_fn returned are never written to, since
         one array may be the contribution to several inputs (add returns
         the same g for both).  A RowGrad is added into that buffer, which
-        it starts from zeros when it comes first.
+        it starts from zeros when it comes first.  A leaf's OuterGrads
+        wait until the sweep ends and are then summed by one GEMM, to
+        which its other contributions are added; no record reads a
+        leaf's adjoint, since a leaf is never a record's output.
         """
         if loss.data.shape != ():
             raise ContractError(
@@ -127,6 +130,7 @@ class Tape:
         adjoint = {id(loss): np.ones(())}
         owned = set()   # ids whose adjoint is a buffer this pass allocated
         leaves = {}
+        outers = {}     # leaf id -> ([u...], [v...]) of its OuterGrads
         for output, inputs, backward_fn in reversed(self._records):
             out_grad = adjoint.pop(id(output), None)
             if out_grad is None:
@@ -137,7 +141,11 @@ class Tape:
                     continue
                 key = id(tensor)
                 acc = adjoint.get(key)
-                if isinstance(grad, RowGrad):
+                if isinstance(grad, OuterGrad):
+                    us, vs = outers.setdefault(key, ([], []))
+                    us.append(grad.u)
+                    vs.append(grad.v)
+                elif isinstance(grad, RowGrad):
                     if key not in owned:
                         acc = (np.zeros(tensor.data.shape) if acc is None
                                else acc.copy())
@@ -153,6 +161,11 @@ class Tape:
                     owned.add(key)
                 if tensor.requires_grad:
                     leaves[key] = tensor
+        for key, (us, vs) in outers.items():
+            total = np.stack(us, axis=1) @ np.stack(vs)
+            if key in adjoint:
+                total += adjoint[key]
+            adjoint[key] = total
         return {t: adjoint[key] for key, t in leaves.items() if key in adjoint}
 
     def backward(self, loss):
@@ -177,6 +190,21 @@ class RowGrad:
 
     def add_to(self, out):
         np.add.at(out, self.rows, self.values)
+
+
+class OuterGrad:
+    """Adjoint outer(u, v) of a leaf matrix, which matmul returns.
+
+    Tape.gradients sums all of a leaf's OuterGrads at the end of its
+    sweep, so a weight reused at every step costs one GEMM, not one
+    weight-sized outer product and add per step.
+    """
+
+    __slots__ = ("u", "v")
+
+    def __init__(self, u, v):
+        self.u = u
+        self.v = v
 
 
 def _emit(data, inputs, backward_fn):
@@ -206,12 +234,16 @@ def matmul(a, b):
         if ad.ndim == 1 and bd.ndim == 1:
             return g * bd, g * ad
         # Only an operand that a gradient can flow through gets one.
+        # Outer products reach only leaves: the adjoint of a record's
+        # output must be complete before its backward_fn runs.
         ga = gb = None
         if a.needs_grad:
             ga = (bd @ g if ad.ndim == 1 else
-                  g @ bd.T if bd.ndim == 2 else np.outer(g, bd))
+                  g @ bd.T if bd.ndim == 2 else
+                  OuterGrad(g, bd) if a.requires_grad else np.outer(g, bd))
         if b.needs_grad:
-            gb = np.outer(ad, g) if ad.ndim == 1 else ad.T @ g
+            gb = (ad.T @ g if ad.ndim == 2 else
+                  OuterGrad(ad, g) if b.requires_grad else np.outer(ad, g))
         return ga, gb
 
     return _emit(out, (a, b), backward)

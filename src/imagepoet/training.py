@@ -264,6 +264,9 @@ def train(model, train_pool, valid_pool, config, log=None):
             if valid_loss < best_valid:
                 best_valid = valid_loss
                 best_epoch = epoch
+                # Freed first: at paper scale each blob is 163 MiB, and two
+                # alive at once set the run's peak memory.
+                best_blob = None
                 best_blob = checkpoint_bytes(model)
         history.append((epoch, train_loss, valid_loss))
     return TrainResult(history=history, best_epoch=best_epoch,

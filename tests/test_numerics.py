@@ -281,6 +281,63 @@ class TestAccumulation:
                               np.tanh(c.data).sum(axis=0))
 
 
+class TestDeferredOuterProducts:
+    def test_leaf_reached_by_every_contribution_kind(self, rng):
+        # W (5, 4) gets outer products from W @ x_t and a_t @ W at each of
+        # four steps, a row from take_row and a dense X.T @ G from X @ W.
+        xs = [arr(rng, 4) for _ in range(4)]
+        as_ = [arr(rng, 5) for _ in range(4)]
+        x_mat = arr(rng, 3, 5)
+
+        def f(w):
+            terms = [nm.sum_all(nm.tanh(nm.take_row(w, 2))),
+                     nm.sum_all(nm.tanh(nm.matmul(Tensor(x_mat), w)))]
+            for x, a in zip(xs, as_):
+                terms.append(nm.sum_all(nm.tanh(nm.matmul(w, Tensor(x)))))
+                terms.append(nm.sum_all(nm.tanh(nm.matmul(Tensor(a), w))))
+            total = terms[0]
+            for term in terms[1:]:
+                total = nm.add(total, term)
+            return total
+
+        w = Tensor(arr(rng, 5, 4), requires_grad=True)
+        assert grad_check(f, w, h=1e-5) < 1e-7
+        wd = w.data
+        want = np.zeros((5, 4))
+        for x, a in zip(xs, as_):
+            want += np.outer(1.0 - np.tanh(wd @ x) ** 2, x)
+            want += np.outer(a, 1.0 - np.tanh(a @ wd) ** 2)
+        want[2] += 1.0 - np.tanh(wd[2]) ** 2
+        want += x_mat.T @ (1.0 - np.tanh(x_mat @ wd) ** 2)
+        assert (np.max(np.abs(w.grad - want))
+                <= 1e-12 * np.max(np.abs(want)))
+
+    def test_recurrence_builds_no_per_step_weight_outer_product(
+            self, rng, monkeypatch):
+        w = Tensor(arr(rng, 6, 6), requires_grad=True)
+        u = Tensor(arr(rng, 6, 4), requires_grad=True)
+        v = Tensor(arr(rng, 3, 6), requires_grad=True)
+        with Tape() as tape:
+            h = Tensor(np.zeros(6))
+            for _ in range(5):
+                x = Tensor(arr(rng, 4))
+                pre = nm.add(nm.matmul(w, h), nm.matmul(u, x))
+                h = nm.tanh(nm.add(pre, nm.matmul(Tensor(arr(rng, 3)), v)))
+            loss = nm.sum_all(h)
+        shapes = []
+        outer = np.outer
+
+        def counting(a, b, *args, **kwargs):
+            out = outer(a, b, *args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(np, "outer", counting)
+        grads = tape.gradients(loss)
+        assert set(grads) == {w, u, v}
+        assert [s for s in shapes if s in {(6, 6), (6, 4), (3, 6)}] == []
+
+
 class TestDeterminism:
     def test_same_seed_bitwise_identical(self):
         def run():

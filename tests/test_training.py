@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from imagepoet import training
 from imagepoet.errors import ConfigError, NumericalError, VocabularyError
 from imagepoet.model import init_params
 from imagepoet.numerics import Tape, Tensor
@@ -249,6 +250,29 @@ class TestTrainLoop:
             assert parts[0] == "epoch" and int(parts[1]) == i
             assert parts[2] == "train" and parts[4] == "valid"
             float(parts[3]), float(parts[5])
+
+    def test_previous_best_checkpoint_is_freed_before_the_next(
+            self, config, rng, monkeypatch):
+        class Blob:
+            pass
+
+        alive = weakref.WeakSet()
+        leftovers = []
+
+        def recording(model):
+            leftovers.append(len(alive))  # earlier blobs train still holds
+            blob = Blob()
+            alive.add(blob)
+            return blob
+
+        monkeypatch.setattr(training, "checkpoint_bytes", recording)
+        pool = make_pool(config, rng, 4, preceding_len=0)
+        model = init_params(config, SeededRng(26))
+        result = train(model, pool, pool,
+                       TrainConfig(batch_size=2, max_epochs=3, seed=1))
+        assert len(leftovers) >= 2
+        assert leftovers == [0] * len(leftovers)
+        assert set(alive) == {result.best_checkpoint}
 
     def test_training_reduces_loss(self, config, rng):
         pool = make_pool(config, rng, 6, preceding_len=0)
