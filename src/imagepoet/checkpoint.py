@@ -83,8 +83,6 @@ def read_checkpoint(fh):
         (rank,) = struct.unpack("<B", _read_exact(fh, 1))
         shape = tuple(struct.unpack("<I", _read_exact(fh, 4))[0]
                       for _ in range(rank))
-        n = int(np.prod(shape)) if shape else 1
-        values = np.frombuffer(_read_exact(fh, 8 * n), dtype="<f8")
         if name not in expected:
             raise CheckpointShapeError("unknown parameter %r" % name)
         if name in seen:
@@ -93,6 +91,7 @@ def read_checkpoint(fh):
         if shape != target.data.shape:
             raise CheckpointShapeError("parameter %r has shape %s, expected %s"
                                        % (name, shape, target.data.shape))
+        values = np.frombuffer(_read_exact(fh, 8 * target.size), dtype="<f8")
         target.data[...] = values.reshape(shape)
         seen.add(name)
     return model

@@ -10,7 +10,7 @@ import os
 import sys
 
 from . import datapipe, poetics, verify
-from .checkpoint import load_checkpoint, save_checkpoint, model_from_bytes
+from .checkpoint import load_checkpoint
 from .errors import (CheckpointError, ConfigError, DataError, DimensionError,
                      DomainError, NumericalError, UsageError, VocabularyError)
 from .model import ModelConfig, generate_poem, init_params
@@ -136,8 +136,8 @@ def cmd_train(args, stdout):
             stdout.write(line + "\n")
 
         result = train(model, train_pool, valid_pool, tconfig, log=log)
-    best = model_from_bytes(result.best_checkpoint)
-    save_checkpoint(best, args.out)
+    with open(args.out, "wb") as fh:
+        fh.write(result.best_checkpoint)
     stdout.write("best epoch %d valid %.6f -> %s\n"
                  % (result.best_epoch, result.best_valid, args.out))
     return 0

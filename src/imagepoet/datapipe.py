@@ -119,12 +119,13 @@ def load_feature_file(path):
             if version != FEATURE_VERSION:
                 raise DataError("%s: unsupported feature version %d"
                                 % (path, version))
-            blob = fh.read(4 * rows * cols + 1)
+            size = os.fstat(fh.fileno()).st_size - len(header)
+            if size != 4 * rows * cols:
+                raise DataError("%s: expected %d feature values, file holds "
+                                "%d bytes" % (path, rows * cols, size))
+            blob = fh.read(size)
     except OSError as exc:
         raise DataError("%s: %s" % (path, exc))
-    if len(blob) != 4 * rows * cols:
-        raise DataError("%s: expected %d feature values, file holds %d bytes"
-                        % (path, rows * cols, len(blob)))
     values = np.frombuffer(blob, dtype="<f4").astype(np.float64)
     if not np.all(np.isfinite(values)):
         raise DataError("%s: non-finite feature values" % path)
@@ -144,15 +145,22 @@ def load_corpus(path, lines_per_poem=None, chars_per_line=None):
                 record = json.loads(line)
             except ValueError as exc:
                 raise DataError("%s:%d: bad JSON: %s" % (path, number, exc))
-            if "image_id" in record:
-                feature_path = record.get("feature_path", "")
-                if feature_path and not os.path.isabs(feature_path):
-                    feature_path = os.path.join(base, feature_path)
-                images.append(ImageRecord(str(record["image_id"]),
-                                          feature_path,
-                                          list(record.get("concepts", []))))
-            elif "poem_id" in record:
-                lines = [tuple(int(c) for c in l) for l in record["lines"]]
+            try:
+                if "image_id" in record:
+                    feature_path = record.get("feature_path", "")
+                    if feature_path and not os.path.isabs(feature_path):
+                        feature_path = os.path.join(base, feature_path)
+                    images.append(ImageRecord(
+                        str(record["image_id"]), feature_path,
+                        list(record.get("concepts", []))))
+                    continue
+                if "poem_id" in record:
+                    poem_id = str(record["poem_id"])
+                    lines = [tuple(int(c) for c in l) for l in record["lines"]]
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise DataError("%s:%d: malformed record: %s: %s"
+                                % (path, number, type(exc).__name__, exc))
+            if "poem_id" in record:
                 if lines_per_poem is not None and len(lines) != lines_per_poem:
                     raise DataError("%s:%d: poem has %d lines, expected %d"
                                     % (path, number, len(lines),
@@ -163,7 +171,7 @@ def load_corpus(path, lines_per_poem=None, chars_per_line=None):
                             raise DataError(
                                 "%s:%d: line %d has %d chars, expected %d"
                                 % (path, number, i, len(l), chars_per_line))
-                poems.append(PoemRecord(str(record["poem_id"]), lines))
+                poems.append(PoemRecord(poem_id, lines))
             else:
                 raise DataError("%s:%d: record is neither an image nor a poem"
                                 % (path, number))

@@ -29,17 +29,31 @@ def param(rng, *shape):
                   requires_grad=True)
 
 
-class EmbeddingTable:
+class ParamGroup:
+    """Trainable tensors named by _FIELDS, taken and listed in that order."""
+
+    _FIELDS = ()
+
+    def __init__(self, *tensors):
+        for name, tensor in zip(self._FIELDS, tensors, strict=True):
+            setattr(self, name, tensor)
+
+    def parameters(self):
+        return [(name, getattr(self, name)) for name in self._FIELDS]
+
+
+class EmbeddingTable(ParamGroup):
     """Maps character ids in [0, vocab_size) to learned rows."""
 
-    def __init__(self, vocab_size, dim, weights):
-        self.vocab_size = vocab_size
-        self.dim = dim
-        self.weights = weights
+    _FIELDS = ("weights",)
 
     @classmethod
     def create(cls, vocab_size, dim, rng=None):
-        return cls(vocab_size, dim, param(rng, vocab_size, dim))
+        return cls(param(rng, vocab_size, dim))
+
+    @property
+    def vocab_size(self):
+        return self.weights.shape[0]
 
     def lookup(self, char_id):
         char_id = int(char_id)
@@ -48,20 +62,11 @@ class EmbeddingTable:
                                   % (char_id, self.vocab_size))
         return nm.take_row(self.weights, char_id)
 
-    def parameters(self):
-        return [("weights", self.weights)]
 
-
-class GRUCell:
+class GRUCell(ParamGroup):
     """Single GRU cell with separate input, recurrent and bias parameters."""
 
     _FIELDS = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
-
-    def __init__(self, input_dim, hidden_dim, params):
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
-        for name, tensor in zip(self._FIELDS, params):
-            setattr(self, name, tensor)
 
     @classmethod
     def create(cls, input_dim, hidden_dim, rng=None):
@@ -70,13 +75,18 @@ class GRUCell:
             params += [param(rng, hidden_dim, input_dim),
                        param(rng, hidden_dim, hidden_dim),
                        param(rng, hidden_dim)]
-        return cls(input_dim, hidden_dim, params)
+        return cls(*params)
+
+    @property
+    def input_dim(self):
+        return self.w_z.shape[1]
+
+    @property
+    def hidden_dim(self):
+        return self.w_z.shape[0]
 
     def zero_state(self):
         return Tensor(np.zeros(self.hidden_dim))
-
-    def parameters(self):
-        return [(name, getattr(self, name)) for name in self._FIELDS]
 
 
 def gru_step(cell, h_prev, x):
@@ -96,9 +106,9 @@ def gru_step(cell, h_prev, x):
     return nm.add(nm.mul(keep, h_prev), nm.mul(z, cand))
 
 
-def gru_run(cell, xs, h0=None):
-    """States after each step of a left-to-right GRU pass."""
-    h = cell.zero_state() if h0 is None else h0
+def gru_run(cell, xs):
+    """States after each step of a left-to-right GRU pass from zero."""
+    h = cell.zero_state()
     states = []
     for x in xs:
         h = gru_step(cell, h, x)
@@ -120,7 +130,7 @@ def bigru_encode(cell_fw, cell_bw, xs):
     return [nm.concat([f, b]) for f, b in zip(forward, backward)]
 
 
-class AttentionParams:
+class AttentionParams(ParamGroup):
     """Additive-attention parameters for one stream.
 
     score: projection-width vector u.
@@ -128,20 +138,13 @@ class AttentionParams:
     key_proj: (key_dim, proj_dim), applied as keys @ key_proj.
     """
 
-    def __init__(self, score, query_proj, key_proj):
-        self.score = score
-        self.query_proj = query_proj
-        self.key_proj = key_proj
+    _FIELDS = ("score", "query_proj", "key_proj")
 
     @classmethod
     def create(cls, query_dim, key_dim, proj_dim, rng=None):
         return cls(param(rng, proj_dim),
                    param(rng, proj_dim, query_dim),
                    param(rng, key_dim, proj_dim))
-
-    def parameters(self):
-        return [("score", self.score), ("query_proj", self.query_proj),
-                ("key_proj", self.key_proj)]
 
 
 def _key_matrix(keys):
@@ -179,14 +182,10 @@ def attend(params, query, keys, projected=None):
     return context, weights
 
 
-class OutputHead:
+class OutputHead(ParamGroup):
     """Two-layer perceptron producing logits: W2 tanh(W1 f + b1) + b2."""
 
-    def __init__(self, w_hidden, b_hidden, w_out, b_out):
-        self.w_hidden = w_hidden
-        self.b_hidden = b_hidden
-        self.w_out = w_out
-        self.b_out = b_out
+    _FIELDS = ("w_hidden", "b_hidden", "w_out", "b_out")
 
     @classmethod
     def create(cls, input_dim, hidden_dim, output_dim, rng=None):
@@ -203,7 +202,3 @@ class OutputHead:
             return nm.add(nm.matmul(self.w_out, hidden), self.b_out)
         return nm.add(nm.matmul(nm.take_rows(self.w_out, rows), hidden),
                       nm.gather(self.b_out, rows))
-
-    def parameters(self):
-        return [("w_hidden", self.w_hidden), ("b_hidden", self.b_hidden),
-                ("w_out", self.w_out), ("b_out", self.b_out)]

@@ -20,7 +20,8 @@ from . import numerics as nm
 from . import topic_memory as tmem
 from .errors import ConfigError, DimensionError, VocabularyError
 from .layers import (AttentionParams, EmbeddingTable, GRUCell, OutputHead,
-                     attend, gru_step, bigru_encode, param, project_keys)
+                     ParamGroup, attend, gru_step, bigru_encode, param,
+                     project_keys)
 from .numerics import Tensor
 
 # Reserved vocabulary ids.
@@ -85,48 +86,30 @@ class ModelConfig:
         return cls(**d).validate()
 
 
+class StateMap(ParamGroup):
+    """The initial decoder state's map of the mean context: tanh(w m + b)."""
+
+    _FIELDS = ("w", "b")
+
+
 class PoemModel:
-    """All learned parameters plus the config that shaped them."""
+    """All learned parameters plus the config that shaped them.
 
-    def __init__(self, config, embedding, encoder_fw, encoder_bw,
-                 keyword_fw, keyword_bw, decoder, text_attention,
-                 visual_attention, init_w, init_b, head_generic, head_topic):
+    parts lists (checkpoint prefix, attribute, part) in the canonical
+    order; each part is set as the named attribute.
+    """
+
+    def __init__(self, config, parts):
         self.config = config
-        self.embedding = embedding
-        self.encoder_fw = encoder_fw
-        self.encoder_bw = encoder_bw
-        self.keyword_fw = keyword_fw
-        self.keyword_bw = keyword_bw
-        self.decoder = decoder
-        self.text_attention = text_attention
-        self.visual_attention = visual_attention
-        self.init_w = init_w
-        self.init_b = init_b
-        self.head_generic = head_generic
-        self.head_topic = head_topic
-
-    _CHILDREN = (
-        ("embedding", "embedding"),
-        ("encoder.fw", "encoder_fw"),
-        ("encoder.bw", "encoder_bw"),
-        ("keyword.fw", "keyword_fw"),
-        ("keyword.bw", "keyword_bw"),
-        ("decoder", "decoder"),
-        ("attention.text", "text_attention"),
-        ("attention.visual", "visual_attention"),
-        ("head.generic", "head_generic"),
-        ("head.topic", "head_topic"),
-    )
+        self.parts = parts
+        for _, attr, part in parts:
+            setattr(self, attr, part)
 
     def parameters(self):
         """(path, tensor) pairs in a fixed canonical order."""
-        out = []
-        for prefix, attr in self._CHILDREN:
-            for name, tensor in getattr(self, attr).parameters():
-                out.append((prefix + "." + name, tensor))
-        out.append(("init_state.w", self.init_w))
-        out.append(("init_state.b", self.init_b))
-        return out
+        return [(prefix + "." + name, tensor)
+                for prefix, _, part in self.parts
+                for name, tensor in part.parameters()]
 
     def zero_grads(self):
         for _, p in self.parameters():
@@ -140,26 +123,27 @@ def init_params(config, rng=None):
     """Fresh model, every parameter uniform on [-0.08, 0.08] from rng.
 
     With rng None every parameter is zero; checkpoint loading fills such
-    a model in.
+    a model in.  Parameters are drawn in checkpoint order.
     """
     config.validate()
     h, v, dv = config.hidden_dim, config.vocab_size, config.visual_dim
-    embedding = EmbeddingTable.create(v, h, rng)
-    encoder_fw = GRUCell.create(h, h, rng)
-    encoder_bw = GRUCell.create(h, h, rng)
-    keyword_fw = GRUCell.create(h, h // 2, rng)
-    keyword_bw = GRUCell.create(h, h // 2, rng)
-    decoder = GRUCell.create(h + 2 * h + dv, h, rng)
-    text_attention = AttentionParams.create(h, 2 * h, h, rng)
-    visual_attention = AttentionParams.create(h, dv, h, rng)
     head_in = h + dv + 2 * h
-    head_generic = OutputHead.create(head_in, h, v, rng)
-    head_topic = OutputHead.create(head_in, h, v, rng)
-    init_w = param(rng, h, 2 * h)
-    init_b = param(rng, h)
-    return PoemModel(config, embedding, encoder_fw, encoder_bw, keyword_fw,
-                     keyword_bw, decoder, text_attention, visual_attention,
-                     init_w, init_b, head_generic, head_topic)
+    return PoemModel(config, [
+        ("embedding", "embedding", EmbeddingTable.create(v, h, rng)),
+        ("encoder.fw", "encoder_fw", GRUCell.create(h, h, rng)),
+        ("encoder.bw", "encoder_bw", GRUCell.create(h, h, rng)),
+        ("keyword.fw", "keyword_fw", GRUCell.create(h, h // 2, rng)),
+        ("keyword.bw", "keyword_bw", GRUCell.create(h, h // 2, rng)),
+        ("decoder", "decoder", GRUCell.create(h + 2 * h + dv, h, rng)),
+        ("attention.text", "text_attention",
+         AttentionParams.create(h, 2 * h, h, rng)),
+        ("attention.visual", "visual_attention",
+         AttentionParams.create(h, dv, h, rng)),
+        ("head.generic", "head_generic", OutputHead.create(head_in, h, v, rng)),
+        ("head.topic", "head_topic", OutputHead.create(head_in, h, v, rng)),
+        ("init_state", "state_map",
+         StateMap(param(rng, h, 2 * h), param(rng, h))),
+    ])
 
 
 @dataclasses.dataclass
@@ -243,7 +227,8 @@ def prepare_context(model, features, keywords, preceding, bank=None,
 def init_state(model, h_states):
     """Initial decoder state: tanh of a learned map of the mean context."""
     mean = nm.mean_of(h_states)
-    return nm.tanh(nm.add(nm.matmul(model.init_w, mean), model.init_b))
+    return nm.tanh(nm.add(nm.matmul(model.state_map.w, mean),
+                          model.state_map.b))
 
 
 def decode_step(model, ctx, s_prev, y_prev):

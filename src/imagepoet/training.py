@@ -85,7 +85,7 @@ def _sample_loss_sum(model, sample):
     for target_id in reversed(sample.target):
         s, o_t, h_hat, v_hat = mdl.decode_step(model, ctx, s, y_prev)
         p = mdl.output_probs(model, ctx, o_t, v_hat, h_hat)
-        if p.data[target_id] <= 0.0:
+        if not p.data[target_id] > 0.0:  # also catches NaN
             raise NumericalError("probability of target character %d "
                                  "underflowed to 0" % target_id)
         term = nm.neg(nm.log(nm.pick(p, target_id)))
@@ -239,7 +239,7 @@ def train(model, train_pool, valid_pool, config, log=None):
     history = []
     best_valid = math.inf
     best_epoch = -1
-    best_blob = checkpoint_bytes(model)
+    best_blob = None  # every validation loss is finite, so the first sets it
     for epoch in range(1, config.max_epochs + 1):
         epoch_loss = 0.0
         epoch_samples = 0

@@ -151,14 +151,13 @@ def distribution_invariants(model, seed, steps=1000):
 
 
 def run_checks(seed=7, dist_steps=1000, inject_error=False,
-               report_line=print, config=None):
+               report_line=print):
     """Full verification pass; returns True when everything is in budget."""
-    config = config if config is not None else CHECK_CONFIG
     rng = SeededRng(seed)
-    model = init_params(config, rng)
+    model = init_params(CHECK_CONFIG, rng)
     ok = True
 
-    grad = full_model_grad_check(model, toy_sample(config, rng),
+    grad = full_model_grad_check(model, toy_sample(CHECK_CONFIG, rng),
                                  inject_error=inject_error)
     grad_ok = grad.max_error < 1e-5
     ok = ok and grad_ok

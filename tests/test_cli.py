@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from imagepoet.cli import main
 from imagepoet.datapipe import (keyword_recall, load_concept_lexicon,
                                 load_feature_file, image_keywords,
                                 load_corpus)
-from imagepoet.checkpoint import load_checkpoint
-from imagepoet.model import generate_poem
+from imagepoet.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from imagepoet.model import generate_poem, init_params
+from imagepoet.rng import SeededRng
 
+from conftest import toy_config
 from corpus_helpers import write_keyword_file, write_toy_corpus
 
 
@@ -73,6 +76,21 @@ class TestTrain:
                           "--lexicon", corpus["lexicon"],
                           "--out", str(tmp_path / "x.ckpt"), *TRAIN_FLAGS)
         assert code == 2
+
+    @pytest.mark.parametrize("record", [
+        {"poem_id": "p"},
+        {"poem_id": "p", "lines": [["a"]]},
+        {"image_id": "i", "concepts": 5},
+    ])
+    def test_malformed_corpus_record_names_the_line(self, corpus, tmp_path,
+                                                    capsys, record):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        code, _ = run_cli("train", "--corpus", str(bad),
+                          "--lexicon", corpus["lexicon"],
+                          "--out", str(tmp_path / "x.ckpt"), *TRAIN_FLAGS)
+        assert code == 2
+        assert str(bad) + ":1" in capsys.readouterr().err
 
 
 class TestGenerate:
@@ -163,6 +181,41 @@ class TestGenerate:
                             "--features", nan, "--keywords", keywords)
         assert code == 2 and out == ""
         assert nan in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, cols", [(0xFFFFFFFF, 0xFFFFFFFF),
+                                            (60000, 60000)])
+    def test_oversized_feature_header_names_the_path(self, corpus, tmp_path,
+                                                     capsys, rows, cols):
+        ckpt = train_once(corpus, tmp_path)
+        keywords = write_keyword_file(tmp_path, [(2,)])
+        big = str(tmp_path / "big.vfgr")
+        with open(big, "wb") as fh:
+            fh.write(b"VFGR" + struct.pack("<III", 1, rows, cols))
+            fh.write(bytes(4 * 6))
+        code, out = run_cli("generate", "--checkpoint", ckpt,
+                            "--features", big, "--keywords", keywords)
+        assert code == 2 and out == ""
+        assert big in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extent", [0xFFFFFFFF, 100000])
+    def test_oversized_checkpoint_extents_are_input_errors(self, corpus,
+                                                           tmp_path, extent):
+        ckpt = str(tmp_path / "model.ckpt")
+        save_checkpoint(init_params(toy_config(), SeededRng(2)), ckpt)
+        blob = bytearray(open(ckpt, "rb").read())
+        config_len = int.from_bytes(blob[len(MAGIC) + 4:len(MAGIC) + 8],
+                                    "little")
+        name_at = len(MAGIC) + 8 + config_len + 4
+        name_len = int.from_bytes(blob[name_at:name_at + 2], "little")
+        extents_at = name_at + 2 + name_len + 1
+        blob[extents_at:extents_at + 8] = struct.pack("<II", extent, extent)
+        with open(ckpt, "wb") as fh:
+            fh.write(blob)
+        keywords = write_keyword_file(tmp_path, [(2,)])
+        code, _ = run_cli("generate", "--checkpoint", ckpt,
+                          "--features", corpus["features"],
+                          "--keywords", keywords)
+        assert code == 2
 
     def test_feature_shape_mismatch_is_an_input_error(self, corpus, tmp_path):
         ckpt = train_once(corpus, tmp_path)

@@ -236,6 +236,15 @@ class TestTrainLoop:
         best = result.load_model()
         assert abs(evaluate_loss(best, valid) - result.best_valid) < 1e-12
 
+    def test_nan_validation_loss_is_a_numerical_error(self, config, rng):
+        pool = make_pool(config, rng, 4, preceding_len=0)
+        valid = make_pool(config, rng, 1, preceding_len=0)
+        valid[0].features[0, 0] = np.nan
+        model = init_params(config, SeededRng(24))
+        with pytest.raises(NumericalError):
+            train(model, pool, valid,
+                  TrainConfig(batch_size=2, max_epochs=2, seed=1))
+
     def test_log_lines_have_the_documented_shape(self, config, rng):
         pool = make_pool(config, rng, 4, preceding_len=0)
         valid = make_pool(config, rng, 2, preceding_len=0)
