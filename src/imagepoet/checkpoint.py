@@ -34,24 +34,29 @@ def _read_exact(fh, n):
     return data
 
 
-def write_checkpoint(model, fh):
-    """Serialize a model to a binary stream."""
-    fh.write(MAGIC)
-    fh.write(struct.pack("<I", VERSION))
+def _parts(model):
+    """The checkpoint as header bytes and a memoryview of each parameter.
+
+    Parameters are referenced, not copied: writing or joining the parts
+    moves each value once.
+    """
     config_blob = json.dumps(model.config.to_dict(), sort_keys=True).encode()
-    fh.write(struct.pack("<I", len(config_blob)))
-    fh.write(config_blob)
     params = model.parameters()
-    fh.write(struct.pack("<I", len(params)))
+    parts = [MAGIC + struct.pack("<II", VERSION, len(config_blob))
+             + config_blob + struct.pack("<I", len(params))]
     for name, tensor in params:
         blob = name.encode()
-        fh.write(struct.pack("<H", len(blob)))
-        fh.write(blob)
         shape = tensor.data.shape
-        fh.write(struct.pack("<B", len(shape)))
-        for extent in shape:
-            fh.write(struct.pack("<I", extent))
-        fh.write(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
+        parts.append(struct.pack("<H", len(blob)) + blob
+                     + struct.pack("<B%dI" % len(shape), len(shape), *shape))
+        parts.append(memoryview(np.ascontiguousarray(tensor.data,
+                                                     dtype="<f8")))
+    return parts
+
+
+def write_checkpoint(model, fh):
+    """Serialize a model to a binary stream."""
+    fh.writelines(_parts(model))
 
 
 def read_checkpoint(fh):
@@ -108,9 +113,8 @@ def load_checkpoint(path):
 
 
 def checkpoint_bytes(model):
-    buf = io.BytesIO()
-    write_checkpoint(model, buf)
-    return buf.getvalue()
+    """The checkpoint as one bytes object, allocated once at its final size."""
+    return b"".join(_parts(model))
 
 
 def model_from_bytes(data):

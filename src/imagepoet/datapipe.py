@@ -132,6 +132,13 @@ def load_feature_file(path):
     return values.reshape(rows, cols)
 
 
+def _not_str(value, what):
+    """value, unless it is a string, which list() would split per character."""
+    if isinstance(value, str):
+        raise TypeError("%s must be a list, not a string" % what)
+    return value
+
+
 def load_corpus(path, lines_per_poem=None, chars_per_line=None):
     """Image and poem records from a JSON-lines corpus file."""
     images, poems = [], []
@@ -152,11 +159,13 @@ def load_corpus(path, lines_per_poem=None, chars_per_line=None):
                         feature_path = os.path.join(base, feature_path)
                     images.append(ImageRecord(
                         str(record["image_id"]), feature_path,
-                        list(record.get("concepts", []))))
+                        list(_not_str(record.get("concepts", []),
+                                      "concepts"))))
                     continue
                 if "poem_id" in record:
                     poem_id = str(record["poem_id"])
-                    lines = [tuple(int(c) for c in l) for l in record["lines"]]
+                    lines = [tuple(int(c) for c in _not_str(l, "a line"))
+                             for l in _not_str(record["lines"], "lines")]
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise DataError("%s:%d: malformed record: %s: %s"
                                 % (path, number, type(exc).__name__, exc))

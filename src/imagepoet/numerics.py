@@ -19,6 +19,11 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError
 
+# Elements per block when a pass sweeps whole parameters (seeded draws,
+# the AdaDelta step): 256 KiB of float64, so each block's temporaries stay
+# in L2 between ufuncs instead of streaming parameter-sized arrays.
+SWEEP_BLOCK = 32768
+
 
 class Tensor:
     """A dense float64 value, optionally carrying an accumulated gradient."""

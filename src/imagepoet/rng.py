@@ -8,12 +8,15 @@ The generator is SplitMix64: the i-th draw mixes the state
     z ^= z >> 31
 
 Because the stream is counter-based, scalar and vectorized draws produce
-the same sequence, and identical seeds reproduce identical sequences on
-any platform.  Doubles are built from the top 53 bits: ``(z >> 11) * 2**-53``
-in [0, 1).
+the same sequence (a vectorized draw is filled block by block, each block
+starting at its own counter), and identical seeds reproduce identical
+sequences on any platform.  Doubles are built from the top 53 bits:
+``(z >> 11) * 2**-53`` in [0, 1).
 """
 
 import numpy as np
+
+from .numerics import SWEEP_BLOCK
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -42,17 +45,21 @@ class SeededRng:
         return lo + u * (hi - lo)
 
     def uniform_array(self, n, lo=0.0, hi=1.0):
-        """n doubles from the same stream, vectorized."""
-        with np.errstate(over="ignore"):
-            counters = np.arange(self._counter + 1, self._counter + n + 1,
-                                 dtype=np.uint64)
-            z = np.uint64(self.seed) + counters * np.uint64(_GAMMA)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-            z = z ^ (z >> np.uint64(31))
+        """n doubles from the same stream, vectorized block by block."""
+        out = np.empty(n)
+        for start in range(0, n, SWEEP_BLOCK):
+            stop = min(start + SWEEP_BLOCK, n)
+            with np.errstate(over="ignore"):
+                counters = np.arange(self._counter + start + 1,
+                                     self._counter + stop + 1, dtype=np.uint64)
+                z = np.uint64(self.seed) + counters * np.uint64(_GAMMA)
+                z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+                z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+                z = z ^ (z >> np.uint64(31))
+            u = (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+            out[start:stop] = lo + u * (hi - lo)
         self._counter += n
-        u = (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-        return lo + u * (hi - lo)
+        return out
 
     def below(self, n):
         """Unbiased integer in [0, n) via rejection sampling."""

@@ -145,14 +145,22 @@ def _reduce_gradients(model, results):
 
 
 def clip_gradients(params, max_norm):
-    """Scale all gradients so their global L2 norm is at most max_norm."""
-    if max_norm <= 0:
-        return 1.0
+    """Scale all gradients so their global L2 norm is at most max_norm.
+
+    The norm is computed even when clipping is off (max_norm <= 0).  A
+    non-finite norm raises NumericalError: scaling by it would zero every
+    gradient, and unscaled its squares would freeze AdaDelta's E[g^2].
+    """
     total = 0.0
-    for _, p in params:
-        total += float(np.dot(p.grad.reshape(-1), p.grad.reshape(-1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, p in params:
+            g = p.grad.reshape(-1)
+            total += float(np.dot(g, g))
+            if not math.isfinite(total):
+                raise NumericalError("gradient norm is not finite at "
+                                     "parameter %r" % name)
     norm = math.sqrt(total)
-    if norm <= max_norm:
+    if max_norm <= 0 or norm <= max_norm:
         return 1.0
     factor = max_norm / norm
     for _, p in params:
@@ -166,6 +174,9 @@ class AdaDeltaState:
     def __init__(self, params, rho=0.95, eps=1e-6):
         self.rho = rho
         self.eps = eps
+        # zeros_like writes its zeros here.  np.zeros would leave the pages
+        # unmapped for the first step to fault in, reading each before
+        # writing it, which measured slower in total.
         self.sq_grad = {name: np.zeros_like(p.data) for name, p in params}
         self.sq_delta = {name: np.zeros_like(p.data) for name, p in params}
 
@@ -177,20 +188,41 @@ def adadelta_update(state, params):
         dx       = -sqrt(E[dx^2] + eps) / sqrt(E[g^2] + eps) * g
         E[dx^2] <- rho E[dx^2] + (1 - rho) dx^2
         x       <- x + dx
+
+    Each parameter is swept in blocks of SWEEP_BLOCK elements through two
+    block-sized scratch arrays, so the temporaries stay in cache; every
+    element sees the same operations in the same order as the whole-array
+    formula.  Parameters and accumulators are C-contiguous, so their flat
+    reshapes are views.
     """
     rho, eps = state.rho, state.eps
+    scratch = np.empty(nm.SWEEP_BLOCK)
+    step = np.empty(nm.SWEEP_BLOCK)
     for name, p in params:
-        g = p.grad
-        if not np.all(np.isfinite(g)):
-            raise NumericalError("non-finite gradient in parameter %r" % name)
-        sq_g = state.sq_grad[name]
-        sq_d = state.sq_delta[name]
-        sq_g *= rho
-        sq_g += (1.0 - rho) * g * g
-        delta = -np.sqrt(sq_d + eps) / np.sqrt(sq_g + eps) * g
-        sq_d *= rho
-        sq_d += (1.0 - rho) * delta * delta
-        p.data += delta
+        grad = p.grad.reshape(-1)
+        sq_grad = state.sq_grad[name].reshape(-1)
+        sq_delta = state.sq_delta[name].reshape(-1)
+        data = p.data.reshape(-1)
+        for start in range(0, grad.size, nm.SWEEP_BLOCK):
+            stop = min(start + nm.SWEEP_BLOCK, grad.size)
+            g = grad[start:stop]
+            if not np.isfinite(g).all():
+                raise NumericalError("non-finite gradient in parameter %r"
+                                     % name)
+            sq_g = sq_grad[start:stop]
+            sq_d = sq_delta[start:stop]
+            a = scratch[:stop - start]
+            delta = step[:stop - start]
+            sq_g *= rho
+            sq_g += np.multiply(np.multiply(1.0 - rho, g, out=a), g, out=a)
+            np.negative(np.sqrt(np.add(sq_d, eps, out=delta), out=delta),
+                        out=delta)
+            delta /= np.sqrt(np.add(sq_g, eps, out=a), out=a)
+            delta *= g
+            sq_d *= rho
+            sq_d += np.multiply(np.multiply(1.0 - rho, delta, out=a), delta,
+                                out=a)
+            data[start:stop] += delta
 
 
 def _make_batches(pool, batch_size, rng):

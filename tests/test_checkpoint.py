@@ -7,7 +7,7 @@ from imagepoet.checkpoint import (MAGIC, checkpoint_bytes, load_checkpoint,
                                   model_from_bytes, save_checkpoint)
 from imagepoet.errors import (CheckpointShapeError, CheckpointTruncatedError,
                               CheckpointVersionError)
-from imagepoet.model import init_params
+from imagepoet.model import ModelConfig, init_params
 from imagepoet.rng import SeededRng
 
 from conftest import toy_config
@@ -45,6 +45,20 @@ def test_seeded_parameters_are_pinned(config):
     blob = checkpoint_bytes(init_params(config, SeededRng(33)))
     assert hashlib.sha256(blob).hexdigest() == (
         "191da10cd974466f87f8a96e265562e28b742b5ac6b925882e53253a4cc0c3aa")
+
+
+def test_seeded_parameters_across_sweep_blocks_are_pinned(tmp_path):
+    # The largest parameter (1100 x 64 = 70,400 values) spans two whole
+    # blocks of seeded draws and part of a third.
+    config = ModelConfig(vocab_size=1100, hidden_dim=64, memory_dim=64,
+                         visual_count=3, visual_dim=5)
+    model = init_params(config, SeededRng(33))
+    blob = checkpoint_bytes(model)
+    assert hashlib.sha256(blob).hexdigest() == (
+        "900a3adda6a0392a3dcdc7f06e92348b950f35ebc857002dc083458785c515aa")
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    assert path.read_bytes() == blob
 
 
 def test_toy_checkpoint_is_small(model):

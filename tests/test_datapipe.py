@@ -246,6 +246,17 @@ class TestCorpusFiles:
         with pytest.raises(DataError):
             load_corpus(str(path))
 
+    @pytest.mark.parametrize("record", [
+        {"image_id": "i", "concepts": "c1"},
+        {"poem_id": "p", "lines": "234"},
+        {"poem_id": "p", "lines": ["234", "567"]},
+    ])
+    def test_string_in_place_of_a_list_is_malformed(self, tmp_path, record):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match="bad.jsonl:1: malformed record"):
+            load_corpus(str(path))
+
     def test_structure_validation(self, tmp_path):
         path = write_corpus(tmp_path, [],
                             [("p", [(1, 2), (3, 4)])], name="short.jsonl")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from imagepoet.numerics import SWEEP_BLOCK
 from imagepoet.rng import SeededRng
 
 
@@ -26,6 +27,21 @@ def test_scalar_and_vector_draws_share_one_stream():
     assert np.array_equal(scalar, vector)
     # continuing after a vector draw stays aligned with the scalar stream
     assert a.uniform() == b.uniform()
+
+
+def test_blocked_vector_draw_matches_the_scalar_stream():
+    # 2 blocks + 5: covers both block boundaries and a short last block.
+    n = 2 * SWEEP_BLOCK + 5
+    vector = SeededRng(7).uniform_array(n, -0.08, 0.08)
+    scalar = SeededRng(7)
+    draws = np.array([scalar.uniform(-0.08, 0.08) for _ in range(n)])
+    for i in (SWEEP_BLOCK - 1, SWEEP_BLOCK, n - 1):
+        assert vector[i] == draws[i], i
+    assert np.array_equal(vector, draws)
+    blocked = SeededRng(7)
+    blocked.uniform_array(n)
+    # the counter moved past all n draws, not past the last block's
+    assert blocked.uniform() == scalar.uniform()
 
 
 def test_uniform_bounds():

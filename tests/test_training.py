@@ -7,7 +7,7 @@ import pytest
 from imagepoet import training
 from imagepoet.errors import ConfigError, NumericalError, VocabularyError
 from imagepoet.model import init_params
-from imagepoet.numerics import Tape, Tensor
+from imagepoet.numerics import SWEEP_BLOCK, Tape, Tensor
 from imagepoet.rng import SeededRng
 from imagepoet.training import (AdaDeltaState, TrainConfig, TrainSample,
                                 accumulate_gradients, adadelta_update,
@@ -141,6 +141,36 @@ class TestAdaDelta:
             adadelta_update(state, params)
         assert "x" in str(info.value)
 
+    def test_blocked_steps_equal_the_whole_array_formula(self):
+        rho, eps = 0.95, 1e-6
+        rng = SeededRng(8)
+        n = SWEEP_BLOCK + 3  # one whole block and a 3-element remainder
+        x = Tensor(rng.uniform_array(n, -1.0, 1.0), requires_grad=True)
+        params = [("x", x)]
+        state = AdaDeltaState(params, rho=rho, eps=eps)
+        want = x.data.copy()
+        sq_g = np.zeros(n)
+        sq_d = np.zeros(n)
+        for _ in range(2):
+            g = rng.uniform_array(n, -2.0, 2.0)
+            x.grad = g.copy()
+            adadelta_update(state, params)
+            sq_g = rho * sq_g + (1.0 - rho) * g * g
+            delta = -np.sqrt(sq_d + eps) / np.sqrt(sq_g + eps) * g
+            sq_d = rho * sq_d + (1.0 - rho) * delta * delta
+            want = want + delta
+        assert state.sq_grad["x"].tobytes() == sq_g.tobytes()
+        assert state.sq_delta["x"].tobytes() == sq_d.tobytes()
+        assert x.data.tobytes() == want.tobytes()
+
+    def test_non_finite_gradient_in_a_later_block_names_the_parameter(self):
+        x = Tensor(np.zeros(SWEEP_BLOCK + 3), requires_grad=True)
+        params = [("late", x)]
+        state = AdaDeltaState(params)
+        x.grad[SWEEP_BLOCK + 1] = float("inf")
+        with pytest.raises(NumericalError, match="'late'"):
+            adadelta_update(state, params)
+
 
 class TestGradientAccumulation:
     def test_matches_batched_tape_backward(self, model, rng):
@@ -207,6 +237,19 @@ class TestGradientAccumulation:
         assert clip_gradients(params, 1e9) == 1.0
         for name, p in params:
             assert np.array_equal(before[name], p.grad)
+
+    @pytest.mark.parametrize("max_norm", [5.0, 0.0])
+    def test_overflowing_global_norm_is_a_numerical_error(self, max_norm):
+        # Finite gradients whose squares overflow: the norm is inf.  Scaled
+        # by max_norm / inf every gradient would become 0; unclipped, E[g^2]
+        # would become inf and freeze the parameter.
+        small = Tensor(np.array([1.0]), requires_grad=True)
+        big = Tensor(np.array([1e200, 1.0]), requires_grad=True)
+        params = [("small", small), ("big", big)]
+        small.grad = np.array([0.5])
+        big.grad = np.array([1e200, 1.0])
+        with pytest.raises(NumericalError, match="'big'"):
+            clip_gradients(params, max_norm)
 
 
 class TestTrainLoop:
