@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage error, 2 input/data error, 3 numerical
 failure.  Every subcommand is deterministic given its flags, files and
-seed.  The IMAGEPOET_THREADS environment variable caps worker threads.
+seed.
 """
 
 import argparse
@@ -57,7 +57,7 @@ def build_parser():
     p.add_argument("--clip", type=float, default=5.0,
                    help="global-norm gradient clip, <= 0 disables")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for per-sample gradients")
+                   help="ignored; kept so older command lines parse")
     _add_model_flags(p)
 
     p = sub.add_parser("generate", help="generate a poem from feature files")
@@ -89,17 +89,6 @@ def build_parser():
     return parser
 
 
-def _thread_cap(requested):
-    cap = os.environ.get("IMAGEPOET_THREADS")
-    if cap is None:
-        return requested
-    try:
-        cap = int(cap)
-    except ValueError:
-        raise ConfigError("IMAGEPOET_THREADS must be an integer, got %r" % cap)
-    return max(1, min(requested, cap))
-
-
 def cmd_train(args, stdout):
     config = ModelConfig(vocab_size=args.vocab, hidden_dim=args.hidden,
                          memory_dim=args.hidden,
@@ -125,8 +114,7 @@ def cmd_train(args, stdout):
                           "or provide more samples")
     tconfig = TrainConfig(batch_size=args.batch, max_epochs=args.epochs,
                           validate_every=args.cadence, clip_norm=args.clip,
-                          seed=args.seed,
-                          worker_threads=_thread_cap(args.threads))
+                          seed=args.seed)
     model = init_params(config, SeededRng(args.seed))
 
     log_path = args.log if args.log is not None else args.out + ".log"

@@ -9,8 +9,9 @@ differencing avoid bookkeeping costs.  An op is recorded only when one of
 its inputs needs a gradient, so work on constants (feature grids, say)
 never reaches the tape.
 
-Gradients accumulate: callers zero .grad explicitly before a backward
-pass (see Tensor.zero_grad).
+Gradients accumulate: Tape.backward adds into .grad, and a leaf without a
+buffer adopts the array the pass made for it.  Callers drop .grad before
+a fresh pass (see Tensor.zero_grad).
 """
 
 import threading
@@ -64,10 +65,9 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self):
-        # Eager, unlike construction: a training step allocates its
-        # gradients before the forward pass, not among the tape's buffers.
-        if self.requires_grad:
-            self._grad = np.zeros(self.data.shape)
+        # Dropped, not zeroed: the next Tape.backward adopts the array its
+        # pass made, and reading .grad first makes zeros.
+        self._grad = None
 
     def __repr__(self):
         return "Tensor(shape=%s, requires_grad=%s)" % (self.shape,
@@ -115,18 +115,20 @@ class Tape:
     def gradients(self, loss):
         """Adjoints of loss w.r.t. every reachable requires_grad tensor.
 
-        Returns {tensor: ndarray} without touching any .grad field, so
-        per-sample tapes can be reduced in a caller-chosen order.
+        Returns {tensor: ndarray} without touching any .grad field.  Each
+        array is the caller's: no other tensor's adjoint or record shares
+        its memory, so it may be kept or written in place.
 
         A tensor's first dense contribution is kept as it is; the second
         is summed into a new buffer that later ones are added into in
         place.  Arrays a backward_fn returned are never written to, since
         one array may be the contribution to several inputs (add returns
-        the same g for both).  A RowGrad is added into that buffer, which
-        it starts from zeros when it comes first.  A leaf's OuterGrads
-        wait until the sweep ends and are then summed by one GEMM, to
-        which its other contributions are added; no record reads a
-        leaf's adjoint, since a leaf is never a record's output.
+        the same g for both); a leaf whose adjoint is still such an array
+        gets a copy.  A RowGrad is added into that buffer, which it starts
+        from zeros when it comes first.  A leaf's OuterGrads wait until
+        the sweep ends and are then summed by one GEMM, to which its other
+        contributions are added; no record reads a leaf's adjoint, since
+        a leaf is never a record's output.
         """
         if loss.data.shape != ():
             raise ContractError(
@@ -162,21 +164,33 @@ class Tape:
                 elif acc is None:
                     adjoint[key] = grad
                 else:
-                    adjoint[key] = acc + grad
+                    # out= keeps a rank-0 sum an array that += can update.
+                    adjoint[key] = np.add(acc, grad,
+                                          out=np.empty(tensor.data.shape))
                     owned.add(key)
                 if tensor.requires_grad:
                     leaves[key] = tensor
         for key, (us, vs) in outers.items():
-            total = np.stack(us, axis=1) @ np.stack(vs)
+            # BLAS reads the (k, m) stack transposed in place; stacking
+            # along axis 1 would write a strided copy first.
+            total = np.stack(us).T @ np.stack(vs)
             if key in adjoint:
                 total += adjoint[key]
             adjoint[key] = total
-        return {t: adjoint[key] for key, t in leaves.items() if key in adjoint}
+            owned.add(key)
+        return {t: adjoint[key] if key in owned else np.array(adjoint[key])
+                for key, t in leaves.items()}
 
     def backward(self, loss):
-        """Accumulate dloss/dtensor into .grad for every reachable leaf."""
+        """Accumulate dloss/dtensor into .grad for every reachable leaf.
+
+        A leaf holding no gradient buffer adopts the returned array.
+        """
         for tensor, grad in self.gradients(loss).items():
-            tensor.grad += grad
+            if tensor._grad is None:
+                tensor._grad = grad
+            else:
+                tensor._grad += grad
 
 
 class RowGrad:

@@ -3,14 +3,12 @@
 Target lines are reversed before scoring so the model learns to emit the
 rhyme-bearing final character first; generation undoes the reversal.
 Batches group samples of equal preceding length, so no padding or masking
-is ever needed.  Gradients are computed per sample on a private tape and
-reduced in sample-index order, which keeps results bitwise reproducible
-for any worker-thread count.
+is ever needed.  A batch is recorded on one tape, and its backward pass
+writes the gradients straight into .grad.
 """
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -47,7 +45,6 @@ class TrainConfig:
     eps: float = 1e-6
     clip_norm: float = 5.0    # global-norm gradient clip; <= 0 disables
     seed: int = 1
-    worker_threads: int = 1
 
     def validate(self):
         if self.batch_size < 1:
@@ -60,8 +57,6 @@ class TrainConfig:
             raise ConfigError("rho must lie in [0, 1)")
         if self.eps <= 0.0:
             raise ConfigError("eps must be positive")
-        if self.worker_threads < 1:
-            raise ConfigError("worker_threads must be >= 1")
         return self
 
 
@@ -111,37 +106,16 @@ def evaluate_loss(model, pool):
 
 
 def accumulate_gradients(model, batch, worker_threads=1):
-    """Per-sample backward passes reduced in index order into .grad.
+    """One backward pass over the whole batch, added into .grad.
 
-    Returns the batch's mean per-character loss.  Each sample runs on its
-    own tape (one tape per thread at a time); the reduction order is the
-    batch order, so results do not depend on worker_threads.
+    Returns the batch's mean per-character loss.  The loss's 1/chars scale
+    seeds the backward pass, and a parameter holding no gradient buffer
+    adopts the array the pass made for it.  worker_threads is ignored.
     """
-    def one(sample):
-        with Tape() as tape:
-            loss_sum, n = _sample_loss_sum(model, sample)
-        return loss_sum.item(), n, tape.gradients(loss_sum)
-
-    if worker_threads > 1 and len(batch) > 1:
-        with ThreadPoolExecutor(max_workers=worker_threads) as pool:
-            return _reduce_gradients(model, pool.map(one, batch))
-    return _reduce_gradients(model, map(one, batch))
-
-
-def _reduce_gradients(model, results):
-    """Add each (loss, chars, gradients) result into .grad as it arrives."""
-    total = 0.0
-    chars = 0
-    for value, n, grads in results:
-        total += value
-        chars += n
-        for tensor in grads:
-            tensor.grad += grads[tensor]
-        del grads  # one sample's gradients alive at a time, not the batch's
-    inv = 1.0 / chars
-    for _, p in model.parameters():
-        p.grad *= inv
-    return total * inv
+    with Tape() as tape:
+        loss = cross_entropy_loss(model, batch)
+    tape.backward(loss)
+    return loss.item()
 
 
 def clip_gradients(params, max_norm):
@@ -277,8 +251,7 @@ def train(model, train_pool, valid_pool, config, log=None):
         epoch_samples = 0
         for batch in _make_batches(train_pool, config.batch_size, rng):
             model.zero_grads()
-            batch_loss = accumulate_gradients(model, batch,
-                                              config.worker_threads)
+            batch_loss = accumulate_gradients(model, batch)
             if not math.isfinite(batch_loss):
                 raise NumericalError("non-finite training loss at epoch %d"
                                      % epoch)
@@ -286,6 +259,8 @@ def train(model, train_pool, valid_pool, config, log=None):
             adadelta_update(state, params)
             epoch_loss += batch_loss * len(batch)
             epoch_samples += len(batch)
+        # Not held through validation and the checkpoint write.
+        model.zero_grads()
         train_loss = epoch_loss / epoch_samples
         valid_loss = None
         if epoch % config.validate_every == 0 or epoch == config.max_epochs:

@@ -233,6 +233,27 @@ class TestAccumulation:
                  + (2.0 * s_val + w.data.sum(axis=0)) * b_val * (1.0 - b_val))
         assert np.max(np.abs(x.grad - dense)) < 1e-12
 
+    def test_leaves_sharing_one_adjoint_get_arrays_of_their_own(self, rng):
+        # add's backward hands the same g to both leaves.
+        a = Tensor(arr(rng, 3), requires_grad=True)
+        b = Tensor(arr(rng, 3), requires_grad=True)
+        with Tape() as tape:
+            loss = nm.sum_all(nm.add(a, b))
+        grads = tape.gradients(loss)
+        assert grads[a] is not grads[b]
+        assert not np.shares_memory(grads[a], grads[b])
+        grads[a] *= 2.0
+        assert np.array_equal(grads[a], [2.0, 2.0, 2.0])
+        assert np.array_equal(grads[b], [1.0, 1.0, 1.0])
+
+    def test_rank_zero_leaf_sums_every_contribution(self):
+        x = Tensor(2.0, requires_grad=True)
+        with Tape() as tape:
+            loss = nm.add(nm.add(x, x), nm.add(x, x))
+        grads = tape.gradients(loss)
+        assert type(grads[x]) is np.ndarray
+        assert grads[x] == 4.0
+
     def test_repeated_row_lookups_add_up(self, rng):
         m = Tensor(arr(rng, 5, 3), requires_grad=True)
         v = Tensor(arr(rng, 5), requires_grad=True)

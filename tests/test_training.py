@@ -173,39 +173,44 @@ class TestAdaDelta:
 
 
 class TestGradientAccumulation:
-    def test_matches_batched_tape_backward(self, model, rng):
+    def test_matches_per_sample_reduction(self, model, rng):
+        # The oracle sums per-sample tapes' gradients, then scales by
+        # 1/chars, independently of the batch tape.
         batch = make_pool(model.config, rng, 3)
+        want = {name: np.zeros(p.shape) for name, p in model.parameters()}
+        chars = 0
+        for sample in batch:
+            with Tape() as tape:
+                loss_sum, n = training._sample_loss_sum(model, sample)
+            grads = tape.gradients(loss_sum)
+            chars += n
+            for name, p in model.parameters():
+                if p in grads:
+                    want[name] += grads[p]
         model.zero_grads()
         accumulate_gradients(model, batch)
-        per_sample = {name: p.grad.copy() for name, p in model.parameters()}
-
-        model.zero_grads()
-        with Tape() as tape:
-            loss = cross_entropy_loss(model, batch)
-        tape.backward(loss)
+        inv = 1.0 / chars
         for name, p in model.parameters():
-            assert np.max(np.abs(per_sample[name] - p.grad)) < 1e-12, name
+            assert np.max(np.abs(want[name] * inv - p.grad)) < 1e-12, name
 
-    def test_one_sample_gradient_dict_alive_at_a_time(self, model, rng,
-                                                      monkeypatch):
-        class Grads(dict):
-            __hash__ = object.__hash__
-
-        alive = weakref.WeakSet()
-        leftovers = []
+    def test_grad_is_the_array_the_batch_tape_returned(self, model, rng,
+                                                         monkeypatch):
+        returned = []
         gradients = Tape.gradients
 
         def recording(tape, loss):
-            grads = Grads(gradients(tape, loss))
-            leftovers.append(len(alive))  # earlier samples' dicts still alive
-            alive.add(grads)
-            return grads
+            returned.append(gradients(tape, loss))
+            return returned[-1]
 
         monkeypatch.setattr(Tape, "gradients", recording)
         model.zero_grads()
         accumulate_gradients(model, make_pool(model.config, rng, 3))
-        assert leftovers == [0, 0, 0]
-        assert len(alive) == 0
+        assert len(returned) == 1
+        grads = returned[0]
+        params = model.parameters()
+        assert set(grads) == {p for _, p in params}
+        for name, p in params:
+            assert p.grad is grads[p], name
 
     def test_bitwise_identical_across_thread_counts(self, model, rng):
         batch = make_pool(model.config, rng, 4)
@@ -325,6 +330,22 @@ class TestTrainLoop:
         assert len(leftovers) >= 2
         assert leftovers == [0] * len(leftovers)
         assert set(alive) == {result.best_checkpoint}
+
+    def test_no_gradient_buffer_alive_at_checkpoint_writes(
+            self, config, rng, monkeypatch):
+        holding = []
+
+        def recording(model):
+            holding.append([name for name, p in model.parameters()
+                            if p._grad is not None])
+            return b""
+
+        monkeypatch.setattr(training, "checkpoint_bytes", recording)
+        pool = make_pool(config, rng, 4, preceding_len=0)
+        model = init_params(config, SeededRng(26))
+        train(model, pool, pool, TrainConfig(batch_size=2, max_epochs=3,
+                                             seed=1))
+        assert holding and holding == [[]] * len(holding)
 
     def test_training_reduces_loss(self, config, rng):
         pool = make_pool(config, rng, 6, preceding_len=0)
