@@ -112,12 +112,15 @@ class Tape:
     def record(self, output, inputs, backward_fn):
         self._records.append((output, inputs, backward_fn))
 
-    def gradients(self, loss):
+    def gradients(self, loss, accumulate=False):
         """Adjoints of loss w.r.t. every reachable requires_grad tensor.
 
-        Returns {tensor: ndarray} without touching any .grad field.  Each
-        array is the caller's: no other tensor's adjoint or record shares
-        its memory, so it may be kept or written in place.
+        Returns {tensor: ndarray}.  No other tensor's adjoint or record
+        shares a returned array's memory, so the caller may keep it or
+        write it in place.  No .grad field is touched unless accumulate is
+        set; then a leaf already holding a .grad buffer has its
+        contributions added into that buffer, which is the array returned
+        for it, so no second leaf-sized array is kept beside it.
 
         A tensor's first dense contribution is kept as it is; the second
         is summed into a new buffer that later ones are added into in
@@ -135,7 +138,7 @@ class Tape:
                 "backward requires a scalar loss, got shape %s"
                 % (loss.data.shape,))
         adjoint = {id(loss): np.ones(())}
-        owned = set()   # ids whose adjoint is a buffer this pass allocated
+        owned = set()   # ids whose adjoint is a buffer this pass may write
         leaves = {}
         outers = {}     # leaf id -> ([u...], [v...]) of its OuterGrads
         for output, inputs, backward_fn in reversed(self._records):
@@ -147,6 +150,10 @@ class Tape:
                 if grad is None:
                     continue
                 key = id(tensor)
+                if (accumulate and tensor.requires_grad
+                        and key not in adjoint and tensor._grad is not None):
+                    adjoint[key] = tensor._grad
+                    owned.add(key)
                 acc = adjoint.get(key)
                 if isinstance(grad, OuterGrad):
                     us, vs = outers.setdefault(key, ([], []))
@@ -171,9 +178,10 @@ class Tape:
                 if tensor.requires_grad:
                     leaves[key] = tensor
         for key, (us, vs) in outers.items():
-            # BLAS reads the (k, m) stack transposed in place; stacking
-            # along axis 1 would write a strided copy first.
-            total = np.stack(us).T @ np.stack(vs)
+            total = np.stack(us, axis=1) @ np.stack(vs)
+            if key in owned:
+                adjoint[key] += total
+                continue
             if key in adjoint:
                 total += adjoint[key]
             adjoint[key] = total
@@ -184,13 +192,11 @@ class Tape:
     def backward(self, loss):
         """Accumulate dloss/dtensor into .grad for every reachable leaf.
 
-        A leaf holding no gradient buffer adopts the returned array.
+        A leaf holding a gradient buffer has its gradient added into it;
+        a leaf holding none adopts the returned array.
         """
-        for tensor, grad in self.gradients(loss).items():
-            if tensor._grad is None:
-                tensor._grad = grad
-            else:
-                tensor._grad += grad
+        for tensor, grad in self.gradients(loss, accumulate=True).items():
+            tensor._grad = grad
 
 
 class RowGrad:

@@ -3,8 +3,9 @@
 Target lines are reversed before scoring so the model learns to emit the
 rhyme-bearing final character first; generation undoes the reversal.
 Batches group samples of equal preceding length, so no padding or masking
-is ever needed.  A batch is recorded on one tape, and its backward pass
-writes the gradients straight into .grad.
+is ever needed.  A batch is recorded on one tape per chunk of
+GRADIENT_CHUNK samples, and each chunk's backward pass writes its
+gradients straight into .grad.
 """
 
 import dataclasses
@@ -18,6 +19,11 @@ from .checkpoint import checkpoint_bytes, model_from_bytes
 from .errors import ConfigError, NumericalError, VocabularyError
 from .numerics import Tape
 from .rng import SeededRng
+
+# Samples per tape in accumulate_gradients.  A tape holds its samples'
+# records until its backward pass, about 22 MiB per paper-scale sample,
+# so this bounds that memory whatever the batch size.
+GRADIENT_CHUNK = 4
 
 
 @dataclasses.dataclass
@@ -89,14 +95,20 @@ def _sample_loss_sum(model, sample):
     return total, len(sample.target)
 
 
-def cross_entropy_loss(model, batch):
-    """Mean per-character negative log likelihood over a batch."""
+def _batch_loss_sum(model, batch):
+    """Summed -log p over a batch's target characters, and their count."""
     total = None
     chars = 0
     for sample in batch:
         loss_sum, n = _sample_loss_sum(model, sample)
         total = loss_sum if total is None else nm.add(total, loss_sum)
         chars += n
+    return total, chars
+
+
+def cross_entropy_loss(model, batch):
+    """Mean per-character negative log likelihood over a batch."""
+    total, chars = _batch_loss_sum(model, batch)
     return nm.scale(total, 1.0 / chars)
 
 
@@ -106,16 +118,25 @@ def evaluate_loss(model, pool):
 
 
 def accumulate_gradients(model, batch, worker_threads=1):
-    """One backward pass over the whole batch, added into .grad.
+    """Backward passes over the batch, one per chunk, added into .grad.
 
-    Returns the batch's mean per-character loss.  The loss's 1/chars scale
-    seeds the backward pass, and a parameter holding no gradient buffer
-    adopts the array the pass made for it.  worker_threads is ignored.
+    Returns the batch's mean per-character loss.  Each chunk of up to
+    GRADIENT_CHUNK samples is recorded on one tape, and its loss sum
+    scaled by 1/chars of the whole batch seeds its backward pass.  A
+    parameter holding no gradient buffer adopts the first pass's array,
+    and later passes add into it.  A batch within one chunk is one tape,
+    as cross_entropy_loss records it.  worker_threads is ignored.
     """
-    with Tape() as tape:
-        loss = cross_entropy_loss(model, batch)
-    tape.backward(loss)
-    return loss.item()
+    inv = 1.0 / sum(len(sample.target) for sample in batch)
+    total = 0.0
+    for start in range(0, len(batch), GRADIENT_CHUNK):
+        with Tape() as tape:
+            loss_sum, _ = _batch_loss_sum(
+                model, batch[start:start + GRADIENT_CHUNK])
+            loss = nm.scale(loss_sum, inv)
+        tape.backward(loss)
+        total += loss_sum.item()
+    return total * inv
 
 
 def clip_gradients(params, max_norm):

@@ -254,6 +254,25 @@ class TestAccumulation:
         assert type(grads[x]) is np.ndarray
         assert grads[x] == 4.0
 
+    def test_accumulate_adds_into_the_buffer_a_leaf_holds(self, rng):
+        # w is reached through an outer product, a row lookup and a dense
+        # 2-d matmul; x holds no buffer.
+        w = Tensor(arr(rng, 4, 4), requires_grad=True)
+        x = Tensor(arr(rng, 4), requires_grad=True)
+        with Tape() as tape:
+            h = nm.tanh(nm.matmul(w, x))
+            h = nm.tanh(nm.add(nm.matmul(w, h), nm.take_row(w, 2)))
+            m = nm.matmul(Tensor(arr(rng, 3, 4)), w)
+            loss = nm.add(nm.sum_all(h), nm.sum_all(nm.tanh(m)))
+        fresh = tape.gradients(loss)
+        start = arr(rng, 4, 4)
+        held = start.copy()
+        w.grad = held
+        grads = tape.gradients(loss, accumulate=True)
+        assert grads[w] is held
+        assert np.max(np.abs(held - (start + fresh[w]))) < 1e-12
+        assert x._grad is None and np.array_equal(grads[x], fresh[x])
+
     def test_repeated_row_lookups_add_up(self, rng):
         m = Tensor(arr(rng, 5, 3), requires_grad=True)
         v = Tensor(arr(rng, 5), requires_grad=True)

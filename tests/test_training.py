@@ -198,8 +198,8 @@ class TestGradientAccumulation:
         returned = []
         gradients = Tape.gradients
 
-        def recording(tape, loss):
-            returned.append(gradients(tape, loss))
+        def recording(tape, loss, **kwargs):
+            returned.append(gradients(tape, loss, **kwargs))
             return returned[-1]
 
         monkeypatch.setattr(Tape, "gradients", recording)
@@ -211,6 +211,44 @@ class TestGradientAccumulation:
         assert set(grads) == {p for _, p in params}
         for name, p in params:
             assert p.grad is grads[p], name
+
+    def test_chunked_batch_matches_per_sample_reduction(self, model, rng,
+                                                        monkeypatch):
+        # Five samples in chunks of two: three tapes of 2, 2 and 1 samples,
+        # each pass adding into the arrays the first one returned.
+        monkeypatch.setattr(training, "GRADIENT_CHUNK", 2)
+        batch = make_pool(model.config, rng, 5)
+        want = {name: np.zeros(p.shape) for name, p in model.parameters()}
+        chars = 0
+        for sample in batch:
+            with Tape() as tape:
+                loss_sum, n = training._sample_loss_sum(model, sample)
+            grads = tape.gradients(loss_sum)
+            chars += n
+            for name, p in model.parameters():
+                if p in grads:
+                    want[name] += grads[p]
+        returned = []
+        taped = []
+        gradients = Tape.gradients
+
+        def recording(tape, loss, **kwargs):
+            taped.append(len(tape._records))
+            returned.append(gradients(tape, loss, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(Tape, "gradients", recording)
+        model.zero_grads()
+        loss = accumulate_gradients(model, batch)
+        assert len(returned) == 3
+        with Tape() as tape:
+            training.cross_entropy_loss(model, batch[:2])
+        assert max(taped) == len(tape._records)
+        assert abs(loss - cross_entropy_loss(model, batch).item()) < 1e-12
+        inv = 1.0 / chars
+        for name, p in model.parameters():
+            assert all(grads[p] is p.grad for grads in returned), name
+            assert np.max(np.abs(want[name] * inv - p.grad)) < 1e-12, name
 
     def test_bitwise_identical_across_thread_counts(self, model, rng):
         batch = make_pool(model.config, rng, 4)
