@@ -297,10 +297,11 @@ def split_pool(samples, fractions, seed):
     """
     if len(fractions) != 3:
         raise ConfigError("fractions must be (train, valid, test)")
+    if not all(0.0 <= f <= 1.0 for f in fractions):
+        raise ConfigError("fractions must lie in [0, 1], got %r"
+                          % (fractions,))
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError("fractions must sum to 1, got %r" % (fractions,))
-    if any(f < 0 for f in fractions):
-        raise ConfigError("fractions must be nonnegative")
     n = len(samples)
     n_valid = int(n * fractions[1])
     n_test = int(n * fractions[2])

@@ -60,7 +60,7 @@ class EmbeddingTable(ParamGroup):
         if not 0 <= char_id < self.vocab_size:
             raise VocabularyError("character id %d outside vocabulary of %d"
                                   % (char_id, self.vocab_size))
-        return nm.take_row(self.weights, char_id)
+        return nm.take(self.weights, char_id)
 
 
 class GRUCell(ParamGroup):
@@ -200,5 +200,5 @@ class OutputHead(ParamGroup):
                                 self.b_hidden))
         if rows is None:
             return nm.add(nm.matmul(self.w_out, hidden), self.b_out)
-        return nm.add(nm.matmul(nm.take_rows(self.w_out, rows), hidden),
-                      nm.gather(self.b_out, rows))
+        return nm.add(nm.matmul(nm.take(self.w_out, rows), hidden),
+                      nm.take(self.b_out, rows))

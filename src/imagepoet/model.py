@@ -231,63 +231,70 @@ def init_state(model, h_states):
                           model.state_map.b))
 
 
+@dataclasses.dataclass
+class Step:
+    """Everything one decoder step computed.
+
+    address is None for an empty bank; p_topic is None with the topic
+    bias off, and p is then p_generic.
+    """
+
+    state: Tensor
+    topic_state: Tensor
+    text_context: Tensor
+    visual_context: Tensor
+    text_weights: Tensor
+    visual_weights: Tensor
+    address: Tensor
+    p_generic: Tensor
+    p_topic: Tensor
+    p: Tensor
+
+
 def decode_step(model, ctx, s_prev, y_prev):
-    """One decoder step; returns (state, topic_state, text_ctx, visual_ctx).
+    """One decoder step, returned as a Step.
 
     Both attention streams are queried with the previous state; the new
     state then addresses the keyword memory.  An empty bank degrades to
-    topic_state == state (the no-keywords variant).
+    topic_state == state (the no-keywords variant).  The head input
+    [topic_state; visual_context; text_context] is built once for both
+    output heads.
     """
-    h_hat, _ = attend(model.text_attention, s_prev, *ctx.text)
-    v_hat, _ = attend(model.visual_attention, s_prev, *ctx.visual)
+    h_hat, text_weights = attend(model.text_attention, s_prev, *ctx.text)
+    v_hat, visual_weights = attend(model.visual_attention, s_prev,
+                                   *ctx.visual)
     x = nm.concat([model.embedding.lookup(y_prev), h_hat, v_hat])
     s_t = gru_step(model.decoder, s_prev, x)
-    if ctx.bank.size == 0:
-        o_t = s_t
-    else:
+    z = None
+    o_t = s_t
+    if ctx.bank.size:
         z = tmem.address(ctx.bank, s_t)
         o_t = tmem.fuse(tmem.read(ctx.bank, z), s_t)
-    return s_t, o_t, h_hat, v_hat
+    p_generic, p_topic, p = output_probs(model, ctx,
+                                         nm.concat([o_t, v_hat, h_hat]))
+    return Step(state=s_t, topic_state=o_t, text_context=h_hat,
+                visual_context=v_hat, text_weights=text_weights,
+                visual_weights=visual_weights, address=z,
+                p_generic=p_generic, p_topic=p_topic, p=p)
 
 
-def generic_distribution(model, o_t, v_hat, h_hat):
-    """Softmax over the whole vocabulary from the generic head."""
-    features = nm.concat([o_t, v_hat, h_hat])
-    return nm.softmax(model.head_generic.logits(features))
+def output_probs(model, ctx, features):
+    """(p_generic, p_topic, p) from the head input features.
 
-
-def topic_distribution(model, ctx, o_t, v_hat, h_hat):
-    """Distribution restricted to the topic vocabulary; zero elsewhere.
-
-    Only the topic vocabulary's rows of the head are evaluated.  Returns
-    None when the topic vocabulary is empty (bias disabled).
+    p_topic scores only the topic vocabulary's rows and is zero elsewhere;
+    p = (weight * p_topic + p_generic) / (1 + weight).  Zero weight or an
+    empty topic vocabulary turns the bias off (see Step).
     """
-    if not ctx.topic_ids:
-        return None
-    features = nm.concat([o_t, v_hat, h_hat])
-    restricted = nm.softmax(model.head_topic.logits(features,
-                                                    rows=ctx.topic_ids))
-    return nm.scatter(restricted, ctx.topic_ids, model.config.vocab_size)
-
-
-def mix_distributions(p_generic, p_topic, weight):
-    """Normalized topic-biased mixture (weight * p_topic + p_generic) / (1 + weight).
-
-    Dividing by (1 + weight) makes the mixture a proper distribution; the
-    argmax is unchanged because the divisor is a positive constant.
-    """
-    return nm.scale(nm.add(nm.scale(p_topic, weight), p_generic),
-                    1.0 / (1.0 + weight))
-
-
-def output_probs(model, ctx, o_t, v_hat, h_hat):
-    """Next-character distribution over the whole vocabulary."""
-    p_generic = generic_distribution(model, o_t, v_hat, h_hat)
+    p_generic = nm.softmax(model.head_generic.logits(features))
     weight = model.config.topic_weight
     if weight == 0.0 or not ctx.topic_ids:
-        return p_generic
-    p_topic = topic_distribution(model, ctx, o_t, v_hat, h_hat)
-    return mix_distributions(p_generic, p_topic, weight)
+        return p_generic, None, p_generic
+    restricted = nm.softmax(model.head_topic.logits(features,
+                                                    rows=ctx.topic_ids))
+    p_topic = nm.scatter(restricted, ctx.topic_ids, model.config.vocab_size)
+    p = nm.scale(nm.add(nm.scale(p_topic, weight), p_generic),
+                 1.0 / (1.0 + weight))
+    return p_generic, p_topic, p
 
 
 def greedy_decode_reversed(model, ctx):
@@ -296,11 +303,10 @@ def greedy_decode_reversed(model, ctx):
     y_prev = LINE_START_ID
     emitted = []
     for _ in range(model.config.chars_per_line):
-        s, o_t, h_hat, v_hat = decode_step(model, ctx, s, y_prev)
-        p = output_probs(model, ctx, o_t, v_hat, h_hat)
-        y = int(np.argmax(p.data))
-        emitted.append(y)
-        y_prev = y
+        step = decode_step(model, ctx, s, y_prev)
+        s = step.state
+        y_prev = int(np.argmax(step.p.data))
+        emitted.append(y_prev)
     return emitted
 
 
@@ -315,7 +321,7 @@ def generate_poem(model, features, keywords):
     The keyword bank and the visual key matrix are built once per poem;
     only the preceding lines change from line to line.  The visual keys
     are still projected at every decode step, the figure the benchmark's
-    tracer self-test pins (ROADMAP open item 5).
+    tracer self-test pins (ROADMAP open item 1).
     """
     bank = tmem.encode_keywords(model.embedding, model.keyword_fw,
                                 model.keyword_bw, keywords)

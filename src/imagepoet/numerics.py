@@ -202,9 +202,8 @@ class Tape:
 class RowGrad:
     """Adjoint that is zero outside some rows: values[i] belongs at rows[i].
 
-    take_row, take_rows and gather return one, so a lookup into a large
-    table costs the rows it read, not a dense zero copy of the table.
-    Repeated rows add up.
+    take returns one, so a lookup into a large table costs the rows it
+    read, not a dense zero copy of the table.  Repeated rows add up.
     """
 
     __slots__ = ("rows", "values")
@@ -311,8 +310,8 @@ def tanh(a):
 
 def sigmoid(a):
     x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return _emit(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -396,40 +395,20 @@ def pick(v, index):
     return _emit(np.asarray(v.data[index]), (v,), backward)
 
 
-def take_row(m, index):
-    """Row m[index] of a 2-d tensor."""
-    index = int(index)
-    if m.data.ndim != 2 or not 0 <= index < m.data.shape[0]:
-        raise DimensionError("take_row: index %d out of range for shape %s"
-                             % (index, m.data.shape))
+def take(t, index):
+    """t[index] along axis 0, for an int index or a 1-d list of them.
 
-    return _emit(m.data[index].copy(), (m,),
-                 lambda g: (RowGrad(index, g),))
-
-
-def take_rows(m, indices):
-    """Rows m[indices] of a 2-d tensor, as a matrix."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if m.data.ndim != 2 or idx.ndim != 1:
-        raise DimensionError("take_rows: %s indices into shape %s"
-                             % (idx.shape, m.data.shape))
-    if idx.size and (idx.min() < 0 or idx.max() >= m.data.shape[0]):
-        raise DimensionError("take_rows: indices out of range for shape %s"
-                             % (m.data.shape,))
-    return _emit(m.data[idx], (m,), lambda g: (RowGrad(idx, g),))
-
-
-def gather(v, indices):
-    """Elements of a 1-d tensor at the given indices."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if v.data.ndim != 1:
-        raise DimensionError("gather expects a vector, got shape %s"
-                             % (v.data.shape,))
-    if idx.size and (idx.min() < 0 or idx.max() >= v.data.shape[0]):
-        raise DimensionError("gather: indices out of range for shape %s"
-                             % (v.data.shape,))
-
-    return _emit(v.data[idx], (v,), lambda g: (RowGrad(idx, g),))
+    The result is a copy, never a view of t.
+    """
+    idx = np.asarray(index, dtype=np.intp)
+    if t.data.ndim == 0 or idx.ndim > 1:
+        raise DimensionError("take: %s index into shape %s"
+                             % (idx.shape, t.data.shape))
+    if idx.size and (idx.min() < 0 or idx.max() >= t.data.shape[0]):
+        raise DimensionError("take: index %s out of range for shape %s"
+                             % (index, t.data.shape))
+    return _emit(np.take(t.data, idx, axis=0), (t,),
+                 lambda g: (RowGrad(idx, g),))
 
 
 def scatter(values, indices, size):

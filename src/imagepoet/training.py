@@ -61,8 +61,10 @@ class TrainConfig:
             raise ConfigError("validate_every must be >= 1")
         if not 0.0 <= self.rho < 1.0:
             raise ConfigError("rho must lie in [0, 1)")
-        if self.eps <= 0.0:
-            raise ConfigError("eps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise ConfigError("eps must lie in (0, inf), got %r" % self.eps)
+        if math.isnan(self.clip_norm):
+            raise ConfigError("clip_norm must not be nan")
         return self
 
 
@@ -84,13 +86,13 @@ def _sample_loss_sum(model, sample):
     y_prev = mdl.LINE_START_ID
     total = None
     for target_id in reversed(sample.target):
-        s, o_t, h_hat, v_hat = mdl.decode_step(model, ctx, s, y_prev)
-        p = mdl.output_probs(model, ctx, o_t, v_hat, h_hat)
-        if not p.data[target_id] > 0.0:  # also catches NaN
+        step = mdl.decode_step(model, ctx, s, y_prev)
+        if not step.p.data[target_id] > 0.0:  # also catches NaN
             raise NumericalError("probability of target character %d "
                                  "underflowed to 0" % target_id)
-        term = nm.neg(nm.log(nm.pick(p, target_id)))
+        term = nm.neg(nm.log(nm.pick(step.p, target_id)))
         total = term if total is None else nm.add(total, term)
+        s = step.state
         y_prev = target_id
     return total, len(sample.target)
 

@@ -15,8 +15,6 @@ import numpy as np
 
 from . import model as mdl
 from . import numerics as nm
-from . import topic_memory as tmem
-from .layers import attend
 from .model import ModelConfig, init_params
 from .rng import SeededRng
 from .training import TrainSample, cross_entropy_loss
@@ -113,12 +111,8 @@ def distribution_invariants(model, seed, steps=1000):
     config = model.config
     weight_err = addr_err = out_err = 0.0
     support_exact = True
-    sample = None
-    ctx = None
-    s = None
-    y_prev = mdl.LINE_START_ID
-    for step in range(steps):
-        if step % config.chars_per_line == 0:
+    for i in range(steps):
+        if i % config.chars_per_line == 0:
             sample = toy_sample(config, rng,
                                 with_preceding=bool(rng.below(2)),
                                 keyword_count=rng.below(4))
@@ -126,24 +120,20 @@ def distribution_invariants(model, seed, steps=1000):
                                       sample.preceding)
             s = mdl.init_state(model, ctx.h_states)
             y_prev = mdl.LINE_START_ID
-        _, text_weights = attend(model.text_attention, s, ctx.h_states)
-        _, vis_weights = attend(model.visual_attention, s, *ctx.visual)
+        step = mdl.decode_step(model, ctx, s, y_prev)
         weight_err = max(weight_err,
-                         _prob_vector_error(text_weights.data),
-                         _prob_vector_error(vis_weights.data))
-        s, o_t, h_hat, v_hat = mdl.decode_step(model, ctx, s, y_prev)
-        if ctx.bank.size:
-            z = tmem.address(ctx.bank, s)
-            addr_err = max(addr_err, _prob_vector_error(z.data))
-        p = mdl.output_probs(model, ctx, o_t, v_hat, h_hat)
-        out_err = max(out_err, _prob_vector_error(p.data))
-        p_topic = mdl.topic_distribution(model, ctx, o_t, v_hat, h_hat)
-        if p_topic is not None:
+                         _prob_vector_error(step.text_weights.data),
+                         _prob_vector_error(step.visual_weights.data))
+        if step.address is not None:
+            addr_err = max(addr_err, _prob_vector_error(step.address.data))
+        out_err = max(out_err, _prob_vector_error(step.p.data))
+        if step.p_topic is not None:
             outside = np.ones(config.vocab_size, dtype=bool)
             outside[list(ctx.topic_ids)] = False
-            if np.any(p_topic.data[outside] != 0.0):
+            if np.any(step.p_topic.data[outside] != 0.0):
                 support_exact = False
-        y_prev = int(np.argmax(p.data))
+        s = step.state
+        y_prev = int(np.argmax(step.p.data))
     return DistributionReport(steps=steps, max_weight_error=weight_err,
                               max_address_error=addr_err,
                               max_output_error=out_err,

@@ -8,14 +8,14 @@ import time
 
 import numpy as np
 
-from imagepoet import model as mdl
+from imagepoet import numerics as nm
 from imagepoet import topic_memory as tmem
 from imagepoet.checkpoint import checkpoint_bytes, model_from_bytes
 from imagepoet.datapipe import ConceptLexicon, keyword_recall
 from imagepoet.layers import AttentionParams, GRUCell, attend, bigru_encode, gru_step
 from imagepoet.model import (LINE_START_ID, ModelConfig, decode_step,
                              generate_line, generate_poem, init_params,
-                             init_state, output_probs, prepare_context)
+                             init_state, prepare_context)
 from imagepoet.numerics import Tensor
 from imagepoet.rng import SeededRng
 from imagepoet.training import (TrainConfig, TrainSample, cross_entropy_loss,
@@ -82,16 +82,18 @@ def test_criterion_3_ablation_identities():
     s = init_state(model, ctx.h_states)
     y = LINE_START_ID
     for _ in range(steps):
-        s, o_t, h_hat, v_hat = decode_step(model, ctx, s, y)
-        assert o_t.data.tobytes() == s.data.tobytes()
-        y = int(np.argmax(output_probs(model, ctx, o_t, v_hat, h_hat).data))
+        step = decode_step(model, ctx, s, y)
+        s = step.state
+        assert step.topic_state.data.tobytes() == s.data.tobytes()
+        y = int(np.argmax(step.p.data))
 
     # (b) zeroed visual features: the visual context is exactly zero.
     ctx = prepare_context(model, np.zeros_like(features), keywords, [1, 2])
     s = init_state(model, ctx.h_states)
     for _ in range(steps):
-        s, o_t, h_hat, v_hat = decode_step(model, ctx, s, LINE_START_ID)
-        assert np.all(v_hat.data == 0.0)
+        step = decode_step(model, ctx, s, LINE_START_ID)
+        s = step.state
+        assert np.all(step.visual_context.data == 0.0)
 
     # (c) zero topic weight: the mixture is the generic distribution.
     model.config.topic_weight = 0.0
@@ -99,10 +101,11 @@ def test_criterion_3_ablation_identities():
     s = init_state(model, ctx.h_states)
     worst = 0.0
     for _ in range(steps):
-        s, o_t, h_hat, v_hat = decode_step(model, ctx, s, LINE_START_ID)
-        p = output_probs(model, ctx, o_t, v_hat, h_hat)
-        p_g = mdl.generic_distribution(model, o_t, v_hat, h_hat)
-        worst = max(worst, float(np.max(np.abs(p.data - p_g.data))))
+        step = decode_step(model, ctx, s, LINE_START_ID)
+        s = step.state
+        p_g = nm.softmax(model.head_generic.logits(nm.concat(
+            [step.topic_state, step.visual_context, step.text_context])))
+        worst = max(worst, float(np.max(np.abs(step.p.data - p_g.data))))
     model.config.topic_weight = 0.5
     assert worst <= 1e-15
     report("PASS criterion 3: zeroed memory keeps o_t == s_t bitwise; "
@@ -328,11 +331,11 @@ def test_criterion_9_paper_scale_shapes():
     features = rng.uniform_array(196 * 512, -1.0, 1.0).reshape(196, 512)
     ctx = prepare_context(model, features, [(3, 4), (5, 6, 7)], [2] * 7)
     s = init_state(model, ctx.h_states)
-    s, o_t, h_hat, v_hat = decode_step(model, ctx, s, LINE_START_ID)
-    p = output_probs(model, ctx, o_t, v_hat, h_hat)
-    assert s.shape == (512,) and o_t.shape == (512,)
-    assert h_hat.shape == (1024,) and v_hat.shape == (512,)
-    assert p.shape == (6000,)
-    assert abs(float(p.data.sum()) - 1.0) < 1e-9
+    step = decode_step(model, ctx, s, LINE_START_ID)
+    assert step.state.shape == (512,) and step.topic_state.shape == (512,)
+    assert (step.text_context.shape == (1024,)
+            and step.visual_context.shape == (512,))
+    assert step.p.shape == (6000,)
+    assert abs(float(step.p.data.sum()) - 1.0) < 1e-9
     report("PASS criterion 9: paper-scale config constructs %d parameters "
            "(closed form matches) and decodes one step" % model.param_count())

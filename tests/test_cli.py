@@ -92,6 +92,16 @@ class TestTrain:
         assert code == 2
         assert str(bad) + ":1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--valid-frac", "--clip"])
+    def test_nan_setting_is_a_config_error(self, corpus, tmp_path, capsys,
+                                           flag):
+        code, _ = run_cli("train", "--corpus", corpus["corpus"],
+                          "--lexicon", corpus["lexicon"],
+                          "--out", str(tmp_path / "x.ckpt"), *TRAIN_FLAGS,
+                          flag, "nan")
+        assert code == 2
+        assert "nan" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_emits_one_row_per_line(self, corpus, tmp_path):

@@ -197,6 +197,10 @@ class TestSplitPool:
         with pytest.raises(ConfigError):
             split_pool([1], (1.5, -0.25, -0.25), seed=1)
 
+    def test_non_finite_fraction_rejected(self):
+        with pytest.raises(ConfigError, match="nan"):
+            split_pool([1], (float("nan"), float("nan"), 0.0), seed=1)
+
 
 class TestFeatureFiles:
     def test_round_trip(self, tmp_path, rng):

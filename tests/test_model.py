@@ -9,8 +9,7 @@ from imagepoet.layers import attend, bigru_encode, gru_step
 from imagepoet.model import (LINE_START_ID, ModelConfig, decode_step,
                              encode_context, generate_line, generate_poem,
                              greedy_decode_reversed, init_params,
-                             mix_distributions, output_probs, prepare_context,
-                             topic_distribution)
+                             output_probs, prepare_context)
 from imagepoet.numerics import Tensor, grad_check
 from imagepoet.rng import SeededRng
 
@@ -103,8 +102,9 @@ class TestDecodeStep:
     def test_empty_keywords_leave_state_untouched(self, model, rng):
         ctx = prepare_context(model, features_for(model.config, rng), [], [2])
         s = mdl.init_state(model, ctx.h_states)
-        s_t, o_t, _, _ = decode_step(model, ctx, s, LINE_START_ID)
-        assert o_t is s_t
+        step = decode_step(model, ctx, s, LINE_START_ID)
+        assert step.topic_state is step.state
+        assert step.address is None
 
     def test_single_visual_vector_is_always_the_context(self, rng):
         config = toy_config(visual_count=1)
@@ -113,8 +113,9 @@ class TestDecodeStep:
         ctx = prepare_context(model, features, [(3,)], [1, 2])
         s = mdl.init_state(model, ctx.h_states)
         for _ in range(4):
-            s, _, _, v_hat = decode_step(model, ctx, s, 3)
-            assert np.array_equal(v_hat.data, features[0])
+            step = decode_step(model, ctx, s, 3)
+            s = step.state
+            assert np.array_equal(step.visual_context.data, features[0])
 
     def test_zeroed_features_zero_the_visual_context(self, model, rng):
         features = np.zeros((model.config.visual_count,
@@ -122,56 +123,67 @@ class TestDecodeStep:
         ctx = prepare_context(model, features, [(3,)], [1, 2])
         s = mdl.init_state(model, ctx.h_states)
         for _ in range(4):
-            s, _, _, v_hat = decode_step(model, ctx, s, 3)
-            assert np.array_equal(v_hat.data, np.zeros(model.config.visual_dim))
+            step = decode_step(model, ctx, s, 3)
+            s = step.state
+            assert np.array_equal(step.visual_context.data,
+                                  np.zeros(model.config.visual_dim))
 
     def test_step_matches_hand_composition(self, model, rng):
         ctx = prepare_context(model, features_for(model.config, rng),
                               [(3, 4), (9,)], [1, 2, 3])
         s_prev = mdl.init_state(model, ctx.h_states)
         y_prev = 7
-        s_t, o_t, h_hat, v_hat = decode_step(model, ctx, s_prev, y_prev)
+        step = decode_step(model, ctx, s_prev, y_prev)
 
-        want_h, _ = attend(model.text_attention, s_prev, ctx.h_states)
-        want_v, _ = attend(model.visual_attention, s_prev, ctx.visual[0])
+        want_h, want_hw = attend(model.text_attention, s_prev, ctx.h_states)
+        want_v, want_vw = attend(model.visual_attention, s_prev,
+                                 ctx.visual[0])
         x = nm.concat([model.embedding.lookup(y_prev), want_h, want_v])
         want_s = gru_step(model.decoder, s_prev, x)
-        z = tmem.address(ctx.bank, want_s)
-        want_o = tmem.fuse(tmem.read(ctx.bank, z), want_s)
+        want_z = tmem.address(ctx.bank, want_s)
+        want_o = tmem.fuse(tmem.read(ctx.bank, want_z), want_s)
+        features = nm.concat([want_o, want_v, want_h])
+        want_g = nm.softmax(model.head_generic.logits(features)).data
+        topic = list(ctx.topic_ids)
+        want_t = np.zeros(model.config.vocab_size)
+        want_t[topic] = nm.softmax(Tensor(
+            model.head_topic.logits(features).data[topic])).data
+        lam = model.config.topic_weight
+        want_p = (lam * want_t + want_g) * (1.0 / (1.0 + lam))
 
-        for got, want in ((h_hat, want_h), (v_hat, want_v),
-                          (s_t, want_s), (o_t, want_o)):
-            assert np.max(np.abs(got.data - want.data)) < 1e-12
+        for got, want in ((step.text_context, want_h.data),
+                          (step.visual_context, want_v.data),
+                          (step.text_weights, want_hw.data),
+                          (step.visual_weights, want_vw.data),
+                          (step.state, want_s.data),
+                          (step.address, want_z.data),
+                          (step.topic_state, want_o.data),
+                          (step.p_generic, want_g),
+                          (step.p_topic, want_t),
+                          (step.p, want_p)):
+            assert np.max(np.abs(got.data - want)) < 1e-12
 
 
 class TestOutputProbs:
-    def test_mixture_arithmetic_from_fixed_inputs(self):
-        p_g = Tensor(np.array([0.1, 0.2, 0.3, 0.4]))
-        p_t = Tensor(np.array([0.5, 0.5, 0.0, 0.0]))
-        mixed = mix_distributions(p_g, p_t, 0.5)
-        unnormalized = np.array([0.35, 0.45, 0.3, 0.4])
-        assert np.max(np.abs(mixed.data * 1.5 - unnormalized)) < 1e-15
-        assert int(np.argmax(mixed.data)) == 1
-        assert int(np.argmax(mixed.data)) == int(np.argmax(unnormalized))
-
     def test_lambda_zero_returns_generic_exactly(self, rng):
         config = toy_config(topic_weight=0.0)
         model = init_params(config, SeededRng(9))
         ctx = prepare_context(model, features_for(config, rng), [(3, 4)], [1])
         s = mdl.init_state(model, ctx.h_states)
-        s, o_t, h_hat, v_hat = decode_step(model, ctx, s, LINE_START_ID)
-        p = output_probs(model, ctx, o_t, v_hat, h_hat)
-        p_g = mdl.generic_distribution(model, o_t, v_hat, h_hat)
-        assert np.max(np.abs(p.data - p_g.data)) < 1e-15
+        step = decode_step(model, ctx, s, LINE_START_ID)
+        p_g = nm.softmax(model.head_generic.logits(nm.concat(
+            [step.topic_state, step.visual_context, step.text_context])))
+        assert np.max(np.abs(step.p.data - p_g.data)) < 1e-15
+        assert step.p_topic is None
 
     def test_no_keywords_disable_the_bias(self, model, rng):
         ctx = prepare_context(model, features_for(model.config, rng), [], [1])
         s = mdl.init_state(model, ctx.h_states)
-        s, o_t, h_hat, v_hat = decode_step(model, ctx, s, LINE_START_ID)
-        p = output_probs(model, ctx, o_t, v_hat, h_hat)
-        p_g = mdl.generic_distribution(model, o_t, v_hat, h_hat)
-        assert np.array_equal(p.data, p_g.data)
-        assert topic_distribution(model, ctx, o_t, v_hat, h_hat) is None
+        step = decode_step(model, ctx, s, LINE_START_ID)
+        p_g = nm.softmax(model.head_generic.logits(nm.concat(
+            [step.topic_state, step.visual_context, step.text_context])))
+        assert np.array_equal(step.p.data, p_g.data)
+        assert step.p_topic is None
 
     def test_probability_vector_and_offtopic_scaling(self, model, rng):
         lam = model.config.topic_weight
@@ -180,10 +192,8 @@ class TestOutputProbs:
             ctx = prepare_context(model, features_for(model.config, rng),
                                   keywords, [rng.below(20)])
             s = mdl.init_state(model, ctx.h_states)
-            s, o_t, h_hat, v_hat = decode_step(model, ctx, s, LINE_START_ID)
-            p = output_probs(model, ctx, o_t, v_hat, h_hat)
-            p_g = mdl.generic_distribution(model, o_t, v_hat, h_hat)
-            p_t = topic_distribution(model, ctx, o_t, v_hat, h_hat)
+            step = decode_step(model, ctx, s, LINE_START_ID)
+            p, p_g, p_t = step.p, step.p_generic, step.p_topic
             assert np.all(p.data >= 0.0)
             assert abs(p.data.sum() - 1.0) < 1e-9
             outside = np.ones(20, dtype=bool)
@@ -192,8 +202,9 @@ class TestOutputProbs:
             assert np.max(np.abs(p.data[outside]
                                  - p_g.data[outside] / (1 + lam))) < 1e-15
             assert np.all(p_t.data[outside] == 0.0)
-            # normalization never moves the argmax
+            # normalization divides by 1 + lambda and never moves the argmax
             unnormalized = lam * p_t.data + p_g.data
+            assert np.max(np.abs(p.data * (1 + lam) - unnormalized)) < 1e-15
             assert int(np.argmax(p.data)) == int(np.argmax(unnormalized))
 
 
@@ -225,7 +236,9 @@ class TestHoistedWork:
         ctx = prepare_context(model, features_for(model.config, rng),
                               [(3, 4), (9,)], [1])
         s = mdl.init_state(model, ctx.h_states)
-        s, o_t, h_hat, v_hat = decode_step(model, ctx, s, LINE_START_ID)
+        step = decode_step(model, ctx, s, LINE_START_ID)
+        features = nm.concat([step.topic_state, step.visual_context,
+                              step.text_context])
         rows = []
         matmul = nm.matmul
 
@@ -235,11 +248,11 @@ class TestHoistedWork:
             return matmul(a, b)
 
         monkeypatch.setattr(nm, "matmul", recording)
-        p_topic = topic_distribution(model, ctx, o_t, v_hat, h_hat)
+        _, p_topic, _ = output_probs(model, ctx, features)
         monkeypatch.undo()
-        assert rows == [model.config.hidden_dim, len(ctx.topic_ids)]
-        features = nm.concat([o_t, v_hat, h_hat])
-        full = nm.gather(model.head_topic.logits(features), ctx.topic_ids)
+        h = model.config.hidden_dim
+        assert rows == [h, model.config.vocab_size, h, len(ctx.topic_ids)]
+        full = nm.take(model.head_topic.logits(features), ctx.topic_ids)
         want = nm.softmax(full).data
         assert np.max(np.abs(p_topic.data[list(ctx.topic_ids)] - want)) < 1e-15
 

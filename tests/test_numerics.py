@@ -110,6 +110,24 @@ class TestConcat:
                       axis=0)
 
 
+class TestTake:
+    @pytest.mark.parametrize("index", [1, [2, 0, 2]])
+    def test_rows_are_copies(self, rng, index):
+        m = Tensor(arr(rng, 3, 4), requires_grad=True)
+        out = nm.take(m, index)
+        assert np.array_equal(out.data, m.data[index])
+        assert not np.shares_memory(out.data, m.data)
+
+    def test_elements_of_a_vector(self):
+        out = nm.take(Tensor([5.0, 6.0, 7.0]), [2, 2, 0])
+        assert np.array_equal(out.data, [7.0, 7.0, 5.0])
+
+    @pytest.mark.parametrize("index", [-1, 3, [0, 3], [-1, 0], [[0]]])
+    def test_bad_index_rejected(self, index):
+        with pytest.raises(DimensionError):
+            nm.take(Tensor(np.zeros((3, 2))), index)
+
+
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
@@ -178,7 +196,7 @@ class TestGradCheck:
         other_m = Tensor(arr(rng, 3, 4))
 
         def vec(t):
-            return nm.concat([nm.take_row(t, i) for i in range(3)])
+            return nm.concat([nm.take(t, i) for i in range(3)])
 
         funcs = {
             "matmul": lambda t: nm.sum_all(nm.tanh(nm.matmul(t, other_v))),
@@ -197,15 +215,15 @@ class TestGradCheck:
                 nm.mul(nm.softmax(vec(t)), nm.softmax(vec(t)))),
             "concat": lambda t: nm.sum_all(nm.tanh(vec(t))),
             "stack": lambda t: nm.sum_all(nm.tanh(nm.stack(
-                [nm.take_row(t, i) for i in range(3)]))),
+                [nm.take(t, i) for i in range(3)]))),
             "pick": lambda t: nm.pick(nm.tanh(vec(t)), 7),
-            "take_row": lambda t: nm.sum_all(nm.tanh(nm.take_row(t, 1))),
+            "take_row": lambda t: nm.sum_all(nm.tanh(nm.take(t, 1))),
             "take_rows": lambda t: nm.sum_all(nm.tanh(nm.matmul(
-                nm.take_rows(t, [2, 0, 2]), other_v))),
+                nm.take(t, [2, 0, 2]), other_v))),
             "gather": lambda t: nm.sum_all(
-                nm.tanh(nm.gather(vec(t), [0, 3, 3, 11]))),
+                nm.tanh(nm.take(vec(t), [0, 3, 3, 11]))),
             "scatter": lambda t: nm.sum_all(nm.tanh(nm.scatter(
-                nm.gather(vec(t), [2, 5]), [1, 8], 10))),
+                nm.take(vec(t), [2, 5]), [1, 8], 10))),
         }
         err = grad_check(funcs[case], probe, h=1e-5)
         assert err < 1e-5, "%s gradient off by %.3e" % (case, err)
@@ -261,7 +279,7 @@ class TestAccumulation:
         x = Tensor(arr(rng, 4), requires_grad=True)
         with Tape() as tape:
             h = nm.tanh(nm.matmul(w, x))
-            h = nm.tanh(nm.add(nm.matmul(w, h), nm.take_row(w, 2)))
+            h = nm.tanh(nm.add(nm.matmul(w, h), nm.take(w, 2)))
             m = nm.matmul(Tensor(arr(rng, 3, 4)), w)
             loss = nm.add(nm.sum_all(h), nm.sum_all(nm.tanh(m)))
         fresh = tape.gradients(loss)
@@ -277,11 +295,11 @@ class TestAccumulation:
         m = Tensor(arr(rng, 5, 3), requires_grad=True)
         v = Tensor(arr(rng, 5), requires_grad=True)
         with Tape() as tape:
-            rows = nm.add(nm.add(nm.take_row(m, 2),
-                                 nm.scale(nm.take_row(m, 2), 3.0)),
-                          nm.take_row(m, 4))
-            picked = nm.sum_all(nm.take_rows(m, [4, 1, 4]))
-            gathered = nm.sum_all(nm.gather(v, [3, 3, 0]))
+            rows = nm.add(nm.add(nm.take(m, 2),
+                                 nm.scale(nm.take(m, 2), 3.0)),
+                          nm.take(m, 4))
+            picked = nm.sum_all(nm.take(m, [4, 1, 4]))
+            gathered = nm.sum_all(nm.take(v, [3, 3, 0]))
             loss = nm.add(nm.add(nm.sum_all(rows), picked), gathered)
         grads = tape.gradients(loss)
         want_m = np.zeros((5, 3))
@@ -297,10 +315,10 @@ class TestAccumulation:
         v = Tensor(arr(rng, 6), requires_grad=True)
         u = Tensor(arr(rng, 4), requires_grad=True)
         with Tape() as tape:
-            logits = nm.add(nm.matmul(nm.take_rows(m, [0, 5]), u),
-                            nm.gather(v, [0, 5]))
+            logits = nm.add(nm.matmul(nm.take(m, [0, 5]), u),
+                            nm.take(v, [0, 5]))
             loss = nm.add(nm.sum_all(logits),
-                          nm.sum_all(nm.take_row(m, 3)))
+                          nm.sum_all(nm.take(m, 3)))
         grads = tape.gradients(loss)
         assert set(grads) == {m, v, u}
         for t in (m, v, u):
@@ -324,13 +342,13 @@ class TestAccumulation:
 class TestDeferredOuterProducts:
     def test_leaf_reached_by_every_contribution_kind(self, rng):
         # W (5, 4) gets outer products from W @ x_t and a_t @ W at each of
-        # four steps, a row from take_row and a dense X.T @ G from X @ W.
+        # four steps, a row from take and a dense X.T @ G from X @ W.
         xs = [arr(rng, 4) for _ in range(4)]
         as_ = [arr(rng, 5) for _ in range(4)]
         x_mat = arr(rng, 3, 5)
 
         def f(w):
-            terms = [nm.sum_all(nm.tanh(nm.take_row(w, 2))),
+            terms = [nm.sum_all(nm.tanh(nm.take(w, 2))),
                      nm.sum_all(nm.tanh(nm.matmul(Tensor(x_mat), w)))]
             for x, a in zip(xs, as_):
                 terms.append(nm.sum_all(nm.tanh(nm.matmul(w, Tensor(x)))))

@@ -300,6 +300,15 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train(model, [], [], TrainConfig(max_epochs=1))
 
+    @pytest.mark.parametrize("field, value", [
+        ("clip_norm", math.nan), ("eps", math.nan), ("eps", math.inf)])
+    def test_non_finite_settings_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value}).validate()
+
+    def test_infinite_clip_is_legal(self):
+        TrainConfig(clip_norm=math.inf).validate()
+
     def test_loss_curves_reproducible(self, config, rng):
         pool = make_pool(config, rng, 6, preceding_len=0)
         valid = make_pool(config, rng, 2, preceding_len=0)
