@@ -145,6 +145,25 @@ def _load_keyword_file(path):
     return keywords
 
 
+def _load_model(args):
+    """The checkpoint's model, with --lambda applied when given."""
+    model = load_checkpoint(args.checkpoint)
+    if args.topic_weight is not None:
+        model.config.topic_weight = args.topic_weight
+        model.config.validate()
+    return model
+
+
+def _load_grid(path, config):
+    """The feature grid in path, of the shape the model's config expects."""
+    features = datapipe.load_feature_file(path)
+    expected = (config.visual_count, config.visual_dim)
+    if features.shape != expected:
+        raise DataError("%s: visual features %s, expected %s"
+                        % (path, features.shape, expected))
+    return features
+
+
 def _format_line(line, machine):
     ids = " ".join(str(c) for c in line)
     return ids if machine else "line: " + ids
@@ -153,13 +172,8 @@ def _format_line(line, machine):
 def cmd_generate(args, stdout):
     if args.validate and (args.lexicon is None or args.pattern is None):
         raise UsageError("--validate requires --lexicon and --pattern")
-    model = load_checkpoint(args.checkpoint)
-    if args.topic_weight is not None:
-        model.config.topic_weight = args.topic_weight
-        model.config.validate()
-    if not os.path.exists(args.features):
-        raise DataError("feature file missing: %s" % args.features)
-    features = datapipe.load_feature_file(args.features)
+    model = _load_model(args)
+    features = _load_grid(args.features, model.config)
     keywords = _load_keyword_file(args.keywords)
     poem = generate_poem(model, features, keywords)
     for line in poem:
@@ -178,10 +192,7 @@ def cmd_generate(args, stdout):
 
 
 def cmd_eval(args, stdout):
-    model = load_checkpoint(args.checkpoint)
-    if args.topic_weight is not None:
-        model.config.topic_weight = args.topic_weight
-        model.config.validate()
+    model = _load_model(args)
     lexicon = datapipe.load_concept_lexicon(args.lexicon)
     images, _ = datapipe.load_corpus(args.corpus)
     images = [img for img in images if img.concepts]
@@ -191,7 +202,7 @@ def cmd_eval(args, stdout):
     for image in images:
         if not image.feature_path or not os.path.exists(image.feature_path):
             raise DataError("feature file missing for image %r" % image.image_id)
-        features = datapipe.load_feature_file(image.feature_path)
+        features = _load_grid(image.feature_path, model.config)
         keywords = datapipe.image_keywords(image, lexicon)
         poem = generate_poem(model, features, keywords)
         recall = datapipe.keyword_recall(poem, image.concepts, lexicon)

@@ -7,10 +7,12 @@ Conventions pinned here (and relied on by the oracles in the test suite):
   with z the update gate.
 * Additive attention score for key k against query q:
   score = u . tanh(W q + U k); weights are the softmax over scores and the
-  context is the weight-sum of the keys.  The key projection is stored
-  transposed, shape (key_dim, proj_dim), so a stack of keys projects in
-  one matmul, and U k does not depend on the query: a decoder projects
-  its keys once (project_keys) and reuses them at every step.
+  context is the weight-sum of the keys.  Keys are always the rows of one
+  (n, key_dim) matrix, stacked once when the sequence is built.  The key
+  projection is stored transposed, shape (key_dim, proj_dim), so the key
+  matrix projects in one matmul, and U k does not depend on the query: a
+  decoder projects its keys once (project_keys) and reuses them at every
+  step.
 """
 
 import numpy as np
@@ -117,17 +119,17 @@ def gru_run(cell, xs):
 
 
 def bigru_encode(cell_fw, cell_bw, xs):
-    """Concatenated forward/backward GRU states, one per input position.
+    """Forward/backward GRU states as an (n, 2h) matrix, one row per input.
 
-    Both passes start from the zero state; position j yields
+    Both passes start from the zero state; row j is
     [forward_j ; backward_j].
     """
     xs = list(xs)
     if not xs:
         raise DomainError("bigru_encode needs at least one input")
-    forward = gru_run(cell_fw, xs)
-    backward = list(reversed(gru_run(cell_bw, list(reversed(xs)))))
-    return [nm.concat([f, b]) for f, b in zip(forward, backward)]
+    forward = nm.stack(gru_run(cell_fw, xs))
+    backward = nm.stack(list(reversed(gru_run(cell_bw, list(reversed(xs))))))
+    return nm.concat([forward, backward], axis=1)
 
 
 class AttentionParams(ParamGroup):
@@ -147,38 +149,23 @@ class AttentionParams(ParamGroup):
                    param(rng, key_dim, proj_dim))
 
 
-def _key_matrix(keys):
-    if isinstance(keys, Tensor):
-        return keys
-    keys = list(keys)
-    if not keys:
-        raise DomainError("attend needs at least one key")
-    return nm.stack(keys)
-
-
 def project_keys(params, keys):
-    """(key matrix, key matrix @ key_proj) for keys queried many times.
-
-    keys is a list of 1-d key tensors or a 2-d tensor of key rows.
-    """
-    key_matrix = _key_matrix(keys)
-    return key_matrix, nm.matmul(key_matrix, params.key_proj)
+    """(keys, keys @ key_proj) for a key matrix queried many times."""
+    return keys, nm.matmul(keys, params.key_proj)
 
 
 def attend(params, query, keys, projected=None):
-    """Attention context and weights for a query over keys.
+    """Attention context and weights for a query over the rows of keys.
 
-    keys is a list of 1-d key tensors or a 2-d tensor of key rows;
-    projected, when given, is their projection from project_keys.
+    projected, when given, is the keys' projection from project_keys.
     """
-    key_matrix = _key_matrix(keys)
     if projected is None:
-        projected = nm.matmul(key_matrix, params.key_proj)
+        projected = nm.matmul(keys, params.key_proj)
     scores = nm.matmul(
         nm.tanh(nm.add_rowvec(projected, nm.matmul(params.query_proj, query))),
         params.score)
     weights = nm.softmax(scores)
-    context = nm.matmul(weights, key_matrix)
+    context = nm.matmul(weights, keys)
     return context, weights
 
 

@@ -151,20 +151,22 @@ class GenerationContext:
     """Per-sample inputs prepared for decoding one line.
 
     visual and text are the (key matrix, projection) pairs of project_keys
-    for the two attention streams, so the keys are projected once per
-    context rather than at every decode step.  A projection of None leaves
-    attend to project the keys at each step.
+    for the two attention streams: the feature grid, and the (n, 2h)
+    matrix of context Bi-GRU states.  Each key matrix is stacked once and
+    projected once per context rather than at every decode step; a
+    projection of None leaves attend to project the keys at each step.
+    state is the initial decoder state.
     """
 
     visual: tuple
     bank: tmem.MemoryBank
     topic_ids: tuple
-    h_states: list
+    state: Tensor
     text: tuple
 
 
 def encode_context(model, preceding):
-    """Bi-GRU states over the preceding characters (one per character).
+    """(n, 2h) matrix of Bi-GRU states, one row per preceding character.
 
     An empty context encodes the single poem-start marker instead, so the
     first line still has something to attend over.
@@ -215,20 +217,19 @@ def prepare_context(model, features, keywords, preceding, bank=None,
                                     model.keyword_bw, keywords)
     if visual is None:
         visual = project_visual(model, features)
-    h_states = encode_context(model, preceding)
+    h = encode_context(model, preceding)
+    # The initial state, tanh of a learned map of the mean context, is
+    # recorded before the key projection, so the backward pass adds the
+    # mean's adjoint into h last.
+    mean = nm.matmul(Tensor(np.full(h.shape[0], 1.0 / h.shape[0])), h)
+    state = nm.tanh(nm.add(nm.matmul(model.state_map.w, mean),
+                           model.state_map.b))
     return GenerationContext(
         visual=visual,
         bank=bank,
         topic_ids=topic_vocabulary(keywords, model.config.vocab_size),
-        h_states=h_states,
-        text=project_keys(model.text_attention, h_states))
-
-
-def init_state(model, h_states):
-    """Initial decoder state: tanh of a learned map of the mean context."""
-    mean = nm.mean_of(h_states)
-    return nm.tanh(nm.add(nm.matmul(model.state_map.w, mean),
-                          model.state_map.b))
+        state=state,
+        text=project_keys(model.text_attention, h))
 
 
 @dataclasses.dataclass
@@ -299,7 +300,7 @@ def output_probs(model, ctx, features):
 
 def greedy_decode_reversed(model, ctx):
     """Greedy character ids in emission order (reversed reading order)."""
-    s = init_state(model, ctx.h_states)
+    s = ctx.state
     y_prev = LINE_START_ID
     emitted = []
     for _ in range(model.config.chars_per_line):

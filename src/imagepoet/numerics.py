@@ -380,21 +380,6 @@ def sum_all(a):
     return _emit(np.asarray(a.data.sum()), (a,), backward)
 
 
-def pick(v, index):
-    """Scalar element v[index] of a 1-d tensor."""
-    index = int(index)
-    if v.data.ndim != 1 or not 0 <= index < v.data.shape[0]:
-        raise DimensionError("pick: index %d out of range for shape %s"
-                             % (index, v.data.shape))
-
-    def backward(g):
-        out = np.zeros_like(v.data)
-        out[index] = float(g)
-        return (out,)
-
-    return _emit(np.asarray(v.data[index]), (v,), backward)
-
-
 def take(t, index):
     """t[index] along axis 0, for an int index or a 1-d list of them.
 
@@ -426,16 +411,6 @@ def scatter(values, indices, size):
         return (g[idx].copy(),)
 
     return _emit(out, (values,), backward)
-
-
-def neg(a):
-    return scale(a, -1.0)
-
-
-def mean_of(parts):
-    """Mean of a list of same-shape 1-d tensors."""
-    weights = Tensor(np.full(len(parts), 1.0 / len(parts)))
-    return matmul(weights, stack(parts))
 
 
 def grad_check(f, x, h=1e-5):

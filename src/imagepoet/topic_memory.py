@@ -1,11 +1,12 @@
-"""Keyword topic memory: per-keyword key/content vectors, addressing, read.
+"""Keyword topic memory: key and content matrices, addressing, read.
 
-Each keyword contributes an addressing key (last forward state and first
-backward state of a dedicated Bi-GRU over its characters, concatenated)
-and a content vector (the mean of its character embeddings).  Addressing
-softmaxes the dot products between the decoder state and the keys; the
-read is the resulting convex combination of content vectors, added onto
-the state to make it topic-aware.
+Each keyword contributes a row to two matrices: an addressing key (last
+forward state and first backward state of a dedicated Bi-GRU over its
+characters, concatenated) and a content vector (the mean of its character
+embeddings).  Both are stacked once, when the bank is built.  Addressing
+softmaxes the key matrix times the decoder state; the read is the
+resulting convex combination of content rows, added onto the state to
+make it topic-aware.
 """
 
 import numpy as np
@@ -17,28 +18,30 @@ from .numerics import Tensor
 
 
 class MemoryBank:
-    """Per-sample keyword memories: paired key and content vectors."""
+    """Per-sample keyword memories: a key matrix and a content matrix.
 
-    def __init__(self, input_memory, output_memory):
-        if len(input_memory) != len(output_memory):
+    Row i of keys and of contents belong to keyword i.
+    """
+
+    def __init__(self, keys, contents):
+        if keys.shape[0] != contents.shape[0]:
             raise DimensionError("memory bank: %d keys vs %d contents"
-                                 % (len(input_memory), len(output_memory)))
-        self.input_memory = list(input_memory)
-        self.output_memory = list(output_memory)
+                                 % (keys.shape[0], contents.shape[0]))
+        self.keys = keys
+        self.contents = contents
 
     @property
     def size(self):
-        return len(self.input_memory)
+        return self.keys.shape[0]
 
     @classmethod
     def empty(cls):
-        return cls([], [])
+        return cls(Tensor(np.zeros((0, 0))), Tensor(np.zeros((0, 0))))
 
     def zeroed(self):
-        """Same-size bank with every memory vector forced to zero."""
-        return MemoryBank(
-            [Tensor(np.zeros(q.shape)) for q in self.input_memory],
-            [Tensor(np.zeros(m.shape)) for m in self.output_memory])
+        """Same-shape bank with every memory row forced to zero."""
+        return MemoryBank(Tensor(np.zeros(self.keys.shape)),
+                          Tensor(np.zeros(self.contents.shape)))
 
 
 def encode_keywords(embedding, cell_fw, cell_bw, keywords):
@@ -60,22 +63,24 @@ def encode_keywords(embedding, cell_fw, cell_bw, keywords):
         for e in embs[1:]:
             total = nm.add(total, e)
         contents.append(nm.scale(total, 1.0 / len(chars)))
-    return MemoryBank(keys, contents)
+    if not keys:
+        return MemoryBank.empty()
+    return MemoryBank(nm.stack(keys), nm.stack(contents))
 
 
 def address(bank, state):
     """Keyword importance distribution: softmax of state-key dot products."""
     if bank.size == 0:
         raise DomainError("address on an empty memory bank")
-    return nm.softmax(nm.matmul(nm.stack(bank.input_memory), state))
+    return nm.softmax(nm.matmul(bank.keys, state))
 
 
 def read(bank, weights):
-    """Weighted sum of the content vectors."""
+    """Weighted sum of the content rows."""
     if weights.shape != (bank.size,):
         raise DimensionError("read: %d weights for a bank of %d"
                              % (weights.size, bank.size))
-    return nm.matmul(weights, nm.stack(bank.output_memory))
+    return nm.matmul(weights, bank.contents)
 
 
 def fuse(topic, state):

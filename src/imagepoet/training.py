@@ -82,7 +82,7 @@ def _sample_loss_sum(model, sample):
     _check_ids(sample.target, vocab, "target")
     ctx = mdl.prepare_context(model, sample.features, sample.keywords,
                               sample.preceding)
-    s = mdl.init_state(model, ctx.h_states)
+    s = ctx.state
     y_prev = mdl.LINE_START_ID
     total = None
     for target_id in reversed(sample.target):
@@ -90,7 +90,7 @@ def _sample_loss_sum(model, sample):
         if not step.p.data[target_id] > 0.0:  # also catches NaN
             raise NumericalError("probability of target character %d "
                                  "underflowed to 0" % target_id)
-        term = nm.neg(nm.log(nm.pick(step.p, target_id)))
+        term = nm.scale(nm.log(nm.take(step.p, target_id)), -1.0)
         total = term if total is None else nm.add(total, term)
         s = step.state
         y_prev = target_id

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import model as mdl
 from . import numerics as nm
+from .errors import ConfigError
 from .model import ModelConfig, init_params
 from .rng import SeededRng
 from .training import TrainSample, cross_entropy_loss
@@ -118,7 +119,7 @@ def distribution_invariants(model, seed, steps=1000):
                                 keyword_count=rng.below(4))
             ctx = mdl.prepare_context(model, sample.features, sample.keywords,
                                       sample.preceding)
-            s = mdl.init_state(model, ctx.h_states)
+            s = ctx.state
             y_prev = mdl.LINE_START_ID
         step = mdl.decode_step(model, ctx, s, y_prev)
         weight_err = max(weight_err,
@@ -143,6 +144,9 @@ def distribution_invariants(model, seed, steps=1000):
 def run_checks(seed=7, dist_steps=1000, inject_error=False,
                report_line=print):
     """Full verification pass; returns True when everything is in budget."""
+    if dist_steps < 1:
+        raise ConfigError("distribution check needs at least 1 decode step, "
+                          "got %d" % dist_steps)
     rng = SeededRng(seed)
     model = init_params(CHECK_CONFIG, rng)
     ok = True

@@ -15,7 +15,7 @@ from imagepoet.datapipe import ConceptLexicon, keyword_recall
 from imagepoet.layers import AttentionParams, GRUCell, attend, bigru_encode, gru_step
 from imagepoet.model import (LINE_START_ID, ModelConfig, decode_step,
                              generate_line, generate_poem, init_params,
-                             init_state, prepare_context)
+                             prepare_context)
 from imagepoet.numerics import Tensor
 from imagepoet.rng import SeededRng
 from imagepoet.training import (TrainConfig, TrainSample, cross_entropy_loss,
@@ -79,7 +79,7 @@ def test_criterion_3_ablation_identities():
     # bitwise, at every step.
     ctx = prepare_context(model, features, keywords, [1, 2])
     ctx.bank = ctx.bank.zeroed()
-    s = init_state(model, ctx.h_states)
+    s = ctx.state
     y = LINE_START_ID
     for _ in range(steps):
         step = decode_step(model, ctx, s, y)
@@ -89,7 +89,7 @@ def test_criterion_3_ablation_identities():
 
     # (b) zeroed visual features: the visual context is exactly zero.
     ctx = prepare_context(model, np.zeros_like(features), keywords, [1, 2])
-    s = init_state(model, ctx.h_states)
+    s = ctx.state
     for _ in range(steps):
         step = decode_step(model, ctx, s, LINE_START_ID)
         s = step.state
@@ -98,7 +98,7 @@ def test_criterion_3_ablation_identities():
     # (c) zero topic weight: the mixture is the generic distribution.
     model.config.topic_weight = 0.0
     ctx = prepare_context(model, features, keywords, [1, 2])
-    s = init_state(model, ctx.h_states)
+    s = ctx.state
     worst = 0.0
     for _ in range(steps):
         step = decode_step(model, ctx, s, LINE_START_ID)
@@ -225,7 +225,7 @@ def test_criterion_6_oracle_equivalence():
               for _ in range(1 + rng.below(4))]
         got = bigru_encode(fw, bw, [Tensor(x) for x in xs])
         ref = bigru_ref(fw, bw, xs)
-        err = max(float(np.max(np.abs(g.data - r))) for g, r in zip(got, ref))
+        err = max(float(np.max(np.abs(g - r))) for g, r in zip(got.data, ref))
         worst["bigru"] = max(worst["bigru"], err)
 
     for _ in range(100):
@@ -233,8 +233,7 @@ def test_criterion_6_oracle_equivalence():
         query = rng.uniform_array(4, -1.0, 1.0)
         keys = [rng.uniform_array(3, -1.0, 1.0)
                 for _ in range(1 + rng.below(5))]
-        ctx_got, w_got = attend(params, Tensor(query),
-                                [Tensor(k) for k in keys])
+        ctx_got, w_got = attend(params, Tensor(query), Tensor(keys))
         ctx_ref, w_ref = attend_ref(params, query, keys)
         err = max(float(np.max(np.abs(w_got.data - w_ref))),
                   float(np.max(np.abs(ctx_got.data - ctx_ref))))
@@ -244,8 +243,7 @@ def test_criterion_6_oracle_equivalence():
         n = 1 + rng.below(5)
         keys = [rng.uniform_array(4, -1.0, 1.0) for _ in range(n)]
         contents = [rng.uniform_array(4, -1.0, 1.0) for _ in range(n)]
-        bank = tmem.MemoryBank([Tensor(q) for q in keys],
-                               [Tensor(m) for m in contents])
+        bank = tmem.MemoryBank(Tensor(keys), Tensor(contents))
         state = rng.uniform_array(4, -1.0, 1.0)
         z = tmem.address(bank, Tensor(state))
         d = tmem.read(bank, z)
@@ -330,7 +328,7 @@ def test_criterion_9_paper_scale_shapes():
 
     features = rng.uniform_array(196 * 512, -1.0, 1.0).reshape(196, 512)
     ctx = prepare_context(model, features, [(3, 4), (5, 6, 7)], [2] * 7)
-    s = init_state(model, ctx.h_states)
+    s = ctx.state
     step = decode_step(model, ctx, s, LINE_START_ID)
     assert step.state.shape == (512,) and step.topic_state.shape == (512,)
     assert (step.text_context.shape == (1024,)

@@ -237,6 +237,19 @@ class TestGenerate:
                           "--features", bad, "--keywords", keywords)
         assert code == 2
 
+    def test_feature_shape_mismatch_names_the_path(self, corpus, tmp_path,
+                                                   capsys):
+        ckpt = train_once(corpus, tmp_path)
+        keywords = write_keyword_file(tmp_path, [(2,)])
+        from imagepoet.datapipe import write_feature_file
+        bad = str(tmp_path / "wide.vfgr")
+        write_feature_file(bad, np.zeros((2, 4)))
+        code, out = run_cli("generate", "--checkpoint", ckpt,
+                            "--features", bad, "--keywords", keywords)
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert bad in err and "(2, 4)" in err and "(2, 3)" in err
+
 
 class TestEval:
     def test_mean_recall_matches_hand_scoring(self, corpus, tmp_path):
@@ -275,8 +288,26 @@ class TestEval:
                           "--lexicon", corpus["lexicon"])
         assert code == 2
 
+    def test_feature_shape_mismatch_names_the_path(self, corpus, tmp_path,
+                                                   capsys):
+        ckpt = train_once(corpus, tmp_path)
+        from imagepoet.datapipe import write_feature_file
+        write_feature_file(str(tmp_path / "feat1.vfgr"), np.zeros((3, 3)))
+        code, _ = run_cli("eval", "--checkpoint", ckpt,
+                          "--corpus", corpus["corpus"],
+                          "--lexicon", corpus["lexicon"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "feat1.vfgr" in err and "(3, 3)" in err
+
 
 class TestCheck:
+    @pytest.mark.parametrize("steps", ["0", "-5"])
+    def test_non_positive_steps_are_a_config_error(self, steps, capsys):
+        code, out = run_cli("check", "--steps", steps)
+        assert code == 2 and out == ""
+        assert "got %s" % steps in capsys.readouterr().err
+
     def test_passes_on_a_fresh_model(self):
         code, out = run_cli("check", "--steps", "60")
         assert code == 0

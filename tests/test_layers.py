@@ -70,7 +70,7 @@ class TestBigru:
         expected = np.concatenate([
             gru_step(fw, fw.zero_state(), x).data,
             gru_step(bw, bw.zero_state(), x).data])
-        assert np.array_equal(out[0].data, expected)
+        assert np.array_equal(out.data[0], expected)
 
     @pytest.mark.parametrize("length", [1, 2, 7, 14])
     def test_output_count_matches_input_count(self, length, rng):
@@ -78,8 +78,7 @@ class TestBigru:
         bw = GRUCell.create(3, 2, rng)
         xs = [Tensor(vec(rng, 3)) for _ in range(length)]
         out = bigru_encode(fw, bw, xs)
-        assert len(out) == length
-        assert all(h.shape == (4,) for h in out)
+        assert out.shape == (length, 4)
 
     def test_matches_unrolled_oracle(self, rng):
         fw = GRUCell.create(3, 4, rng)
@@ -87,8 +86,8 @@ class TestBigru:
         xs = [vec(rng, 3) for _ in range(3)]
         out = bigru_encode(fw, bw, [Tensor(x) for x in xs])
         ref = bigru_ref(fw, bw, xs)
-        for got, want in zip(out, ref):
-            assert np.max(np.abs(got.data - want)) < 1e-12
+        for got, want in zip(out.data, ref):
+            assert np.max(np.abs(got - want)) < 1e-12
 
     def test_empty_sequence_rejected(self, rng):
         fw = GRUCell.create(3, 2, rng)
@@ -100,16 +99,16 @@ class TestBigru:
 class TestAttend:
     def test_single_key(self, rng):
         params = AttentionParams.create(4, 3, 4, rng)
-        key = Tensor(vec(rng, 3))
-        context, weights = attend(params, Tensor(vec(rng, 4)), [key])
+        key = vec(rng, 3)
+        context, weights = attend(params, Tensor(vec(rng, 4)), Tensor([key]))
         assert np.array_equal(weights.data, [1.0])
-        assert np.array_equal(context.data, key.data)
+        assert np.array_equal(context.data, key)
 
     def test_identical_keys_share_weight(self, rng):
         params = AttentionParams.create(4, 3, 4, rng)
         key = vec(rng, 3)
         context, weights = attend(params, Tensor(vec(rng, 4)),
-                                  [Tensor(key), Tensor(key.copy())])
+                                  Tensor([key, key.copy()]))
         assert np.max(np.abs(weights.data - 0.5)) < 1e-15
         assert np.max(np.abs(context.data - key)) < 1e-15
 
@@ -118,8 +117,7 @@ class TestAttend:
             params = AttentionParams.create(4, 3, 5, rng)
             query = vec(rng, 4)
             keys = [vec(rng, 3) for _ in range(4)]
-            context, weights = attend(params, Tensor(query),
-                                      [Tensor(k) for k in keys])
+            context, weights = attend(params, Tensor(query), Tensor(keys))
             ref_ctx, ref_w = attend_ref(params, query, keys)
             assert np.max(np.abs(weights.data - ref_w)) < 1e-12
             assert np.max(np.abs(context.data - ref_ctx)) < 1e-12
@@ -129,24 +127,24 @@ class TestAttend:
             params = AttentionParams.create(4, 3, 4, rng)
             n = 1 + rng.below(6)
             _, weights = attend(params, Tensor(vec(rng, 4)),
-                                [Tensor(vec(rng, 3)) for _ in range(n)])
+                                Tensor([vec(rng, 3) for _ in range(n)]))
             assert np.all(weights.data >= 0.0)
             assert abs(weights.data.sum() - 1.0) < 1e-12
 
     def test_permutation_equivariance(self, rng):
         params = AttentionParams.create(4, 3, 4, rng)
         query = Tensor(vec(rng, 4))
-        keys = [Tensor(vec(rng, 3)) for _ in range(5)]
-        context, weights = attend(params, query, keys)
+        keys = np.array([vec(rng, 3) for _ in range(5)])
+        context, weights = attend(params, query, Tensor(keys))
         perm = [3, 0, 4, 1, 2]
-        ctx_p, weights_p = attend(params, query, [keys[i] for i in perm])
+        ctx_p, weights_p = attend(params, query, Tensor(keys[perm]))
         assert np.max(np.abs(weights_p.data - weights.data[perm])) < 1e-12
         assert np.max(np.abs(ctx_p.data - context.data)) < 1e-12
 
     def test_zero_keys_rejected(self, rng):
         params = AttentionParams.create(4, 3, 4, rng)
         with pytest.raises(DomainError):
-            attend(params, Tensor(vec(rng, 4)), [])
+            attend(params, Tensor(vec(rng, 4)), Tensor(np.zeros((0, 3))))
 
 
 class TestLayerGradients:
@@ -165,7 +163,7 @@ class TestLayerGradients:
     def test_attention_parameters_pass_grad_check(self, rng):
         params = AttentionParams.create(4, 3, 4, rng)
         query = Tensor(vec(rng, 4))
-        keys = [Tensor(vec(rng, 3)) for _ in range(3)]
+        keys = Tensor([vec(rng, 3) for _ in range(3)])
 
         def loss():
             context, _ = attend(params, query, keys)

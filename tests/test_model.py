@@ -76,22 +76,22 @@ class TestInitParams:
 class TestEncodeContext:
     def test_one_state_per_character(self, model, rng):
         ids = [rng.below(model.config.vocab_size) for _ in range(14)]
-        assert len(encode_context(model, ids)) == 14
+        assert encode_context(model, ids).shape == (14, 2 * model.config.hidden_dim)
 
     def test_empty_context_is_single_marker(self, model):
         states = encode_context(model, [])
-        assert len(states) == 1
+        assert states.shape[0] == 1
         marker = [model.embedding.lookup(mdl.POEM_START_ID)]
         expected = bigru_encode(model.encoder_fw, model.encoder_bw, marker)
-        assert np.array_equal(states[0].data, expected[0].data)
+        assert np.array_equal(states.data[0], expected.data[0])
 
     def test_matches_bigru_over_embeddings(self, model):
         ids = [3, 7]
         states = encode_context(model, ids)
         embs = [model.embedding.lookup(c) for c in ids]
         expected = bigru_encode(model.encoder_fw, model.encoder_bw, embs)
-        for got, want in zip(states, expected):
-            assert np.array_equal(got.data, want.data)
+        for got, want in zip(states.data, expected.data):
+            assert np.array_equal(got, want)
 
     def test_out_of_vocab_rejected(self, model):
         with pytest.raises(VocabularyError):
@@ -101,7 +101,7 @@ class TestEncodeContext:
 class TestDecodeStep:
     def test_empty_keywords_leave_state_untouched(self, model, rng):
         ctx = prepare_context(model, features_for(model.config, rng), [], [2])
-        s = mdl.init_state(model, ctx.h_states)
+        s = ctx.state
         step = decode_step(model, ctx, s, LINE_START_ID)
         assert step.topic_state is step.state
         assert step.address is None
@@ -111,7 +111,7 @@ class TestDecodeStep:
         model = init_params(config, SeededRng(8))
         features = features_for(config, rng)
         ctx = prepare_context(model, features, [(3,)], [1, 2])
-        s = mdl.init_state(model, ctx.h_states)
+        s = ctx.state
         for _ in range(4):
             step = decode_step(model, ctx, s, 3)
             s = step.state
@@ -121,7 +121,7 @@ class TestDecodeStep:
         features = np.zeros((model.config.visual_count,
                              model.config.visual_dim))
         ctx = prepare_context(model, features, [(3,)], [1, 2])
-        s = mdl.init_state(model, ctx.h_states)
+        s = ctx.state
         for _ in range(4):
             step = decode_step(model, ctx, s, 3)
             s = step.state
@@ -131,11 +131,11 @@ class TestDecodeStep:
     def test_step_matches_hand_composition(self, model, rng):
         ctx = prepare_context(model, features_for(model.config, rng),
                               [(3, 4), (9,)], [1, 2, 3])
-        s_prev = mdl.init_state(model, ctx.h_states)
+        s_prev = ctx.state
         y_prev = 7
         step = decode_step(model, ctx, s_prev, y_prev)
 
-        want_h, want_hw = attend(model.text_attention, s_prev, ctx.h_states)
+        want_h, want_hw = attend(model.text_attention, s_prev, ctx.text[0])
         want_v, want_vw = attend(model.visual_attention, s_prev,
                                  ctx.visual[0])
         x = nm.concat([model.embedding.lookup(y_prev), want_h, want_v])
@@ -169,7 +169,7 @@ class TestOutputProbs:
         config = toy_config(topic_weight=0.0)
         model = init_params(config, SeededRng(9))
         ctx = prepare_context(model, features_for(config, rng), [(3, 4)], [1])
-        s = mdl.init_state(model, ctx.h_states)
+        s = ctx.state
         step = decode_step(model, ctx, s, LINE_START_ID)
         p_g = nm.softmax(model.head_generic.logits(nm.concat(
             [step.topic_state, step.visual_context, step.text_context])))
@@ -178,7 +178,7 @@ class TestOutputProbs:
 
     def test_no_keywords_disable_the_bias(self, model, rng):
         ctx = prepare_context(model, features_for(model.config, rng), [], [1])
-        s = mdl.init_state(model, ctx.h_states)
+        s = ctx.state
         step = decode_step(model, ctx, s, LINE_START_ID)
         p_g = nm.softmax(model.head_generic.logits(nm.concat(
             [step.topic_state, step.visual_context, step.text_context])))
@@ -191,7 +191,7 @@ class TestOutputProbs:
             keywords = [(rng.below(20), rng.below(20))]
             ctx = prepare_context(model, features_for(model.config, rng),
                                   keywords, [rng.below(20)])
-            s = mdl.init_state(model, ctx.h_states)
+            s = ctx.state
             step = decode_step(model, ctx, s, LINE_START_ID)
             p, p_g, p_t = step.p, step.p_generic, step.p_topic
             assert np.all(p.data >= 0.0)
@@ -231,11 +231,37 @@ class TestHoistedWork:
             ("visual", (model.config.visual_count, model.config.visual_dim)),
             ("text", (3, 2 * model.config.hidden_dim))]
 
+    def test_each_sequence_is_stacked_once(self, model, rng, monkeypatch):
+        from imagepoet.training import TrainSample, cross_entropy_loss
+        features = features_for(model.config, rng)
+        keywords = [(3, 4), (9,)]
+        stacks = []
+        stack = nm.stack
+
+        def counting(parts):
+            stacks.append(parts)
+            return stack(parts)
+
+        monkeypatch.setattr(nm, "stack", counting)
+        # Context Bi-GRU: forward and backward states; bank: keys, contents.
+        for target in ((5,), (5, 6, 7, 8, 9)):
+            stacks.clear()
+            cross_entropy_loss(model, [TrainSample(
+                features=features, keywords=keywords, preceding=(1, 2, 3),
+                target=target)])
+            assert len(stacks) == 4
+        ctx = prepare_context(model, features, keywords, [1, 2])
+        stacks.clear()
+        decode_step(model, ctx, ctx.state, LINE_START_ID)
+        assert stacks == []
+        generate_poem(model, features, keywords)
+        assert len(stacks) == 2 + 2 * model.config.lines_per_poem
+
     def test_topic_head_scores_only_the_topic_rows(self, model, rng,
                                                    monkeypatch):
         ctx = prepare_context(model, features_for(model.config, rng),
                               [(3, 4), (9,)], [1])
-        s = mdl.init_state(model, ctx.h_states)
+        s = ctx.state
         step = decode_step(model, ctx, s, LINE_START_ID)
         features = nm.concat([step.topic_state, step.visual_context,
                               step.text_context])
@@ -290,7 +316,7 @@ class TestGeneration:
             preceding = [c for line in lines for c in line]
             assert len(preceding) == i * g
             ctx = prepare_context(model, features, keywords, preceding)
-            assert len(ctx.h_states) == (i * g if i else 1)
+            assert ctx.text[0].shape[0] == (i * g if i else 1)
             lines.append(generate_line(model, ctx))
         assert lines == poem
 

@@ -216,7 +216,7 @@ class TestGradCheck:
             "concat": lambda t: nm.sum_all(nm.tanh(vec(t))),
             "stack": lambda t: nm.sum_all(nm.tanh(nm.stack(
                 [nm.take(t, i) for i in range(3)]))),
-            "pick": lambda t: nm.pick(nm.tanh(vec(t)), 7),
+            "pick": lambda t: nm.take(nm.tanh(vec(t)), 7),
             "take_row": lambda t: nm.sum_all(nm.tanh(nm.take(t, 1))),
             "take_rows": lambda t: nm.sum_all(nm.tanh(nm.matmul(
                 nm.take(t, [2, 0, 2]), other_v))),

@@ -26,14 +26,14 @@ class TestEncodeKeywords:
     def test_single_char_content_is_its_embedding(self, parts):
         embedding, fw, bw = parts
         bank = encode_keywords(embedding, fw, bw, [(4,)])
-        assert np.array_equal(bank.output_memory[0].data,
+        assert np.array_equal(bank.contents.data[0],
                               embedding.weights.data[4])
 
     def test_two_char_content_is_the_mean(self, parts):
         embedding, fw, bw = parts
         bank = encode_keywords(embedding, fw, bw, [(2, 9)])
         expected = (embedding.weights.data[2] + embedding.weights.data[9]) / 2
-        assert np.max(np.abs(bank.output_memory[0].data - expected)) < 1e-15
+        assert np.max(np.abs(bank.contents.data[0] - expected)) < 1e-15
 
     def test_key_matches_manual_unroll(self, parts, rng):
         embedding, fw, bw = parts
@@ -50,13 +50,13 @@ class TestEncodeKeywords:
             h = gru_step_ref(bw, h, e)
         bw_first = h
         expected = np.concatenate([fw_last, bw_first])
-        assert np.max(np.abs(bank.input_memory[0].data - expected)) < 1e-12
+        assert np.max(np.abs(bank.keys.data[0] - expected)) < 1e-12
 
     def test_key_width_equals_state_width(self, parts):
         embedding, fw, bw = parts
         bank = encode_keywords(embedding, fw, bw, [(1, 2), (3,)])
-        assert all(q.shape == (6,) for q in bank.input_memory)
-        assert all(m.shape == (6,) for m in bank.output_memory)
+        assert bank.keys.shape == (2, 6)
+        assert bank.contents.shape == (2, 6)
 
     def test_empty_keyword_rejected(self, parts):
         embedding, fw, bw = parts
@@ -71,30 +71,30 @@ class TestEncodeKeywords:
 
 class TestAddress:
     def test_single_entry(self, rng):
-        bank = MemoryBank([Tensor(vec(rng, 4))], [Tensor(vec(rng, 4))])
+        bank = MemoryBank(Tensor([vec(rng, 4)]), Tensor([vec(rng, 4)]))
         z = address(bank, Tensor(vec(rng, 4)))
         assert np.array_equal(z.data, [1.0])
 
     def test_identical_keys_split_evenly(self, rng):
         q = vec(rng, 4)
-        bank = MemoryBank([Tensor(q), Tensor(q.copy())],
-                          [Tensor(vec(rng, 4)), Tensor(vec(rng, 4))])
+        bank = MemoryBank(Tensor([q, q.copy()]),
+                          Tensor([vec(rng, 4), vec(rng, 4)]))
         z = address(bank, Tensor(vec(rng, 4)))
         assert np.max(np.abs(z.data - 0.5)) < 1e-15
 
     def test_matches_explicit_dot_products(self, rng):
         for _ in range(20):
             keys = [vec(rng, 4) for _ in range(5)]
-            bank = MemoryBank([Tensor(q) for q in keys],
-                              [Tensor(vec(rng, 4)) for _ in range(5)])
+            bank = MemoryBank(Tensor(keys),
+                              Tensor([vec(rng, 4) for _ in range(5)]))
             state = vec(rng, 4)
             z = address(bank, Tensor(state))
             assert np.max(np.abs(z.data - address_ref(keys, state))) < 1e-12
 
     def test_is_probability_vector(self, rng):
         for n in (1, 2, 5, 9):
-            bank = MemoryBank([Tensor(vec(rng, 4)) for _ in range(n)],
-                              [Tensor(vec(rng, 4)) for _ in range(n)])
+            bank = MemoryBank(Tensor([vec(rng, 4) for _ in range(n)]),
+                              Tensor([vec(rng, 4) for _ in range(n)]))
             z = address(bank, Tensor(vec(rng, 4) * 10))
             assert np.all(z.data >= 0.0)
             assert abs(z.data.sum() - 1.0) < 1e-12
@@ -107,21 +107,21 @@ class TestAddress:
 class TestRead:
     def test_single_entry(self, rng):
         m = vec(rng, 4)
-        bank = MemoryBank([Tensor(vec(rng, 4))], [Tensor(m)])
+        bank = MemoryBank(Tensor([vec(rng, 4)]), Tensor([m]))
         out = read(bank, Tensor([1.0]))
         assert np.array_equal(out.data, m)
 
     def test_one_hot_selects_one_memory(self, rng):
         contents = [vec(rng, 4) for _ in range(3)]
-        bank = MemoryBank([Tensor(vec(rng, 4)) for _ in range(3)],
-                          [Tensor(m) for m in contents])
+        bank = MemoryBank(Tensor([vec(rng, 4) for _ in range(3)]),
+                          Tensor(contents))
         out = read(bank, Tensor([0.0, 1.0, 0.0]))
         assert np.array_equal(out.data, contents[1])
 
     def test_matches_explicit_weighted_sum(self, rng):
         contents = [vec(rng, 4) for _ in range(4)]
-        bank = MemoryBank([Tensor(vec(rng, 4)) for _ in range(4)],
-                          [Tensor(m) for m in contents])
+        bank = MemoryBank(Tensor([vec(rng, 4) for _ in range(4)]),
+                          Tensor(contents))
         z = np.abs(vec(rng, 4))
         z = z / z.sum()
         out = read(bank, Tensor(z))
@@ -130,8 +130,8 @@ class TestRead:
     def test_convex_hull_for_scalar_memories(self, rng):
         for _ in range(30):
             contents = [vec(rng, 1) for _ in range(4)]
-            bank = MemoryBank([Tensor(vec(rng, 3)) for _ in range(4)],
-                              [Tensor(m) for m in contents])
+            bank = MemoryBank(Tensor([vec(rng, 3) for _ in range(4)]),
+                              Tensor(contents))
             z = address(bank, Tensor(vec(rng, 3)))
             # widths differ on purpose: address over 3-wide keys, scalar reads
             out = read(bank, z)
@@ -140,7 +140,7 @@ class TestRead:
             assert min(values) - 1e-12 <= got <= max(values) + 1e-12
 
     def test_length_mismatch(self, rng):
-        bank = MemoryBank([Tensor(vec(rng, 4))], [Tensor(vec(rng, 4))])
+        bank = MemoryBank(Tensor([vec(rng, 4)]), Tensor([vec(rng, 4)]))
         with pytest.raises(DimensionError):
             read(bank, Tensor([0.5, 0.5]))
 
@@ -193,4 +193,4 @@ class TestBankProperties:
 
     def test_mismatched_bank_rejected(self, rng):
         with pytest.raises(DimensionError):
-            MemoryBank([Tensor(vec(rng, 4))], [])
+            MemoryBank(Tensor([vec(rng, 4)]), Tensor(np.zeros((0, 4))))
