@@ -164,6 +164,13 @@ def _load_grid(path, config):
     return features
 
 
+def _image_grid(image, config):
+    """The feature grid of a corpus image (see _load_grid)."""
+    if not image.feature_path or not os.path.exists(image.feature_path):
+        raise DataError("feature file missing for image %r" % image.image_id)
+    return _load_grid(image.feature_path, config)
+
+
 def _format_line(line, machine):
     ids = " ".join(str(c) for c in line)
     return ids if machine else "line: " + ids
@@ -198,11 +205,14 @@ def cmd_eval(args, stdout):
     images = [img for img in images if img.concepts]
     if not images:
         raise DataError("evaluation pool is empty")
+    # Every grid is checked before the first poem, so a bad file late in
+    # the pool fails before any work or output.  Grids are read again per
+    # poem rather than held: at paper sizes each is 0.8 MB.
+    for image in images:
+        _image_grid(image, model.config)
     total = 0.0
     for image in images:
-        if not image.feature_path or not os.path.exists(image.feature_path):
-            raise DataError("feature file missing for image %r" % image.image_id)
-        features = _load_grid(image.feature_path, model.config)
+        features = _image_grid(image, model.config)
         keywords = datapipe.image_keywords(image, lexicon)
         poem = generate_poem(model, features, keywords)
         recall = datapipe.keyword_recall(poem, image.concepts, lexicon)

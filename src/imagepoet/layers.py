@@ -182,10 +182,13 @@ class OutputHead(ParamGroup):
                    param(rng, output_dim))
 
     def logits(self, features, rows=None):
-        """Logits of every output, or of the outputs listed in rows only."""
-        hidden = nm.tanh(nm.add(nm.matmul(self.w_hidden, features),
-                                self.b_hidden))
+        """Logits of every output, or of the outputs listed in rows only.
+
+        features is one head input or a (T, input_dim) matrix of them,
+        which gets one row of logits each.
+        """
+        hidden = nm.tanh(nm.linear(features, self.w_hidden, self.b_hidden))
         if rows is None:
-            return nm.add(nm.matmul(self.w_out, hidden), self.b_out)
-        return nm.add(nm.matmul(nm.take(self.w_out, rows), hidden),
-                      nm.take(self.b_out, rows))
+            return nm.linear(hidden, self.w_out, self.b_out)
+        return nm.linear(hidden, nm.take(self.w_out, rows),
+                         nm.take(self.b_out, rows))

@@ -252,27 +252,45 @@ class Step:
     p: Tensor
 
 
-def decode_step(model, ctx, s_prev, y_prev):
-    """One decoder step, returned as a Step.
+def recurrence(model, ctx, s_prev, y_prev):
+    """The new state and both attention streams' (context, weights) pairs.
 
-    Both attention streams are queried with the previous state; the new
-    state then addresses the keyword memory.  An empty bank degrades to
-    topic_state == state (the no-keywords variant).  The head input
-    [topic_state; visual_context; text_context] is built once for both
-    output heads.
+    Both streams are queried with the previous state; the decoder GRU then
+    reads the previous character's embedding and both contexts.  Nothing
+    here depends on the output side (see output_side), so a teacher-forced
+    pass runs the recurrence alone and scores its states afterwards.
     """
-    h_hat, text_weights = attend(model.text_attention, s_prev, *ctx.text)
-    v_hat, visual_weights = attend(model.visual_attention, s_prev,
-                                   *ctx.visual)
-    x = nm.concat([model.embedding.lookup(y_prev), h_hat, v_hat])
-    s_t = gru_step(model.decoder, s_prev, x)
+    text = attend(model.text_attention, s_prev, *ctx.text)
+    visual = attend(model.visual_attention, s_prev, *ctx.visual)
+    x = nm.concat([model.embedding.lookup(y_prev), text[0], visual[0]])
+    return gru_step(model.decoder, s_prev, x), text, visual
+
+
+def output_side(model, ctx, state, visual_context, text_context):
+    """(topic_state, address, p_generic, p_topic, p) of decoder states.
+
+    state is one state or a (T, h) matrix of them, and the contexts are
+    the matching vectors or matrices; a matrix scores every row in one
+    pass and each result has one row per state.  The state addresses the
+    keyword memory; an empty bank degrades to topic_state == state and no
+    address (the no-keywords variant).  The head input [topic_state;
+    visual_context; text_context] is built once for both output heads.
+    """
     z = None
-    o_t = s_t
+    o = state
     if ctx.bank.size:
-        z = tmem.address(ctx.bank, s_t)
-        o_t = tmem.fuse(tmem.read(ctx.bank, z), s_t)
-    p_generic, p_topic, p = output_probs(model, ctx,
-                                         nm.concat([o_t, v_hat, h_hat]))
+        z = tmem.address(ctx.bank, state)
+        o = tmem.fuse(tmem.read(ctx.bank, z), state)
+    features = nm.concat([o, visual_context, text_context],
+                         axis=state.data.ndim - 1)
+    return (o, z) + output_probs(model, ctx, features)
+
+
+def decode_step(model, ctx, s_prev, y_prev):
+    """One decoder step: the recurrence, then the output side of its state."""
+    s_t, (h_hat, text_weights), (v_hat, visual_weights) = recurrence(
+        model, ctx, s_prev, y_prev)
+    o_t, z, p_generic, p_topic, p = output_side(model, ctx, s_t, v_hat, h_hat)
     return Step(state=s_t, topic_state=o_t, text_context=h_hat,
                 visual_context=v_hat, text_weights=text_weights,
                 visual_weights=visual_weights, address=z,
@@ -282,7 +300,8 @@ def decode_step(model, ctx, s_prev, y_prev):
 def output_probs(model, ctx, features):
     """(p_generic, p_topic, p) from the head input features.
 
-    p_topic scores only the topic vocabulary's rows and is zero elsewhere;
+    features is one head input or a matrix of them, one per row.  p_topic
+    scores only the topic vocabulary's columns and is zero elsewhere;
     p = (weight * p_topic + p_generic) / (1 + weight).  Zero weight or an
     empty topic vocabulary turns the bias off (see Step).
     """
@@ -290,12 +309,26 @@ def output_probs(model, ctx, features):
     weight = model.config.topic_weight
     if weight == 0.0 or not ctx.topic_ids:
         return p_generic, None, p_generic
-    restricted = nm.softmax(model.head_topic.logits(features,
-                                                    rows=ctx.topic_ids))
+    restricted = nm.softmax(_topic_logits(model, ctx, features))
     p_topic = nm.scatter(restricted, ctx.topic_ids, model.config.vocab_size)
     p = nm.scale(nm.add(nm.scale(p_topic, weight), p_generic),
                  1.0 / (1.0 + weight))
     return p_generic, p_topic, p
+
+
+def _topic_logits(model, ctx, features):
+    """The topic head's logits of the topic vocabulary, one call per row.
+
+    Each row of a matrix of features is its own head call: the benchmark's
+    tracer self-test (bench/test_selftest.py) counts one topic-head call
+    per teacher-forced step.  The generic head, whose 6000-row output
+    layer costs most, scores a matrix in one call.
+    """
+    head = model.head_topic
+    if features.data.ndim == 1:
+        return head.logits(features, rows=ctx.topic_ids)
+    return nm.stack([head.logits(nm.take(features, t), rows=ctx.topic_ids)
+                     for t in range(features.shape[0])])
 
 
 def greedy_decode_reversed(model, ctx):

@@ -14,8 +14,6 @@ buffer adopts the array the pass made for it.  Callers drop .grad before
 a fresh pass (see Tensor.zero_grad).
 """
 
-import threading
-
 import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError
@@ -74,39 +72,28 @@ class Tensor:
                                                        self.requires_grad)
 
 
-_local = threading.local()
-
-
-def _tape_stack():
-    if not hasattr(_local, "stack"):
-        _local.stack = []
-    return _local.stack
-
-
-def _active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+_tapes = []  # entered and not yet exited, innermost last
 
 
 class Tape:
-    """Ordered record of executed operations, confined to one thread.
+    """Ordered record of executed operations.
 
     Used as a context manager around the forward pass; backward() then
-    replays adjoints over the records in reverse execution order.
+    replays adjoints over the records in reverse execution order.  Tapes
+    nest; ops record on the innermost one.
     """
 
     def __init__(self):
         self._records = []  # (output, inputs, backward_fn)
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        stack = _tape_stack()
-        if not stack or stack[-1] is not self:
+        if not _tapes or _tapes[-1] is not self:
             raise ContractError("tape exited out of order")
-        stack.pop()
+        _tapes.pop()
         return False
 
     def record(self, output, inputs, backward_fn):
@@ -129,9 +116,9 @@ class Tape:
         the same g for both); a leaf whose adjoint is still such an array
         gets a copy.  A RowGrad is added into that buffer, which it starts
         from zeros when it comes first.  A leaf's OuterGrads wait until
-        the sweep ends and are then summed by one GEMM, to which its other
-        contributions are added; no record reads a leaf's adjoint, since
-        a leaf is never a record's output.
+        the sweep ends; their row blocks are then joined and summed by one
+        GEMM, to which its other contributions are added.  No record reads
+        a leaf's adjoint, since a leaf is never a record's output.
         """
         if loss.data.shape != ():
             raise ContractError(
@@ -140,7 +127,7 @@ class Tape:
         adjoint = {id(loss): np.ones(())}
         owned = set()   # ids whose adjoint is a buffer this pass may write
         leaves = {}
-        outers = {}     # leaf id -> ([u...], [v...]) of its OuterGrads
+        outers = {}     # leaf id -> ([u...], [v...]) row blocks of OuterGrads
         for output, inputs, backward_fn in reversed(self._records):
             out_grad = adjoint.pop(id(output), None)
             if out_grad is None:
@@ -178,7 +165,7 @@ class Tape:
                 if tensor.requires_grad:
                     leaves[key] = tensor
         for key, (us, vs) in outers.items():
-            total = np.stack(us, axis=1) @ np.stack(vs)
+            total = np.concatenate(us).T @ np.concatenate(vs)
             if key in owned:
                 adjoint[key] += total
                 continue
@@ -217,26 +204,27 @@ class RowGrad:
 
 
 class OuterGrad:
-    """Adjoint outer(u, v) of a leaf matrix, which matmul returns.
+    """Adjoint u.T @ v of a leaf matrix: the sum of outer(u[i], v[i]).
 
-    Tape.gradients sums all of a leaf's OuterGrads at the end of its
-    sweep, so a weight reused at every step costs one GEMM, not one
-    weight-sized outer product and add per step.
+    u and v hold one row per term, so a rank-1 pair is one term; matmul
+    returns one term, linear one per input row.  Tape.gradients sums all
+    of a leaf's OuterGrads at the end of its sweep, so a weight reused at
+    every step costs one GEMM, not one weight-sized outer product and add
+    per step.
     """
 
     __slots__ = ("u", "v")
 
     def __init__(self, u, v):
-        self.u = u
-        self.v = v
+        self.u = np.atleast_2d(u)
+        self.v = np.atleast_2d(v)
 
 
 def _emit(data, inputs, backward_fn):
     out = Tensor(data)
-    tape = _active_tape()
-    if tape is not None and any(t.needs_grad for t in inputs):
+    if _tapes and any(t.needs_grad for t in inputs):
         out.needs_grad = True
-        tape.record(out, inputs, backward_fn)
+        _tapes[-1].record(out, inputs, backward_fn)
     return out
 
 
@@ -271,6 +259,38 @@ def matmul(a, b):
         return ga, gb
 
     return _emit(out, (a, b), backward)
+
+
+def linear(x, w, b=None):
+    """x @ w.T, plus b when given, for one row x or a (T, n) matrix of rows.
+
+    w is (m, n) and b length m.  A matrix of rows reads w once where T
+    separate rows would read it T times; a leaf w gets one OuterGrad
+    carrying every row.
+    """
+    xd, wd = x.data, w.data
+    if (xd.ndim not in (1, 2) or wd.ndim != 2 or xd.shape[-1] != wd.shape[1]
+            or (b is not None and b.data.shape != wd.shape[:1])):
+        bias = None if b is None else b.data.shape
+        raise DimensionError("linear: input %s, weight %s and bias %s are "
+                             "incompatible" % (xd.shape, wd.shape, bias))
+    out = xd @ wd.T
+    if b is not None:
+        out += b.data
+
+    def backward(g):
+        # As in matmul, an outer product reaches a non-leaf w only.
+        gx = g @ wd if x.needs_grad else None
+        gw = None
+        if w.needs_grad:
+            gw = (OuterGrad(g, xd) if w.requires_grad else
+                  np.outer(g, xd) if xd.ndim == 1 else g.T @ xd)
+        gb = None
+        if b is not None and b.needs_grad:
+            gb = g if g.ndim == 1 else g.sum(axis=0)
+        return gx, gw, gb
+
+    return _emit(out, (x, w) if b is None else (x, w, b), backward)
 
 
 def add(a, b):
@@ -322,16 +342,16 @@ def log(a):
 
 
 def softmax(v):
-    """Stabilized softmax over a 1-d tensor."""
-    if v.data.ndim != 1 or v.data.size == 0:
-        raise DomainError("softmax expects a nonempty vector, got shape %s"
-                          % (v.data.shape,))
-    shifted = v.data - v.data.max()
+    """Stabilized softmax of a vector, or of each row of a matrix."""
+    if v.data.ndim not in (1, 2) or v.data.size == 0:
+        raise DomainError("softmax expects a nonempty vector or matrix, "
+                          "got shape %s" % (v.data.shape,))
+    shifted = v.data - v.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum()
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        return (out * (g - np.dot(g, out)),)
+        return (out * (g - np.sum(g * out, axis=-1, keepdims=True)),)
 
     return _emit(out, (v,), backward)
 
@@ -397,20 +417,44 @@ def take(t, index):
 
 
 def scatter(values, indices, size):
-    """Length-size vector that is zero except values placed at indices."""
+    """Zero except values placed at indices along the last axis.
+
+    A vector of values gives a length-size vector; a (T, k) matrix gives
+    (T, size), each row placed at the same k indices.
+    """
     idx = np.asarray(indices, dtype=np.intp)
-    if values.data.ndim != 1 or idx.shape != values.data.shape:
-        raise DimensionError("scatter: %d values vs %d indices"
-                             % (values.data.size, idx.size))
+    vd = values.data
+    if vd.ndim not in (1, 2) or idx.shape != vd.shape[-1:]:
+        raise DimensionError("scatter: values %s vs %d indices"
+                             % (vd.shape, idx.size))
     if idx.size and (idx.min() < 0 or idx.max() >= size):
         raise DimensionError("scatter: indices out of range for size %d" % size)
-    out = np.zeros(size, dtype=np.float64)
-    out[idx] = values.data
+    out = np.zeros(vd.shape[:-1] + (size,))
+    out[..., idx] = vd
 
     def backward(g):
-        return (g[idx].copy(),)
+        return (g[..., idx],)
 
     return _emit(out, (values,), backward)
+
+
+def pick(m, columns):
+    """Vector of m[i, columns[i]], one entry from each row of m."""
+    cols = np.asarray(columns, dtype=np.intp)
+    if m.data.ndim != 2 or cols.shape != m.data.shape[:1]:
+        raise DimensionError("pick: %s columns from shape %s"
+                             % (cols.shape, m.data.shape))
+    if cols.size and (cols.min() < 0 or cols.max() >= m.data.shape[1]):
+        raise DimensionError("pick: columns %s out of range for shape %s"
+                             % (list(cols), m.data.shape))
+    rows = np.arange(cols.size)
+
+    def backward(g):
+        dense = np.zeros(m.data.shape)
+        dense[rows, cols] = g
+        return (dense,)
+
+    return _emit(m.data[rows, cols], (m,), backward)
 
 
 def grad_check(f, x, h=1e-5):

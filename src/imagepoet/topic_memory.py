@@ -69,17 +69,20 @@ def encode_keywords(embedding, cell_fw, cell_bw, keywords):
 
 
 def address(bank, state):
-    """Keyword importance distribution: softmax of state-key dot products."""
+    """Keyword importance distribution: softmax of state-key dot products.
+
+    A (T, h) matrix of states gets one distribution per row.
+    """
     if bank.size == 0:
         raise DomainError("address on an empty memory bank")
-    return nm.softmax(nm.matmul(bank.keys, state))
+    return nm.softmax(nm.linear(state, bank.keys))
 
 
 def read(bank, weights):
-    """Weighted sum of the content rows."""
-    if weights.shape != (bank.size,):
-        raise DimensionError("read: %d weights for a bank of %d"
-                             % (weights.size, bank.size))
+    """Weighted sum of the content rows, per row of a matrix of weights."""
+    if weights.data.ndim not in (1, 2) or weights.shape[-1] != bank.size:
+        raise DimensionError("read: weights %s for a bank of %d"
+                             % (weights.shape, bank.size))
     return nm.matmul(weights, bank.contents)
 
 

@@ -2,6 +2,9 @@
 
 Target lines are reversed before scoring so the model learns to emit the
 rhyme-bearing final character first; generation undoes the reversal.
+Teacher forcing feeds each step the previous target character, so a
+sample runs the decoder recurrence over its whole target first and then
+scores all of its states in one output-side pass (model.output_side).
 Batches group samples of equal preceding length, so no padding or masking
 is ever needed.  A batch is recorded on one tape per chunk of
 GRADIENT_CHUNK samples, and each chunk's backward pass writes its
@@ -76,25 +79,35 @@ def _check_ids(ids, vocab_size, what):
 
 
 def _sample_loss_sum(model, sample):
-    """Teacher-forced -log p summed over the reversed target characters."""
+    """Teacher-forced -log p summed over the reversed target characters.
+
+    Each step's input is the previous target character, so the recurrence
+    runs alone over the whole target, and the output side then scores
+    all of its states as one matrix.
+    """
     vocab = model.config.vocab_size
     _check_ids(sample.preceding, vocab, "preceding")
     _check_ids(sample.target, vocab, "target")
     ctx = mdl.prepare_context(model, sample.features, sample.keywords,
                               sample.preceding)
+    targets = sample.target[::-1]
+    states, visual, text = [], [], []
     s = ctx.state
     y_prev = mdl.LINE_START_ID
-    total = None
-    for target_id in reversed(sample.target):
-        step = mdl.decode_step(model, ctx, s, y_prev)
-        if not step.p.data[target_id] > 0.0:  # also catches NaN
-            raise NumericalError("probability of target character %d "
-                                 "underflowed to 0" % target_id)
-        term = nm.scale(nm.log(nm.take(step.p, target_id)), -1.0)
-        total = term if total is None else nm.add(total, term)
-        s = step.state
+    for target_id in targets:
+        s, (h_hat, _), (v_hat, _) = mdl.recurrence(model, ctx, s, y_prev)
+        states.append(s)
+        visual.append(v_hat)
+        text.append(h_hat)
         y_prev = target_id
-    return total, len(sample.target)
+    p = mdl.output_side(model, ctx, nm.stack(states), nm.stack(visual),
+                        nm.stack(text))[-1]
+    picked = nm.pick(p, targets)
+    bad = np.flatnonzero(~(picked.data > 0.0))  # also catches NaN
+    if bad.size:
+        raise NumericalError("probability of target character %d "
+                             "underflowed to 0" % targets[bad[0]])
+    return nm.scale(nm.sum_all(nm.log(picked)), -1.0), len(targets)
 
 
 def _batch_loss_sum(model, batch):
@@ -189,8 +202,11 @@ def adadelta_update(state, params):
     Each parameter is swept in blocks of SWEEP_BLOCK elements through two
     block-sized scratch arrays, so the temporaries stay in cache; every
     element sees the same operations in the same order as the whole-array
-    formula.  Parameters and accumulators are C-contiguous, so their flat
-    reshapes are views.
+    formula.  A block whose gradient is all zero (embedding and topic-head
+    rows a batch never read) only decays both averages by rho: for g = +0
+    that is the formula's exact result, and x is left as it is.
+    Parameters and accumulators are C-contiguous, so their flat reshapes
+    are views.
     """
     rho, eps = state.rho, state.eps
     scratch = np.empty(nm.SWEEP_BLOCK)
@@ -208,6 +224,10 @@ def adadelta_update(state, params):
                                      % name)
             sq_g = sq_grad[start:stop]
             sq_d = sq_delta[start:stop]
+            if not g.any():
+                sq_g *= rho
+                sq_d *= rho
+                continue
             a = scratch[:stop - start]
             delta = step[:stop - start]
             sq_g *= rho

@@ -300,6 +300,18 @@ class TestEval:
         err = capsys.readouterr().err
         assert "feat1.vfgr" in err and "(3, 3)" in err
 
+    def test_bad_second_grid_fails_before_any_output(self, corpus, tmp_path,
+                                                     capsys):
+        ckpt = train_once(corpus, tmp_path)
+        images, _ = load_corpus(corpus["corpus"])
+        from imagepoet.datapipe import write_feature_file
+        write_feature_file(images[1].feature_path, np.zeros((3, 3)))
+        code, out = run_cli("eval", "--checkpoint", ckpt,
+                            "--corpus", corpus["corpus"],
+                            "--lexicon", corpus["lexicon"])
+        assert code == 2 and out == ""
+        assert images[1].feature_path in capsys.readouterr().err
+
 
 class TestCheck:
     @pytest.mark.parametrize("steps", ["0", "-5"])

@@ -243,19 +243,53 @@ class TestHoistedWork:
             return stack(parts)
 
         monkeypatch.setattr(nm, "stack", counting)
-        # Context Bi-GRU: forward and backward states; bank: keys, contents.
+        # Context Bi-GRU: forward and backward states; bank: keys, contents;
+        # scored steps: states, visual and text contexts, topic logits.
+        counts = []
         for target in ((5,), (5, 6, 7, 8, 9)):
             stacks.clear()
             cross_entropy_loss(model, [TrainSample(
                 features=features, keywords=keywords, preceding=(1, 2, 3),
                 target=target)])
-            assert len(stacks) == 4
+            counts.append(len(stacks))
+        assert counts == [4 + 4] * 2
         ctx = prepare_context(model, features, keywords, [1, 2])
         stacks.clear()
         decode_step(model, ctx, ctx.state, LINE_START_ID)
         assert stacks == []
         generate_poem(model, features, keywords)
         assert len(stacks) == 2 + 2 * model.config.lines_per_poem
+
+    @pytest.mark.parametrize("length", [1, 5])
+    def test_scoring_reads_the_generic_head_and_memory_once(
+            self, model, rng, length, monkeypatch):
+        from imagepoet.training import TrainSample, cross_entropy_loss
+        sample = TrainSample(features=features_for(model.config, rng),
+                             keywords=[(3, 4), (9,)], preceding=(1, 2, 3),
+                             target=tuple(range(5, 5 + length)))
+        head = model.head_generic
+        products = []
+        addresses = []
+        linear = nm.linear
+        address = tmem.address
+
+        def recording(x, w, b=None):
+            if w is head.w_hidden or w is head.w_out:
+                products.append((w.shape, x.shape))
+            return linear(x, w, b)
+
+        def addressing(bank, state):
+            addresses.append(state.shape)
+            return address(bank, state)
+
+        monkeypatch.setattr(nm, "linear", recording)
+        monkeypatch.setattr(tmem, "address", addressing)
+        cross_entropy_loss(model, [sample])
+        h, v = model.config.hidden_dim, model.config.vocab_size
+        head_in = 3 * h + model.config.visual_dim
+        assert products == [((h, head_in), (length, head_in)),
+                            ((v, h), (length, h))]
+        assert addresses == [(length, h)]
 
     def test_topic_head_scores_only_the_topic_rows(self, model, rng,
                                                    monkeypatch):
@@ -266,14 +300,13 @@ class TestHoistedWork:
         features = nm.concat([step.topic_state, step.visual_context,
                               step.text_context])
         rows = []
-        matmul = nm.matmul
+        linear = nm.linear
 
-        def recording(a, b):
-            if a.data.ndim == 2:
-                rows.append(a.shape[0])
-            return matmul(a, b)
+        def recording(x, w, b=None):
+            rows.append(w.shape[0])
+            return linear(x, w, b)
 
-        monkeypatch.setattr(nm, "matmul", recording)
+        monkeypatch.setattr(nm, "linear", recording)
         _, p_topic, _ = output_probs(model, ctx, features)
         monkeypatch.undo()
         h = model.config.hidden_dim

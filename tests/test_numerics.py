@@ -188,7 +188,8 @@ class TestGradCheck:
     @pytest.mark.parametrize("case", [
         "matmul", "add", "sub", "mul", "scale", "add_rowvec", "tanh",
         "sigmoid", "log", "softmax", "concat", "stack", "pick", "take_row",
-        "take_rows", "gather", "scatter",
+        "take_rows", "gather", "scatter", "softmax_rows", "scatter_rows",
+        "pick_per_row",
     ])
     def test_every_op_matches_central_differences(self, case, rng):
         probe = Tensor(arr(rng, 3, 4), requires_grad=True)
@@ -224,9 +225,108 @@ class TestGradCheck:
                 nm.tanh(nm.take(vec(t), [0, 3, 3, 11]))),
             "scatter": lambda t: nm.sum_all(nm.tanh(nm.scatter(
                 nm.take(vec(t), [2, 5]), [1, 8], 10))),
+            "softmax_rows": lambda t: nm.sum_all(
+                nm.mul(nm.softmax(t), other_m)),
+            "scatter_rows": lambda t: nm.sum_all(nm.tanh(nm.scatter(
+                t, [1, 6, 0, 3], 8))),
+            "pick_per_row": lambda t: nm.sum_all(nm.log(nm.pick(
+                nm.softmax(t), [2, 0, 3]))),
         }
         err = grad_check(funcs[case], probe, h=1e-5)
         assert err < 1e-5, "%s gradient off by %.3e" % (case, err)
+
+
+class TestRowOps:
+    def test_softmax_rows_are_each_rows_softmax(self, rng):
+        m = arr(rng, 3, 4)
+        out = nm.softmax(Tensor(m)).data
+        for row, want in zip(out, m):
+            assert np.array_equal(row, nm.softmax(Tensor(want)).data)
+
+    def test_scatter_rows_place_every_row_at_the_indices(self, rng):
+        values = arr(rng, 2, 3)
+        out = nm.scatter(Tensor(values), [4, 0, 2], 5).data
+        want = np.zeros((2, 5))
+        want[:, [4, 0, 2]] = values
+        assert np.array_equal(out, want)
+
+    def test_pick_takes_one_column_per_row(self, rng):
+        m = arr(rng, 3, 4)
+        assert np.array_equal(nm.pick(Tensor(m), [3, 3, 0]).data,
+                              [m[0, 3], m[1, 3], m[2, 0]])
+
+    @pytest.mark.parametrize("columns", [[0, 1], [0, 1, 4], [0, -1, 1]])
+    def test_pick_rejects_bad_columns(self, columns):
+        with pytest.raises(DimensionError):
+            nm.pick(Tensor(np.zeros((3, 4))), columns)
+
+
+LINEAR_CASES = [(rank, wrt, bias) for rank in (1, 2)
+                for wrt in ("x", "leaf_w", "nonleaf_w", "b")
+                for bias in (False, True) if wrt != "b" or bias]
+
+
+class TestLinear:
+    @pytest.mark.parametrize("rank, wrt, bias", LINEAR_CASES)
+    def test_matches_central_differences(self, rank, wrt, bias, rng):
+        shapes = {"x": (5, 4) if rank == 2 else (4,), "w": (3, 4), "b": (3,)}
+        given = {name: Tensor(arr(rng, *shape))
+                 for name, shape in shapes.items()}
+        probe_name = "w" if wrt.endswith("_w") else wrt
+        given[probe_name] = Tensor(given[probe_name].data,
+                                   requires_grad=True)
+        x, w, b = given["x"], given["w"], given["b"] if bias else None
+
+        def f(_):
+            weight = nm.tanh(w) if wrt == "nonleaf_w" else w
+            return nm.sum_all(nm.tanh(nm.linear(x, weight, b)))
+
+        want = x.data @ w.data.T + (b.data if bias else 0.0)
+        assert np.max(np.abs(nm.linear(x, w, b).data - want)) < 1e-15
+        err = grad_check(f, given[probe_name], h=1e-5)
+        assert err < 1e-7, "%s gradient off by %.3e" % (wrt, err)
+
+    def test_one_row_equals_the_matrix_vector_product_bitwise(self, rng):
+        w, x, b = arr(rng, 7, 5), arr(rng, 5), arr(rng, 7)
+        out = nm.linear(Tensor(x), Tensor(w), Tensor(b)).data
+        assert out.tobytes() == (w @ x + b).tobytes()
+
+    @pytest.mark.parametrize("x_shape, b_shape", [
+        ((3,), None), ((2, 3), None), ((4,), (2,)), ((2, 2, 4), None)])
+    def test_bad_shapes_rejected(self, x_shape, b_shape):
+        b = None if b_shape is None else Tensor(np.zeros(b_shape))
+        with pytest.raises(DimensionError):
+            nm.linear(Tensor(np.zeros(x_shape)), Tensor(np.zeros((3, 4))), b)
+
+    def test_leaf_reached_by_a_row_and_a_matrix_sums_in_one_product(
+            self, rng, monkeypatch):
+        x_row, x_mat, bias = arr(rng, 4), arr(rng, 6, 4), arr(rng, 5)
+
+        def f(w):
+            h = nm.tanh(nm.linear(Tensor(x_row), w, Tensor(bias)))
+            m = nm.tanh(nm.linear(Tensor(x_mat), w))
+            return nm.add(nm.sum_all(h), nm.sum_all(m))
+
+        w = Tensor(arr(rng, 5, 4), requires_grad=True)
+        assert grad_check(f, w, h=1e-5) < 1e-7
+        wd = w.data
+        want = (np.outer(1.0 - np.tanh(wd @ x_row + bias) ** 2, x_row)
+                + (1.0 - np.tanh(x_mat @ wd.T) ** 2).T @ x_mat)
+        assert np.max(np.abs(w.grad - want)) <= 1e-12 * np.max(np.abs(want))
+
+        shapes = []
+        outer = np.outer
+
+        def counting(a, b, *args, **kwargs):
+            out = outer(a, b, *args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+        with Tape() as tape:
+            loss = f(w)
+        monkeypatch.setattr(np, "outer", counting)
+        tape.gradients(loss)
+        assert (5, 4) not in shapes
 
 
 class TestAccumulation:

@@ -4,6 +4,8 @@ import weakref
 import numpy as np
 import pytest
 
+from imagepoet import model as mdl
+from imagepoet import numerics as nm
 from imagepoet import training
 from imagepoet.errors import ConfigError, NumericalError, VocabularyError
 from imagepoet.model import init_params
@@ -53,6 +55,39 @@ class TestCrossEntropy:
         sample = make_sample(config, rng, keywords=())
         loss = cross_entropy_loss(model, [sample]).item()
         assert abs(loss - math.log(config.vocab_size)) < 1e-12
+
+    @pytest.mark.parametrize("keywords", [(), ((3, 4), (9,))])
+    def test_matches_a_per_step_decode_composition(self, model, rng,
+                                                   keywords):
+        # The loss and its gradients against the same sample scored one
+        # decode_step at a time.
+        sample = make_sample(model.config, rng, keywords=keywords)
+        params = model.parameters()
+        with Tape() as tape:
+            ctx = mdl.prepare_context(model, sample.features,
+                                      sample.keywords, sample.preceding)
+            s, y_prev, want = ctx.state, mdl.LINE_START_ID, None
+            for target_id in reversed(sample.target):
+                step = mdl.decode_step(model, ctx, s, y_prev)
+                term = nm.log(nm.take(step.p, target_id))
+                want = term if want is None else nm.add(want, term)
+                s, y_prev = step.state, target_id
+            want = nm.scale(want, -1.0)
+        want_grads = tape.gradients(want)
+        with Tape() as tape:
+            got, n = training._sample_loss_sum(model, sample)
+        got_grads = tape.gradients(got)
+        assert n == len(sample.target)
+        assert abs(got.item() - want.item()) <= 1e-12 * abs(want.item())
+        # Relative to the largest gradient: some parameters' gradients are
+        # pure cancellation residue, near 1e-11, differing in their bits.
+        assert set(got_grads) == set(want_grads)
+        scale = max(np.max(np.abs(g)) for g in want_grads.values())
+        for name, p in params:
+            if p not in want_grads:
+                continue
+            assert (np.max(np.abs(got_grads[p] - want_grads[p]))
+                    <= 1e-12 * scale), name
 
     def test_matches_per_sample_oracle(self, model, rng):
         batch = make_pool(model.config, rng, 4)
@@ -162,6 +197,35 @@ class TestAdaDelta:
         assert state.sq_grad["x"].tobytes() == sq_g.tobytes()
         assert state.sq_delta["x"].tobytes() == sq_d.tobytes()
         assert x.data.tobytes() == want.tobytes()
+
+    def test_a_zero_gradient_block_equals_the_whole_array_formula(self):
+        # Three blocks whose middle one gets a zero gradient, as embedding
+        # rows no sample read do; that block only decays both averages.
+        rho, eps = 0.95, 1e-6
+        rng = SeededRng(9)
+        n = 3 * SWEEP_BLOCK
+        x = Tensor(rng.uniform_array(n, -1.0, 1.0), requires_grad=True)
+        params = [("x", x)]
+        state = AdaDeltaState(params, rho=rho, eps=eps)
+        want = x.data.copy()
+        sq_g = np.zeros(n)
+        sq_d = np.zeros(n)
+        for _ in range(2):
+            g = rng.uniform_array(n, -2.0, 2.0)
+            g[SWEEP_BLOCK:2 * SWEEP_BLOCK] = 0.0
+            x.grad = g.copy()
+            adadelta_update(state, params)
+            sq_g = rho * sq_g + (1.0 - rho) * g * g
+            delta = -np.sqrt(sq_d + eps) / np.sqrt(sq_g + eps) * g
+            sq_d = rho * sq_d + (1.0 - rho) * delta * delta
+            want = want + delta
+        assert state.sq_grad["x"].tobytes() == sq_g.tobytes()
+        assert state.sq_delta["x"].tobytes() == sq_d.tobytes()
+        assert x.data.tobytes() == want.tobytes()
+        x.grad = np.zeros(n)
+        x.grad[2 * SWEEP_BLOCK + 5] = float("nan")
+        with pytest.raises(NumericalError, match="'x'"):
+            adadelta_update(state, params)
 
     def test_non_finite_gradient_in_a_later_block_names_the_parameter(self):
         x = Tensor(np.zeros(SWEEP_BLOCK + 3), requires_grad=True)
