@@ -10,6 +10,9 @@
       product(extents) * f64 row-major values
 
 Round-trips are bitwise exact: values are stored as raw IEEE-754 doubles.
+A reader accepts only the names and extents, in the order, that the
+stored config implies: each stored parameter header must equal the one
+the writer makes for that parameter.
 """
 
 import io
@@ -34,6 +37,13 @@ def _read_exact(fh, n):
     return data
 
 
+def _param_header(name, shape):
+    """A parameter's name and extents as the checkpoint stores them."""
+    blob = name.encode()
+    return (struct.pack("<H", len(blob)) + blob
+            + struct.pack("<B%dI" % len(shape), len(shape), *shape))
+
+
 def _parts(model):
     """The checkpoint as header bytes and a memoryview of each parameter.
 
@@ -45,10 +55,7 @@ def _parts(model):
     parts = [MAGIC + struct.pack("<II", VERSION, len(config_blob))
              + config_blob + struct.pack("<I", len(params))]
     for name, tensor in params:
-        blob = name.encode()
-        shape = tensor.data.shape
-        parts.append(struct.pack("<H", len(blob)) + blob
-                     + struct.pack("<B%dI" % len(shape), len(shape), *shape))
+        parts.append(_param_header(name, tensor.data.shape))
         parts.append(memoryview(np.ascontiguousarray(tensor.data,
                                                      dtype="<f8")))
     return parts
@@ -76,29 +83,19 @@ def read_checkpoint(fh):
         raise CheckpointVersionError("corrupted checkpoint config: %s" % exc)
 
     model = init_params(config)
-    expected = dict(model.parameters())
+    params = model.parameters()
     (count,) = struct.unpack("<I", _read_exact(fh, 4))
-    if count != len(expected):
+    if count != len(params):
         raise CheckpointShapeError("checkpoint stores %d parameters, the "
-                                   "config implies %d" % (count, len(expected)))
-    seen = set()
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-        name = _read_exact(fh, name_len).decode()
-        (rank,) = struct.unpack("<B", _read_exact(fh, 1))
-        shape = tuple(struct.unpack("<I", _read_exact(fh, 4))[0]
-                      for _ in range(rank))
-        if name not in expected:
-            raise CheckpointShapeError("unknown parameter %r" % name)
-        if name in seen:
-            raise CheckpointShapeError("duplicate parameter %r" % name)
-        target = expected[name]
-        if shape != target.data.shape:
-            raise CheckpointShapeError("parameter %r has shape %s, expected %s"
-                                       % (name, shape, target.data.shape))
+                                   "config implies %d" % (count, len(params)))
+    for index, (name, target) in enumerate(params):
+        header = _param_header(name, target.data.shape)
+        if _read_exact(fh, len(header)) != header:
+            raise CheckpointShapeError(
+                "parameter %d is not %r of shape %s, which the config "
+                "implies" % (index, name, target.data.shape))
         values = np.frombuffer(_read_exact(fh, 8 * target.size), dtype="<f8")
-        target.data[...] = values.reshape(shape)
-        seen.add(name)
+        target.data[...] = values.reshape(target.data.shape)
     return model
 
 

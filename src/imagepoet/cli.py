@@ -56,8 +56,6 @@ def build_parser():
                    help="epochs between validation passes")
     p.add_argument("--clip", type=float, default=5.0,
                    help="global-norm gradient clip, <= 0 disables")
-    p.add_argument("--threads", type=int, default=1,
-                   help="ignored; kept so older command lines parse")
     _add_model_flags(p)
 
     p = sub.add_parser("generate", help="generate a poem from feature files")
@@ -132,17 +130,8 @@ def cmd_train(args, stdout):
 
 
 def _load_keyword_file(path):
-    keywords = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                keywords.append(tuple(int(c) for c in line.split("+")))
-            except ValueError:
-                raise DataError("%s:%d: bad keyword %r" % (path, number, line))
-    return keywords
+    return [datapipe.parse_ids(line, path, number, "keyword")
+            for number, line in poetics.content_lines(path)]
 
 
 def _load_model(args):
@@ -182,14 +171,16 @@ def cmd_generate(args, stdout):
     model = _load_model(args)
     features = _load_grid(args.features, model.config)
     keywords = _load_keyword_file(args.keywords)
-    poem = generate_poem(model, features, keywords)
-    for line in poem:
-        stdout.write(_format_line(line, args.machine) + "\n")
     if args.validate:
+        # Checked before the poem, so a bad file prints nothing.
         lexicon = poetics.load_lexicon(args.lexicon)
         pattern = poetics.load_pattern(args.pattern,
                                        model.config.lines_per_poem,
                                        model.config.chars_per_line)
+    poem = generate_poem(model, features, keywords)
+    for line in poem:
+        stdout.write(_format_line(line, args.machine) + "\n")
+    if args.validate:
         report = poetics.validate_form(poem, pattern, lexicon,
                                        model.config.lines_per_poem,
                                        model.config.chars_per_line)

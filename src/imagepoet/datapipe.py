@@ -23,6 +23,7 @@ import struct
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError
+from .poetics import content_lines
 from .rng import SeededRng
 from .training import TrainSample
 
@@ -57,32 +58,29 @@ class ConceptLexicon:
         return self.realizations.get(label, set())
 
 
+def parse_ids(text, path, number, what):
+    """The ids of a ``+``-joined sequence such as ``12+7``, read from
+    line number of path; what names it in the error."""
+    try:
+        return tuple(int(c) for c in text.split("+"))
+    except ValueError:
+        raise DataError("%s:%d: bad %s %r" % (path, number, what, text))
+
+
 def load_concept_lexicon(path):
     lexicon = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError("%s:%d: expected label<TAB>realizations"
-                                % (path, number))
-            label, blob = parts
-            reals = set()
-            for chunk in blob.split(","):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
-                try:
-                    reals.add(tuple(int(c) for c in chunk.split("+")))
-                except ValueError:
-                    raise DataError("%s:%d: bad realization %r"
-                                    % (path, number, chunk))
-            if not reals:
-                raise DataError("%s:%d: label %r has no realizations"
-                                % (path, number, label))
-            lexicon[label] = reals
+    for number, line in content_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError("%s:%d: expected label<TAB>realizations"
+                            % (path, number))
+        label, blob = parts
+        reals = {parse_ids(chunk, path, number, "realization")
+                 for chunk in map(str.strip, blob.split(",")) if chunk}
+        if not reals:
+            raise DataError("%s:%d: label %r has no realizations"
+                            % (path, number, label))
+        lexicon[label] = reals
     return ConceptLexicon(lexicon)
 
 

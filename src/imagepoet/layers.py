@@ -97,12 +97,12 @@ def gru_step(cell, h_prev, x):
         raise DimensionError(
             "gru_step: state %s / input %s vs cell dims (%d, %d)"
             % (h_prev.shape, x.shape, cell.hidden_dim, cell.input_dim))
-    z = nm.sigmoid(nm.add(nm.add(nm.matmul(cell.w_z, x),
-                                 nm.matmul(cell.u_z, h_prev)), cell.b_z))
-    r = nm.sigmoid(nm.add(nm.add(nm.matmul(cell.w_r, x),
-                                 nm.matmul(cell.u_r, h_prev)), cell.b_r))
-    cand = nm.tanh(nm.add(nm.add(nm.matmul(cell.w_h, x),
-                                 nm.matmul(cell.u_h, nm.mul(r, h_prev))),
+    z = nm.sigmoid(nm.add(nm.add(nm.linear(x, cell.w_z),
+                                 nm.linear(h_prev, cell.u_z)), cell.b_z))
+    r = nm.sigmoid(nm.add(nm.add(nm.linear(x, cell.w_r),
+                                 nm.linear(h_prev, cell.u_r)), cell.b_r))
+    cand = nm.tanh(nm.add(nm.add(nm.linear(x, cell.w_h),
+                                 nm.linear(nm.mul(r, h_prev), cell.u_h)),
                           cell.b_h))
     keep = nm.sub(Tensor(np.ones(cell.hidden_dim)), z)
     return nm.add(nm.mul(keep, h_prev), nm.mul(z, cand))
@@ -136,7 +136,7 @@ class AttentionParams(ParamGroup):
     """Additive-attention parameters for one stream.
 
     score: projection-width vector u.
-    query_proj: (proj_dim, query_dim), applied as query_proj @ query.
+    query_proj: (proj_dim, query_dim), applied as linear(query, query_proj).
     key_proj: (key_dim, proj_dim), applied as keys @ key_proj.
     """
 
@@ -162,7 +162,7 @@ def attend(params, query, keys, projected=None):
     if projected is None:
         projected = nm.matmul(keys, params.key_proj)
     scores = nm.matmul(
-        nm.tanh(nm.add_rowvec(projected, nm.matmul(params.query_proj, query))),
+        nm.tanh(nm.add_rowvec(projected, nm.linear(query, params.query_proj))),
         params.score)
     weights = nm.softmax(scores)
     context = nm.matmul(weights, keys)

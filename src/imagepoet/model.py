@@ -222,8 +222,7 @@ def prepare_context(model, features, keywords, preceding, bank=None,
     # recorded before the key projection, so the backward pass adds the
     # mean's adjoint into h last.
     mean = nm.matmul(Tensor(np.full(h.shape[0], 1.0 / h.shape[0])), h)
-    state = nm.tanh(nm.add(nm.matmul(model.state_map.w, mean),
-                           model.state_map.b))
+    state = nm.tanh(nm.linear(mean, model.state_map.w, model.state_map.b))
     return GenerationContext(
         visual=visual,
         bank=bank,

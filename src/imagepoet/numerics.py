@@ -9,6 +9,10 @@ differencing avoid bookkeeping costs.  An op is recorded only when one of
 its inputs needs a gradient, so work on constants (feature grids, say)
 never reaches the tape.
 
+Every parameter matrix but the attention key projections is applied by
+linear, the one op whose adjoint for a leaf weight is deferred to the
+end of the backward sweep (OuterGrad).
+
 Gradients accumulate: Tape.backward adds into .grad, and a leaf without a
 buffer adopts the array the pass made for it.  Callers drop .grad before
 a fresh pass (see Tensor.zero_grad).
@@ -206,11 +210,11 @@ class RowGrad:
 class OuterGrad:
     """Adjoint u.T @ v of a leaf matrix: the sum of outer(u[i], v[i]).
 
-    u and v hold one row per term, so a rank-1 pair is one term; matmul
-    returns one term, linear one per input row.  Tape.gradients sums all
-    of a leaf's OuterGrads at the end of its sweep, so a weight reused at
-    every step costs one GEMM, not one weight-sized outer product and add
-    per step.
+    u and v hold one row per term, so a rank-1 pair is one term.  Only
+    linear returns one, with a term per input row, for a leaf weight.
+    Tape.gradients sums all of a leaf's OuterGrads at the end of its
+    sweep, so a weight reused at every step costs one GEMM, not one
+    weight-sized outer product and add per step.
     """
 
     __slots__ = ("u", "v")
@@ -235,7 +239,11 @@ def _require_same_shape(op, a, b):
 
 
 def matmul(a, b):
-    """Matrix/vector product: 2d@2d, 2d@1d, 1d@2d, or 1d@1d (dot)."""
+    """Matrix/vector product: 2d@2d, 2d@1d, 1d@2d, or 1d@1d (dot).
+
+    For products of activations and for keys @ key_proj, whose weight is
+    stored transposed; other parameter matrices are applied by linear.
+    """
     ad, bd = a.data, b.data
     if ad.ndim == 0 or bd.ndim == 0 or ad.shape[-1] != bd.shape[0]:
         raise DimensionError("matmul: shapes %s and %s are incompatible"
@@ -246,16 +254,12 @@ def matmul(a, b):
         if ad.ndim == 1 and bd.ndim == 1:
             return g * bd, g * ad
         # Only an operand that a gradient can flow through gets one.
-        # Outer products reach only leaves: the adjoint of a record's
-        # output must be complete before its backward_fn runs.
         ga = gb = None
         if a.needs_grad:
             ga = (bd @ g if ad.ndim == 1 else
-                  g @ bd.T if bd.ndim == 2 else
-                  OuterGrad(g, bd) if a.requires_grad else np.outer(g, bd))
+                  g @ bd.T if bd.ndim == 2 else np.outer(g, bd))
         if b.needs_grad:
-            gb = (ad.T @ g if ad.ndim == 2 else
-                  OuterGrad(ad, g) if b.requires_grad else np.outer(ad, g))
+            gb = ad.T @ g if ad.ndim == 2 else np.outer(ad, g)
         return ga, gb
 
     return _emit(out, (a, b), backward)
@@ -279,7 +283,9 @@ def linear(x, w, b=None):
         out += b.data
 
     def backward(g):
-        # As in matmul, an outer product reaches a non-leaf w only.
+        # A leaf w's outer products wait for the end of the sweep; a
+        # non-leaf w's adjoint must be complete before its own record's
+        # backward_fn runs, so it gets a dense array now.
         gx = g @ wd if x.needs_grad else None
         gw = None
         if w.needs_grad:
@@ -457,29 +463,35 @@ def pick(m, columns):
     return _emit(m.data[rows, cols], (m,), backward)
 
 
-def grad_check(f, x, h=1e-5):
-    """Max relative error between analytic and central-difference gradients.
+def difference_error(f, x, analytic, h=1e-5):
+    """Max relative error of analytic against central differences of f.
 
-    f maps the tensor x (mutated in place for differencing) to a scalar
-    Tensor.  Relative error per coordinate is
-    |analytic - numeric| / max(1, |numeric|).
+    f() evaluates a scalar Tensor from the current values of x, whose data
+    is moved one coordinate at a time by +-h and restored; analytic holds
+    x.size gradient values.  Relative error per coordinate is
+    |analytic - numeric| / max(1, |numeric|).  A NaN error makes the
+    result NaN, which no tolerance accepts.
     """
+    flat = x.data.reshape(-1)
+    numeric = np.empty(flat.size)
+    for i in range(flat.size):
+        saved = flat[i]
+        flat[i] = saved + h
+        f_plus = f().item()
+        flat[i] = saved - h
+        f_minus = f().item()
+        flat[i] = saved
+        numeric[i] = (f_plus - f_minus) / (2.0 * h)
+    errors = (np.abs(np.reshape(analytic, -1) - numeric)
+              / np.maximum(1.0, np.abs(numeric)))
+    return float(errors.max()) if errors.size else 0.0
+
+
+def grad_check(f, x, h=1e-5):
+    """difference_error of x's tape gradient through f, a map from x to a
+    scalar Tensor."""
     x.zero_grad()
     with Tape() as tape:
         y = f(x)
     tape.backward(y)
-    analytic = x.grad.reshape(-1).copy()
-    flat = x.data.reshape(-1)
-    worst = 0.0
-    for i in range(flat.size):
-        saved = flat[i]
-        flat[i] = saved + h
-        f_plus = float(f(x).data)
-        flat[i] = saved - h
-        f_minus = float(f(x).data)
-        flat[i] = saved
-        numeric = (f_plus - f_minus) / (2.0 * h)
-        err = abs(analytic[i] - numeric) / max(1.0, abs(numeric))
-        if err > worst:
-            worst = err
-    return worst
+    return difference_error(lambda: f(x), x, x.grad, h)

@@ -158,7 +158,9 @@ def reverse_line(chars):
     return list(reversed(list(chars)))
 
 
-def _content_lines(path):
+def content_lines(path):
+    """(line number, stripped line) for each line of a text file that is
+    neither blank nor a ``#`` comment."""
     with open(path, "r", encoding="utf-8") as fh:
         for number, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -169,7 +171,7 @@ def _content_lines(path):
 def load_lexicon(path):
     """Parse a tone/rhyme lexicon file into a PoeticLexicon."""
     tones, rhymes = {}, {}
-    for number, line in _content_lines(path):
+    for number, line in content_lines(path):
         parts = line.split("\t")
         if len(parts) != 3:
             raise DataError("%s:%d: expected 3 tab-separated fields"
@@ -200,7 +202,7 @@ def load_lexicon(path):
 def load_pattern(path, lines_per_poem=None, chars_per_line=None):
     """Parse a tonal pattern file into a list of symbol rows."""
     rows = []
-    for number, line in _content_lines(path):
+    for number, line in content_lines(path):
         for symbol in line:
             if symbol not in (PING, ZE, ANY):
                 raise DataError("%s:%d: pattern symbol must be P, Z or *, "

@@ -60,28 +60,15 @@ def full_model_grad_check(model, sample, h=1e-5, inject_error=False):
     with nm.Tape() as tape:
         tape.backward(loss())
     per_param = {}
-    worst = 0.0
-    worst_name = ""
     for name, p in model.parameters():
-        analytic = p.grad.reshape(-1).copy()
+        analytic = p.grad
         if inject_error and name == "decoder.b_z":
             analytic = analytic + 1.0
-        flat = p.data.reshape(-1)
-        err = 0.0
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + h
-            f_plus = loss().item()
-            flat[i] = saved - h
-            f_minus = loss().item()
-            flat[i] = saved
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            err = max(err, abs(analytic[i] - numeric) / max(1.0, abs(numeric)))
-        per_param[name] = err
-        if err > worst:
-            worst = err
-            worst_name = name
-    return GradReport(max_error=worst, worst_param=worst_name,
+        per_param[name] = nm.difference_error(loss, p, analytic, h)
+    # A NaN error ranks above every number.
+    worst = max(per_param, key=lambda n: (np.isnan(per_param[n]),
+                                          per_param[n]))
+    return GradReport(max_error=per_param[worst], worst_param=worst,
                       per_param=per_param)
 
 

@@ -131,3 +131,18 @@ def test_checkpoint_respects_custom_config(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded.config == config
     assert loaded.param_count() == config.param_count()
+
+
+def test_swapped_parameters_are_rejected(model):
+    # encoder.fw.w_z and encoder.fw.u_z have one shape, so a file storing
+    # each in the other's place has only well-formed headers.
+    blob = checkpoint_bytes(model)
+    first, second, end = (
+        blob.index(len(name).to_bytes(2, "little") + name.encode())
+        for name in ("encoder.fw.w_z", "encoder.fw.u_z", "encoder.fw.b_z"))
+    swapped = (blob[:first] + blob[second:end] + blob[first:second]
+               + blob[end:])
+    assert len(swapped) == len(blob)
+    with pytest.raises(CheckpointShapeError,
+                       match=r"parameter 1 .*'encoder\.fw\.w_z'"):
+        model_from_bytes(swapped)

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from imagepoet import numerics as nm
 from imagepoet.cli import main
 from imagepoet.datapipe import (keyword_recall, load_concept_lexicon,
                                 load_feature_file, image_keywords,
@@ -64,12 +65,6 @@ class TestTrain:
         ckpt = train_once(corpus, tmp_path, name="nolambda.ckpt",
                           extra=("--lambda", "0.0"))
         assert load_checkpoint(ckpt).config.topic_weight == 0.0
-
-    def test_thread_env_cap_is_accepted(self, corpus, tmp_path, monkeypatch):
-        monkeypatch.setenv("IMAGEPOET_THREADS", "1")
-        ckpt = train_once(corpus, tmp_path, name="capped.ckpt",
-                          extra=("--threads", "4"))
-        assert os.path.exists(ckpt)
 
     def test_missing_corpus_is_a_data_error(self, corpus, tmp_path):
         code, _ = run_cli("train", "--corpus", str(tmp_path / "nope.jsonl"),
@@ -161,6 +156,23 @@ class TestGenerate:
                             "--lexicon", str(lex), "--pattern", str(pattern))
         assert code == 0
         assert "structure ok" in out and "tones ok" in out and "rhyme ok" in out
+
+    @pytest.mark.parametrize("tones, rows", [
+        ("%d\tE\t1\n", "***\n**X\n"), ("%d\tQ\t1\n", "***\n***\n")])
+    def test_validate_rejects_bad_files_before_the_poem(
+            self, corpus, tmp_path, tones, rows):
+        ckpt = train_once(corpus, tmp_path)
+        keywords = write_keyword_file(tmp_path, [(2,)])
+        lex = tmp_path / "tones.tsv"
+        lex.write_text("".join(tones % c for c in range(16)),
+                       encoding="utf-8")
+        pattern = tmp_path / "pattern.txt"
+        pattern.write_text(rows, encoding="utf-8")
+        code, out = run_cli("generate", "--checkpoint", ckpt,
+                            "--features", corpus["features"],
+                            "--keywords", keywords, "--validate",
+                            "--lexicon", str(lex), "--pattern", str(pattern))
+        assert code == 2 and out == ""
 
     def test_validate_without_lexicon_is_usage_error(self, corpus, tmp_path):
         ckpt = train_once(corpus, tmp_path)
@@ -325,6 +337,20 @@ class TestCheck:
         assert code == 0
         assert "max relative error" in out
         assert "all checks passed" in out
+
+    def test_nan_gradient_fails(self, monkeypatch):
+        gradients = nm.Tape.gradients
+
+        def poisoned(tape, loss, accumulate=False):
+            grads = gradients(tape, loss, accumulate)
+            for grad in grads.values():
+                grad.flat[0] = np.nan
+            return grads
+
+        monkeypatch.setattr(nm.Tape, "gradients", poisoned)
+        code, out = run_cli("check", "--steps", "20")
+        assert code == 3
+        assert "max relative error nan" in out and "FAIL" in out
 
     def test_corrupted_gradient_hook_fails(self):
         code, out = run_cli("check", "--steps", "20", "--inject-grad-error")

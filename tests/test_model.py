@@ -231,6 +231,30 @@ class TestHoistedWork:
             ("visual", (model.config.visual_count, model.config.visual_dim)),
             ("text", (3, 2 * model.config.hidden_dim))]
 
+    def test_matmul_applies_no_parameter_matrix_but_the_key_projections(
+            self, model, rng, monkeypatch):
+        from imagepoet.training import TrainSample, cross_entropy_loss
+        sample = TrainSample(features=features_for(model.config, rng),
+                             keywords=[(3, 4), (9,)], preceding=(1, 2, 3),
+                             target=(5, 6, 7, 8, 9))
+        matrices = {id(p): name for name, p in model.parameters()
+                    if p.data.ndim == 2}
+        operands = set()
+        matmul = nm.matmul
+
+        def recording(a, b):
+            operands.update(matrices[id(t)] for t in (a, b)
+                            if id(t) in matrices)
+            return matmul(a, b)
+
+        monkeypatch.setattr(nm, "matmul", recording)
+        with nm.Tape() as tape:
+            loss = cross_entropy_loss(model, [sample])
+        tape.gradients(loss)
+        generate_poem(model, sample.features, sample.keywords)
+        assert operands == {"attention.text.key_proj",
+                            "attention.visual.key_proj"}
+
     def test_each_sequence_is_stacked_once(self, model, rng, monkeypatch):
         from imagepoet.training import TrainSample, cross_entropy_loss
         features = features_for(model.config, rng)
