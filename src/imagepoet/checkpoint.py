@@ -75,11 +75,10 @@ def read_checkpoint(fh):
         raise CheckpointVersionError("unsupported checkpoint version %d "
                                      "(expected %d)" % (version, VERSION))
     (config_len,) = struct.unpack("<I", _read_exact(fh, 4))
+    config_blob = _read_exact(fh, config_len)
     try:
-        config = ModelConfig.from_dict(json.loads(_read_exact(fh, config_len)))
+        config = ModelConfig.from_dict(json.loads(config_blob))
     except (ValueError, TypeError) as exc:
-        if isinstance(exc, CheckpointTruncatedError):
-            raise
         raise CheckpointVersionError("corrupted checkpoint config: %s" % exc)
 
     model = init_params(config)

@@ -7,9 +7,10 @@ File formats:
 * Corpus file: one JSON object per line, either
   ``{"image_id": ..., "feature_path": ..., "concepts": [...]}`` or
   ``{"poem_id": ..., "lines": [[char ids], ...]}``.  Feature paths are
-  resolved relative to the corpus file.
+  resolved relative to the corpus file; image ids and poem ids are each
+  unique.
 * Concept lexicon: ``label<TAB>real1,real2,...`` with each realization a
-  ``+``-joined sequence of character ids.
+  ``+``-joined sequence of character ids; labels are unique.
 
 Matching pairs an image with every poem line sharing at least one
 concept; each match then yields one training sample per poem line.
@@ -23,7 +24,7 @@ import struct
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError
-from .poetics import content_lines
+from .poetics import claim_key, content_lines
 from .rng import SeededRng
 from .training import TrainSample
 
@@ -68,13 +69,14 @@ def parse_ids(text, path, number, what):
 
 
 def load_concept_lexicon(path):
-    lexicon = {}
+    lexicon, first_lines = {}, {}
     for number, line in content_lines(path):
         parts = line.split("\t")
         if len(parts) != 2:
             raise DataError("%s:%d: expected label<TAB>realizations"
                             % (path, number))
         label, blob = parts
+        claim_key(first_lines, label, path, number, "label")
         reals = {parse_ids(chunk, path, number, "realization")
                  for chunk in map(str.strip, blob.split(",")) if chunk}
         if not reals:
@@ -140,6 +142,7 @@ def _not_str(value, what):
 def load_corpus(path, lines_per_poem=None, chars_per_line=None):
     """Image and poem records from a JSON-lines corpus file."""
     images, poems = [], []
+    image_lines, poem_lines = {}, {}
     base = os.path.dirname(os.path.abspath(path))
     with open(path, "r", encoding="utf-8") as fh:
         for number, raw in enumerate(fh, start=1):
@@ -155,19 +158,23 @@ def load_corpus(path, lines_per_poem=None, chars_per_line=None):
                     feature_path = record.get("feature_path", "")
                     if feature_path and not os.path.isabs(feature_path):
                         feature_path = os.path.join(base, feature_path)
-                    images.append(ImageRecord(
+                    image = ImageRecord(
                         str(record["image_id"]), feature_path,
                         list(_not_str(record.get("concepts", []),
-                                      "concepts"))))
-                    continue
-                if "poem_id" in record:
+                                      "concepts")))
+                elif "poem_id" in record:
                     poem_id = str(record["poem_id"])
                     lines = [tuple(int(c) for c in _not_str(l, "a line"))
                              for l in _not_str(record["lines"], "lines")]
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise DataError("%s:%d: malformed record: %s: %s"
                                 % (path, number, type(exc).__name__, exc))
-            if "poem_id" in record:
+            if "image_id" in record:
+                claim_key(image_lines, image.image_id, path, number,
+                          "image id")
+                images.append(image)
+            elif "poem_id" in record:
+                claim_key(poem_lines, poem_id, path, number, "poem id")
                 if lines_per_poem is not None and len(lines) != lines_per_poem:
                     raise DataError("%s:%d: poem has %d lines, expected %d"
                                     % (path, number, len(lines),

@@ -49,7 +49,11 @@ class ModelConfig:
     def validate(self):
         for name in ("vocab_size", "hidden_dim", "memory_dim", "visual_count",
                      "visual_dim", "lines_per_poem", "chars_per_line"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError("%s must be an integer, got %r"
+                                  % (name, value))
+            if value <= 0:
                 raise ConfigError("%s must be positive" % name)
         if not 0.0 <= self.topic_weight <= 1.0:
             raise ConfigError("topic_weight must lie in [0, 1]")

@@ -5,7 +5,8 @@ or the wildcard *.  Rhyme categories are small integers.  Validators are
 pure and report violations as data; nothing here steers generation.
 
 Lexicon file: one entry per line, ``char_id<TAB>tone<TAB>rhyme`` with
-tone in {P, Z, E} and rhyme a nonnegative integer or ``-`` for absent.
+tone in {P, Z, E} and rhyme a nonnegative integer or ``-`` for absent;
+character ids are unique.
 Pattern file: one line per poem line, chars_per_line symbols over
 {P, Z, *}.  Blank lines and ``#`` comments are ignored in both.
 """
@@ -168,9 +169,18 @@ def content_lines(path):
                 yield number, line
 
 
+def claim_key(first_lines, key, path, number, what):
+    """Record that key first appears at line number of path; a repeated
+    key is a DataError naming both lines."""
+    if key in first_lines:
+        raise DataError("%s:%d: repeated %s %r (first at line %d)"
+                        % (path, number, what, key, first_lines[key]))
+    first_lines[key] = number
+
+
 def load_lexicon(path):
     """Parse a tone/rhyme lexicon file into a PoeticLexicon."""
-    tones, rhymes = {}, {}
+    tones, rhymes, first_lines = {}, {}, {}
     for number, line in content_lines(path):
         parts = line.split("\t")
         if len(parts) != 3:
@@ -185,6 +195,7 @@ def load_lexicon(path):
         if tone not in (PING, ZE, EITHER):
             raise DataError("%s:%d: tone must be P, Z or E, got %r"
                             % (path, number, tone))
+        claim_key(first_lines, char_id, path, number, "character id")
         tones[char_id] = tone
         if rhyme != "-":
             try:

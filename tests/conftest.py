@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+TESTS = Path(__file__).resolve().parent
+# bench/ holds the whole-model reference the tests score against.
+sys.path[:0] = [str(TESTS), str(TESTS.parent / "bench")]
 
 from imagepoet.model import ModelConfig, init_params
 from imagepoet.rng import SeededRng

@@ -1,16 +1,18 @@
-"""Independent reference implementations used to cross-check the package.
+"""Op-level scalar oracles used to cross-check the package's layers.
 
-Everything here deliberately avoids the package's numerics module: the
-op-level oracles use scalar Python loops and math.*, and the loss oracle
-recomposes the whole forward pass from plain numpy arrays.  They exist so
-the implementation and its checks never share a code path.
+Each oracle recomputes one op (matrix product, GRU step, Bi-GRU, additive
+attention, memory addressing and read) with scalar Python loops and
+math.*, never through the package's numerics module, so an op and its
+check share no code path.  The whole-model reference is
+bench/reference.py, shared with the benchmark; ``batch_loss_ref`` only
+adapts a model and a batch to it.
 """
 
 import math
 
 import numpy as np
 
-from imagepoet.model import LINE_START_ID, POEM_START_ID
+import reference
 
 
 def matmul_3loop(a, b):
@@ -114,108 +116,11 @@ def read_ref(contents, weights):
     return out
 
 
-def _head_ref(w1, b1, w2, b2, features):
-    return w2 @ np.tanh(w1 @ features + b1) + b2
-
-
-def sample_loss_ref(model, sample):
-    """Full teacher-forced loss recomposed from raw parameter arrays."""
-    p = {name: t.data for name, t in model.parameters()}
-    config = model.config
-    emb = p["embedding.weights"]
-
-    def gru(prefix, h, x):
-        z = 1.0 / (1.0 + np.exp(-(p[prefix + ".w_z"] @ x
-                                  + p[prefix + ".u_z"] @ h
-                                  + p[prefix + ".b_z"])))
-        r = 1.0 / (1.0 + np.exp(-(p[prefix + ".w_r"] @ x
-                                  + p[prefix + ".u_r"] @ h
-                                  + p[prefix + ".b_r"])))
-        cand = np.tanh(p[prefix + ".w_h"] @ x
-                       + p[prefix + ".u_h"] @ (r * h) + p[prefix + ".b_h"])
-        return (1.0 - z) * h + z * cand
-
-    def bigru(prefix, xs):
-        fw, bw = [], [None] * len(xs)
-        h = np.zeros(p[prefix + ".fw.b_z"].shape)
-        for x in xs:
-            h = gru(prefix + ".fw", h, x)
-            fw.append(h)
-        h = np.zeros(p[prefix + ".bw.b_z"].shape)
-        for j in range(len(xs) - 1, -1, -1):
-            h = gru(prefix + ".bw", h, xs[j])
-            bw[j] = h
-        return [np.concatenate(pair) for pair in zip(fw, bw)]
-
-    def softmax(v):
-        e = np.exp(v - v.max())
-        return e / e.sum()
-
-    def attention(prefix, query, keys):
-        u = p[prefix + ".score"]
-        pre = [p[prefix + ".query_proj"] @ query
-               + p[prefix + ".key_proj"].T @ k for k in keys]
-        weights = softmax(np.array([u @ np.tanh(x) for x in pre]))
-        return sum(w * k for w, k in zip(weights, keys))
-
-    ids = list(sample.preceding) or [POEM_START_ID]
-    h_states = bigru("encoder", [emb[c] for c in ids])
-
-    qs, ms = [], []
-    for kw in sample.keywords:
-        xs = [emb[c] for c in kw]
-        fw_h = np.zeros(p["keyword.fw.b_z"].shape)
-        for x in xs:
-            fw_h = gru("keyword.fw", fw_h, x)
-        bw_h = np.zeros(p["keyword.bw.b_z"].shape)
-        for x in reversed(xs):
-            bw_h = gru("keyword.bw", bw_h, x)
-        qs.append(np.concatenate([fw_h, bw_h]))
-        ms.append(sum(xs) / len(xs))
-    topic_ids = sorted({c for kw in sample.keywords for c in kw})
-
-    v_rows = [np.asarray(sample.features[i], dtype=np.float64)
-              for i in range(sample.features.shape[0])]
-    s = np.tanh(p["init_state.w"] @ (sum(h_states) / len(h_states))
-                + p["init_state.b"])
-    y_prev = LINE_START_ID
-    lam = config.topic_weight
-    total = 0.0
-    for tgt in reversed(sample.target):
-        h_hat = attention("attention.text", s, h_states)
-        v_hat = attention("attention.visual", s, v_rows)
-        x = np.concatenate([emb[y_prev], h_hat, v_hat])
-        s = gru("decoder", s, x)
-        if qs:
-            z = softmax(np.array([s @ q for q in qs]))
-            o = sum(zj * mj for zj, mj in zip(z, ms)) + s
-        else:
-            o = s
-        features = np.concatenate([o, v_hat, h_hat])
-        p_g = softmax(_head_ref(p["head.generic.w_hidden"],
-                                p["head.generic.b_hidden"],
-                                p["head.generic.w_out"],
-                                p["head.generic.b_out"], features))
-        if lam > 0.0 and topic_ids:
-            logits = _head_ref(p["head.topic.w_hidden"],
-                               p["head.topic.b_hidden"],
-                               p["head.topic.w_out"],
-                               p["head.topic.b_out"], features)
-            p_t = np.zeros(config.vocab_size)
-            p_t[topic_ids] = softmax(logits[topic_ids])
-            prob = (lam * p_t + p_g) / (1.0 + lam)
-        else:
-            prob = p_g
-        total += -math.log(prob[tgt])
-        y_prev = tgt
-    return total / len(sample.target)
-
-
 def batch_loss_ref(model, batch):
-    """Per-sample oracle averaged the way the batched loss defines it."""
-    total = 0.0
-    chars = 0
-    for sample in batch:
-        total += sample_loss_ref(model, sample) * len(sample.target)
-        chars += len(sample.target)
-    return total / chars
+    """Mean per-character loss of the batch from bench/reference.py."""
+    c = model.config
+    ref = reference.Reference({name: t.data for name, t in model.parameters()},
+                              c.topic_weight, c.chars_per_line,
+                              c.lines_per_poem)
+    return ref.mean_loss([(s.features, s.keywords, s.preceding, s.target)
+                          for s in batch])

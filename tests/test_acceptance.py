@@ -23,14 +23,13 @@ from imagepoet.training import (TrainConfig, TrainSample, cross_entropy_loss,
 from imagepoet.verify import (distribution_invariants, full_model_grad_check,
                               toy_sample)
 
+from conftest import toy_config
 from oracles import (address_ref, attend_ref, batch_loss_ref, bigru_ref,
                      gru_step_ref, read_ref)
 from poetics_cases import CASES, lexicon as poetics_lexicon
 from imagepoet.poetics import validate_form
 
-ACCEPT_CONFIG = ModelConfig(vocab_size=20, hidden_dim=8, memory_dim=8,
-                            topic_weight=0.5, visual_count=4, visual_dim=6,
-                            lines_per_poem=4, chars_per_line=5)
+ACCEPT_CONFIG = toy_config()
 
 
 def report(line):

@@ -88,6 +88,15 @@ def test_corrupted_config_is_a_version_error(model):
         model_from_bytes(bytes(blob))
 
 
+@pytest.mark.parametrize("field, value", [("hidden_dim", 8.0),
+                                          ("lines_per_poem", True)])
+def test_non_integer_size_is_a_corrupted_config(model, field, value):
+    setattr(model.config, field, value)  # the writer does not validate
+    with pytest.raises(CheckpointVersionError, match="corrupted checkpoint "
+                       "config: %s must be an integer" % field):
+        model_from_bytes(checkpoint_bytes(model))
+
+
 def test_truncation_detected(model):
     blob = checkpoint_bytes(model)
     for cut in (4, len(MAGIC) + 2, len(blob) // 2, len(blob) - 3):

@@ -239,6 +239,19 @@ class TestGenerate:
                           "--keywords", keywords)
         assert code == 2
 
+    def test_non_integer_config_size_is_an_input_error(self, corpus,
+                                                       tmp_path, capsys):
+        model = init_params(toy_config(), SeededRng(2))
+        model.config.hidden_dim = 8.0
+        ckpt = str(tmp_path / "model.ckpt")
+        save_checkpoint(model, ckpt)
+        keywords = write_keyword_file(tmp_path, [(2,)])
+        code, out = run_cli("generate", "--checkpoint", ckpt,
+                            "--features", corpus["features"],
+                            "--keywords", keywords)
+        assert (code, out) == (2, "")
+        assert "hidden_dim must be an integer" in capsys.readouterr().err
+
     def test_feature_shape_mismatch_is_an_input_error(self, corpus, tmp_path):
         ckpt = train_once(corpus, tmp_path)
         keywords = write_keyword_file(tmp_path, [(2,)])

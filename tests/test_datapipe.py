@@ -261,6 +261,15 @@ class TestCorpusFiles:
         with pytest.raises(DataError, match="bad.jsonl:1: malformed record"):
             load_corpus(str(path))
 
+    @pytest.mark.parametrize("record", [{"image_id": "i"},
+                                        {"poem_id": "p", "lines": []}])
+    def test_repeated_id_names_both_lines(self, tmp_path, record):
+        path = tmp_path / "twice.jsonl"
+        path.write_text(2 * (json.dumps(record) + "\n"), encoding="utf-8")
+        with pytest.raises(DataError, match=r"twice\.jsonl:2: repeated "
+                           r"(image|poem) id '.' \(first at line 1\)"):
+            load_corpus(str(path))
+
     def test_structure_validation(self, tmp_path):
         path = write_corpus(tmp_path, [],
                             [("p", [(1, 2), (3, 4)])], name="short.jsonl")
@@ -283,7 +292,7 @@ class TestConceptLexiconFiles:
 
     def test_bad_lines(self, tmp_path):
         path = tmp_path / "concepts.tsv"
-        for bad in ("water", "water\t1+x", "water\t"):
+        for bad in ("water", "water\t1+x", "water\t", "water\t1\nwater\t2"):
             path.write_text(bad + "\n", encoding="utf-8")
             with pytest.raises(DataError):
                 load_concept_lexicon(str(path))

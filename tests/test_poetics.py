@@ -120,6 +120,7 @@ class TestFiles:
         "0\tQ\t1",              # bad tone
         "0\tP\tx",              # bad rhyme
         "0\tP\t-1",             # negative rhyme
+        "0\tP\t1\n0\tZ\t2",     # repeated id
     ])
     def test_lexicon_errors(self, bad, tmp_path):
         path = tmp_path / "lex.tsv"
