@@ -48,8 +48,10 @@ def _parts(model):
     """The checkpoint as header bytes and a memoryview of each parameter.
 
     Parameters are referenced, not copied: writing or joining the parts
-    moves each value once.
+    moves each value once.  The config is validated first, so no
+    checkpoint is made that the reader would reject.
     """
+    model.config.validate()
     config_blob = json.dumps(model.config.to_dict(), sort_keys=True).encode()
     params = model.parameters()
     parts = [MAGIC + struct.pack("<II", VERSION, len(config_blob))
@@ -99,8 +101,10 @@ def read_checkpoint(fh):
 
 
 def save_checkpoint(model, path):
+    """Write a checkpoint file; an invalid model leaves path untouched."""
+    parts = _parts(model)
     with open(path, "wb") as fh:
-        write_checkpoint(model, fh)
+        fh.writelines(parts)
 
 
 def load_checkpoint(path):

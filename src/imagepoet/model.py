@@ -29,6 +29,14 @@ LINE_START_ID = 0   # fed as y_0 of every line
 POEM_START_ID = 1   # stands in for the empty preceding context
 
 
+def require_integer(name, value, low=None):
+    """Raise ConfigError unless value is an int, not a bool, and >= low."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError("%s must be an integer, got %r" % (name, value))
+    if low is not None and value < low:
+        raise ConfigError("%s must be >= %d, got %d" % (name, low, value))
+
+
 def _gru_count(input_dim, hidden_dim):
     return 3 * (hidden_dim * input_dim + hidden_dim * hidden_dim + hidden_dim)
 
@@ -49,13 +57,12 @@ class ModelConfig:
     def validate(self):
         for name in ("vocab_size", "hidden_dim", "memory_dim", "visual_count",
                      "visual_dim", "lines_per_poem", "chars_per_line"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError("%s must be an integer, got %r"
-                                  % (name, value))
-            if value <= 0:
-                raise ConfigError("%s must be positive" % name)
-        if not 0.0 <= self.topic_weight <= 1.0:
+            require_integer(name, getattr(self, name), 1)
+        weight = self.topic_weight
+        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+            raise ConfigError("topic_weight must be a number, got %r"
+                              % (weight,))
+        if not 0.0 <= weight <= 1.0:
             raise ConfigError("topic_weight must lie in [0, 1]")
         if self.hidden_dim % 2 != 0:
             raise ConfigError("hidden_dim must be even (keyword Bi-GRU "

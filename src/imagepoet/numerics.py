@@ -13,9 +13,10 @@ Every parameter matrix but the attention key projections is applied by
 linear, the one op whose adjoint for a leaf weight is deferred to the
 end of the backward sweep (OuterGrad).
 
-Gradients accumulate: Tape.backward adds into .grad, and a leaf without a
-buffer adopts the array the pass made for it.  Callers drop .grad before
-a fresh pass (see Tensor.zero_grad).
+In the backward pass a leaf (requires_grad) sums its contributions into
+one buffer of its own; any other adjoint is a fresh sum.  Tape.backward
+adds into .grad, and a leaf without one adopts its pass's buffer.
+Callers drop .grad before a fresh pass (see Tensor.zero_grad).
 """
 
 import numpy as np
@@ -106,79 +107,63 @@ class Tape:
     def gradients(self, loss, accumulate=False):
         """Adjoints of loss w.r.t. every reachable requires_grad tensor.
 
-        Returns {tensor: ndarray}.  No other tensor's adjoint or record
-        shares a returned array's memory, so the caller may keep it or
-        write it in place.  No .grad field is touched unless accumulate is
-        set; then a leaf already holding a .grad buffer has its
-        contributions added into that buffer, which is the array returned
-        for it, so no second leaf-sized array is kept beside it.
+        Returns {tensor: ndarray}.  Each returned array belongs to its leaf
+        alone: no other adjoint or record shares its memory, so the caller
+        may keep it or write it in place.  No .grad field is touched unless
+        accumulate is set; then a leaf already holding a .grad buffer has
+        its contributions added into that buffer, which is the array
+        returned for it.
 
-        A tensor's first dense contribution is kept as it is; the second
-        is summed into a new buffer that later ones are added into in
-        place.  Arrays a backward_fn returned are never written to, since
-        one array may be the contribution to several inputs (add returns
-        the same g for both); a leaf whose adjoint is still such an array
-        gets a copy.  A RowGrad is added into that buffer, which it starts
-        from zeros when it comes first.  A leaf's OuterGrads wait until
-        the sweep ends; their row blocks are then joined and summed by one
-        GEMM, to which its other contributions are added.  No record reads
-        a leaf's adjoint, since a leaf is never a record's output.
+        A leaf sums every contribution into one buffer of its own: a copy
+        of its first dense contribution, zeros for a first RowGrad, or its
+        held .grad.  Its OuterGrads wait until the sweep ends; their row
+        blocks are then joined and summed by one GEMM, which becomes the
+        buffer or is added into it.  Any other tensor's adjoint is a fresh
+        sum, never written in place, since a backward_fn may hand one array
+        to several inputs (add returns the same g for both).
         """
         if loss.data.shape != ():
             raise ContractError(
                 "backward requires a scalar loss, got shape %s"
                 % (loss.data.shape,))
-        adjoint = {id(loss): np.ones(())}
-        owned = set()   # ids whose adjoint is a buffer this pass may write
-        leaves = {}
-        outers = {}     # leaf id -> ([u...], [v...]) row blocks of OuterGrads
+        adjoint = {loss: np.ones(())}
+        grads = {}      # leaf -> the buffer its contributions sum into
+        outers = {}     # leaf -> ([u...], [v...]) row blocks of OuterGrads
         for output, inputs, backward_fn in reversed(self._records):
-            out_grad = adjoint.pop(id(output), None)
+            out_grad = adjoint.pop(output, None)
             if out_grad is None:
                 continue
-            owned.discard(id(output))
             for tensor, grad in zip(inputs, backward_fn(out_grad)):
                 if grad is None:
                     continue
-                key = id(tensor)
-                if (accumulate and tensor.requires_grad
-                        and key not in adjoint and tensor._grad is not None):
-                    adjoint[key] = tensor._grad
-                    owned.add(key)
-                acc = adjoint.get(key)
+                if not tensor.requires_grad:
+                    acc = adjoint.get(tensor)
+                    adjoint[tensor] = grad if acc is None else acc + grad
+                    continue
+                buf = grads.get(tensor)
+                if buf is None and accumulate:
+                    buf = tensor._grad
                 if isinstance(grad, OuterGrad):
-                    us, vs = outers.setdefault(key, ([], []))
+                    us, vs = outers.setdefault(tensor, ([], []))
                     us.append(grad.u)
                     vs.append(grad.v)
                 elif isinstance(grad, RowGrad):
-                    if key not in owned:
-                        acc = (np.zeros(tensor.data.shape) if acc is None
-                               else acc.copy())
-                        adjoint[key] = acc
-                        owned.add(key)
-                    grad.add_to(acc)
-                elif key in owned:
-                    acc += grad
-                elif acc is None:
-                    adjoint[key] = grad
+                    if buf is None:
+                        buf = np.zeros(tensor.data.shape)
+                    np.add.at(buf, grad.rows, grad.values)
+                elif buf is None:
+                    buf = np.array(grad)
                 else:
-                    # out= keeps a rank-0 sum an array that += can update.
-                    adjoint[key] = np.add(acc, grad,
-                                          out=np.empty(tensor.data.shape))
-                    owned.add(key)
-                if tensor.requires_grad:
-                    leaves[key] = tensor
-        for key, (us, vs) in outers.items():
+                    buf += grad
+                if buf is not None:
+                    grads[tensor] = buf
+        for tensor, (us, vs) in outers.items():
             total = np.concatenate(us).T @ np.concatenate(vs)
-            if key in owned:
-                adjoint[key] += total
-                continue
-            if key in adjoint:
-                total += adjoint[key]
-            adjoint[key] = total
-            owned.add(key)
-        return {t: adjoint[key] if key in owned else np.array(adjoint[key])
-                for key, t in leaves.items()}
+            if tensor in grads:
+                grads[tensor] += total
+            else:
+                grads[tensor] = total
+        return grads
 
     def backward(self, loss):
         """Accumulate dloss/dtensor into .grad for every reachable leaf.
@@ -193,8 +178,9 @@ class Tape:
 class RowGrad:
     """Adjoint that is zero outside some rows: values[i] belongs at rows[i].
 
-    take returns one, so a lookup into a large table costs the rows it
-    read, not a dense zero copy of the table.  Repeated rows add up.
+    take returns one for a leaf table, so a lookup into a large table
+    costs the rows it read, not a dense zero copy of the table.  Only a
+    leaf receives one.  Repeated rows add up.
     """
 
     __slots__ = ("rows", "values")
@@ -203,18 +189,15 @@ class RowGrad:
         self.rows = rows
         self.values = values
 
-    def add_to(self, out):
-        np.add.at(out, self.rows, self.values)
-
 
 class OuterGrad:
     """Adjoint u.T @ v of a leaf matrix: the sum of outer(u[i], v[i]).
 
     u and v hold one row per term, so a rank-1 pair is one term.  Only
-    linear returns one, with a term per input row, for a leaf weight.
-    Tape.gradients sums all of a leaf's OuterGrads at the end of its
-    sweep, so a weight reused at every step costs one GEMM, not one
-    weight-sized outer product and add per step.
+    linear returns one, with a term per input row, and only a leaf
+    receives one.  Tape.gradients sums all of a leaf's OuterGrads at the
+    end of its sweep, so a weight reused at every step costs one GEMM,
+    not one weight-sized outer product and add per step.
     """
 
     __slots__ = ("u", "v")
@@ -409,7 +392,8 @@ def sum_all(a):
 def take(t, index):
     """t[index] along axis 0, for an int index or a 1-d list of them.
 
-    The result is a copy, never a view of t.
+    The result is a copy, never a view of t.  A leaf t's adjoint is a
+    RowGrad; any other t gets a dense one, since only leaves hold buffers.
     """
     idx = np.asarray(index, dtype=np.intp)
     if t.data.ndim == 0 or idx.ndim > 1:
@@ -418,8 +402,15 @@ def take(t, index):
     if idx.size and (idx.min() < 0 or idx.max() >= t.data.shape[0]):
         raise DimensionError("take: index %s out of range for shape %s"
                              % (index, t.data.shape))
-    return _emit(np.take(t.data, idx, axis=0), (t,),
-                 lambda g: (RowGrad(idx, g),))
+
+    def backward(g):
+        if t.requires_grad:
+            return (RowGrad(idx, g),)
+        dense = np.zeros(t.data.shape)
+        np.add.at(dense, idx, g)
+        return (dense,)
+
+    return _emit(np.take(t.data, idx, axis=0), (t,), backward)
 
 
 def scatter(values, indices, size):

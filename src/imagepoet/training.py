@@ -56,12 +56,9 @@ class TrainConfig:
     seed: int = 1
 
     def validate(self):
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.max_epochs < 1:
-            raise ConfigError("max_epochs must be >= 1")
-        if self.validate_every < 1:
-            raise ConfigError("validate_every must be >= 1")
+        for name in ("batch_size", "max_epochs", "validate_every"):
+            mdl.require_integer(name, getattr(self, name), 1)
+        mdl.require_integer("seed", self.seed)
         if not 0.0 <= self.rho < 1.0:
             raise ConfigError("rho must lie in [0, 1)")
         if not 0.0 < self.eps < math.inf:

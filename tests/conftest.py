@@ -1,3 +1,5 @@
+import json
+import struct
 import sys
 from pathlib import Path
 
@@ -7,6 +9,7 @@ TESTS = Path(__file__).resolve().parent
 # bench/ holds the whole-model reference the tests score against.
 sys.path[:0] = [str(TESTS), str(TESTS.parent / "bench")]
 
+from imagepoet.checkpoint import MAGIC
 from imagepoet.model import ModelConfig, init_params
 from imagepoet.rng import SeededRng
 
@@ -17,6 +20,18 @@ def toy_config(**overrides):
                 chars_per_line=5)
     base.update(overrides)
     return ModelConfig(**base).validate()
+
+
+def with_config(blob, **fields):
+    """Checkpoint bytes whose stored config has fields replaced: a file
+    the writer, which validates its config, never makes."""
+    at = len(MAGIC) + 4
+    (length,) = struct.unpack_from("<I", blob, at)
+    config = json.loads(blob[at + 4:at + 4 + length])
+    config.update(fields)
+    patched = json.dumps(config, sort_keys=True).encode()
+    return (blob[:at] + struct.pack("<I", len(patched)) + patched
+            + blob[at + 4 + length:])
 
 
 @pytest.fixture

@@ -6,11 +6,11 @@ import pytest
 from imagepoet.checkpoint import (MAGIC, checkpoint_bytes, load_checkpoint,
                                   model_from_bytes, save_checkpoint)
 from imagepoet.errors import (CheckpointShapeError, CheckpointTruncatedError,
-                              CheckpointVersionError)
+                              CheckpointVersionError, ConfigError)
 from imagepoet.model import ModelConfig, init_params
 from imagepoet.rng import SeededRng
 
-from conftest import toy_config
+from conftest import toy_config, with_config
 
 
 def test_round_trip_is_bitwise_exact(model, tmp_path):
@@ -89,12 +89,27 @@ def test_corrupted_config_is_a_version_error(model):
 
 
 @pytest.mark.parametrize("field, value", [("hidden_dim", 8.0),
-                                          ("lines_per_poem", True)])
+                                          ("lines_per_poem", True),
+                                          ("topic_weight", True)])
 def test_non_integer_size_is_a_corrupted_config(model, field, value):
-    setattr(model.config, field, value)  # the writer does not validate
+    blob = with_config(checkpoint_bytes(model), **{field: value})
     with pytest.raises(CheckpointVersionError, match="corrupted checkpoint "
-                       "config: %s must be an integer" % field):
-        model_from_bytes(checkpoint_bytes(model))
+                       "config: %s must be a" % field):
+        model_from_bytes(blob)
+
+
+@pytest.mark.parametrize("field, value", [("hidden_dim", 8.0),
+                                          ("topic_weight", True)])
+def test_writer_rejects_an_invalid_config(model, tmp_path, field, value):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    saved = path.read_bytes()
+    setattr(model.config, field, value)
+    with pytest.raises(ConfigError, match=field):
+        checkpoint_bytes(model)
+    with pytest.raises(ConfigError, match=field):
+        save_checkpoint(model, path)
+    assert path.read_bytes() == saved
 
 
 def test_truncation_detected(model):

@@ -11,11 +11,12 @@ from imagepoet.cli import main
 from imagepoet.datapipe import (keyword_recall, load_concept_lexicon,
                                 load_feature_file, image_keywords,
                                 load_corpus)
-from imagepoet.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from imagepoet.checkpoint import (MAGIC, checkpoint_bytes, load_checkpoint,
+                                  save_checkpoint)
 from imagepoet.model import generate_poem, init_params
 from imagepoet.rng import SeededRng
 
-from conftest import toy_config
+from conftest import toy_config, with_config
 from corpus_helpers import write_keyword_file, write_toy_corpus
 
 
@@ -241,12 +242,11 @@ class TestGenerate:
 
     def test_non_integer_config_size_is_an_input_error(self, corpus,
                                                        tmp_path, capsys):
-        model = init_params(toy_config(), SeededRng(2))
-        model.config.hidden_dim = 8.0
-        ckpt = str(tmp_path / "model.ckpt")
-        save_checkpoint(model, ckpt)
+        blob = checkpoint_bytes(init_params(toy_config(), SeededRng(2)))
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(with_config(blob, hidden_dim=8.0))
         keywords = write_keyword_file(tmp_path, [(2,)])
-        code, out = run_cli("generate", "--checkpoint", ckpt,
+        code, out = run_cli("generate", "--checkpoint", str(ckpt),
                             "--features", corpus["features"],
                             "--keywords", keywords)
         assert (code, out) == (2, "")

@@ -359,17 +359,25 @@ class TestAccumulation:
         assert np.max(np.abs(x.grad - dense)) < 1e-12
 
     def test_leaves_sharing_one_adjoint_get_arrays_of_their_own(self, rng):
-        # add's backward hands the same g to both leaves.
-        a = Tensor(arr(rng, 3), requires_grad=True)
-        b = Tensor(arr(rng, 3), requires_grad=True)
+        # add's backward hands the same g to both inputs: to the leaves a
+        # and b, and to the leaf c and the non-leaf n, which then gets a
+        # second contribution from sum_all.
+        a, b, c, d = (Tensor(arr(rng, 3), requires_grad=True)
+                      for _ in range(4))
         with Tape() as tape:
-            loss = nm.sum_all(nm.add(a, b))
+            n = nm.scale(d, 2.0)
+            dense = nm.sum_all(n)
+            loss = nm.add(nm.sum_all(nm.add(a, b)),
+                          nm.add(nm.sum_all(nm.add(c, n)), dense))
         grads = tape.gradients(loss)
         assert grads[a] is not grads[b]
         assert not np.shares_memory(grads[a], grads[b])
+        assert not np.shares_memory(grads[c], grads[d])
         grads[a] *= 2.0
         assert np.array_equal(grads[a], [2.0, 2.0, 2.0])
         assert np.array_equal(grads[b], [1.0, 1.0, 1.0])
+        assert np.array_equal(grads[c], [1.0, 1.0, 1.0])
+        assert np.array_equal(grads[d], [4.0, 4.0, 4.0])
 
     def test_rank_zero_leaf_sums_every_contribution(self):
         x = Tensor(2.0, requires_grad=True)
@@ -401,14 +409,26 @@ class TestAccumulation:
     def test_repeated_row_lookups_add_up(self, rng):
         m = Tensor(arr(rng, 5, 3), requires_grad=True)
         v = Tensor(arr(rng, 5), requires_grad=True)
+        u = Tensor(arr(rng, 4, 3), requires_grad=True)
         with Tape() as tape:
             rows = nm.add(nm.add(nm.take(m, 2),
                                  nm.scale(nm.take(m, 2), 3.0)),
                           nm.take(m, 4))
             picked = nm.sum_all(nm.take(m, [4, 1, 4]))
             gathered = nm.sum_all(nm.take(v, [3, 3, 0]))
-            loss = nm.add(nm.add(nm.sum_all(rows), picked), gathered)
+            # n is no leaf, so take gives it a dense adjoint; add hands
+            # one array to n and k before that adjoint arrives.
+            n = nm.scale(u, 2.0)
+            k = nm.scale(u, 3.0)
+            looked = nm.sum_all(nm.take(n, [1, 1, 3]))
+            shared = nm.sum_all(nm.add(n, k))
+            loss = nm.add(nm.add(nm.sum_all(rows), picked),
+                          nm.add(gathered, nm.add(looked, shared)))
         grads = tape.gradients(loss)
+        want_u = np.full((4, 3), 5.0)
+        want_u[1] += 4.0
+        want_u[3] += 2.0
+        assert np.array_equal(grads[u], want_u)
         want_m = np.zeros((5, 3))
         want_m[2] = 4.0
         want_m[4] = 3.0

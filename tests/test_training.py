@@ -365,8 +365,10 @@ class TestTrainLoop:
             train(model, [], [], TrainConfig(max_epochs=1))
 
     @pytest.mark.parametrize("field, value", [
-        ("clip_norm", math.nan), ("eps", math.nan), ("eps", math.inf)])
-    def test_non_finite_settings_rejected(self, field, value):
+        ("clip_norm", math.nan), ("eps", math.nan), ("eps", math.inf),
+        ("batch_size", 1.5), ("max_epochs", 2.5), ("validate_every", True),
+        ("seed", 1.0), ("seed", True)])
+    def test_invalid_settings_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value}).validate()
 
