@@ -12,16 +12,19 @@
 Round-trips are bitwise exact: values are stored as raw IEEE-754 doubles.
 A reader accepts only the names and extents, in the order, that the
 stored config implies: each stored parameter header must equal the one
-the writer makes for that parameter.
+the writer makes for that parameter.  It also rejects a non-finite value
+and any byte after the last parameter.
 """
 
 import io
 import json
 import struct
+import sys
 
 import numpy as np
 
-from .errors import (CheckpointShapeError, CheckpointTruncatedError,
+from .errors import (CheckpointError, CheckpointShapeError,
+                     CheckpointTruncatedError, CheckpointValueError,
                      CheckpointVersionError)
 from .model import ModelConfig, init_params
 
@@ -29,12 +32,24 @@ MAGIC = b"IPOETCK\x00"
 VERSION = 1
 
 
+def _truncated(wanted, got):
+    return CheckpointTruncatedError(
+        "checkpoint ended early: wanted %d bytes, got %d" % (wanted, got))
+
+
 def _read_exact(fh, n):
     data = fh.read(n)
     if len(data) != n:
-        raise CheckpointTruncatedError(
-            "checkpoint ended early: wanted %d bytes, got %d" % (n, len(data)))
+        raise _truncated(n, len(data))
     return data
+
+
+def _read_into(fh, array):
+    """Fill a C-contiguous array with the stream's next bytes."""
+    view = memoryview(array).cast("B")
+    got = fh.readinto(view)
+    if got != view.nbytes:
+        raise _truncated(view.nbytes, got)
 
 
 def _param_header(name, shape):
@@ -69,7 +84,12 @@ def write_checkpoint(model, fh):
 
 
 def read_checkpoint(fh):
-    """Deserialize a model from a binary stream."""
+    """Deserialize a model from a buffered binary stream.
+
+    fh is a file opened for binary reading, or a BytesIO: a read comes up
+    short only at the end of the stream.  Values are read straight into
+    the parameters' buffers.
+    """
     if _read_exact(fh, len(MAGIC)) != MAGIC:
         raise CheckpointVersionError("not a checkpoint file (bad magic)")
     (version,) = struct.unpack("<I", _read_exact(fh, 4))
@@ -95,8 +115,14 @@ def read_checkpoint(fh):
             raise CheckpointShapeError(
                 "parameter %d is not %r of shape %s, which the config "
                 "implies" % (index, name, target.data.shape))
-        values = np.frombuffer(_read_exact(fh, 8 * target.size), dtype="<f8")
-        target.data[...] = values.reshape(target.data.shape)
+        _read_into(fh, target.data)
+        if sys.byteorder != "little":
+            target.data.byteswap(inplace=True)
+        if not np.isfinite(target.data).all():
+            raise CheckpointValueError("parameter %r holds a non-finite "
+                                       "value" % name)
+    if fh.read(1):
+        raise CheckpointShapeError("bytes follow the last parameter")
     return model
 
 
@@ -108,8 +134,12 @@ def save_checkpoint(model, path):
 
 
 def load_checkpoint(path):
+    """The model in a checkpoint file; every error names the file."""
     with open(path, "rb") as fh:
-        return read_checkpoint(fh)
+        try:
+            return read_checkpoint(fh)
+        except CheckpointError as exc:
+            raise type(exc)("%s: %s" % (path, exc)) from None
 
 
 def checkpoint_bytes(model):

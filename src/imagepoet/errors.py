@@ -47,3 +47,7 @@ class CheckpointTruncatedError(CheckpointError):
 
 class CheckpointShapeError(CheckpointError):
     """Stored parameters disagree with the model the config describes."""
+
+
+class CheckpointValueError(CheckpointError):
+    """A stored parameter value is not finite."""

@@ -57,12 +57,16 @@ class EmbeddingTable(ParamGroup):
     def vocab_size(self):
         return self.weights.shape[0]
 
-    def lookup(self, char_id):
-        char_id = int(char_id)
-        if not 0 <= char_id < self.vocab_size:
-            raise VocabularyError("character id %d outside vocabulary of %d"
-                                  % (char_id, self.vocab_size))
-        return nm.take(self.weights, char_id)
+    def lookup(self, char_ids):
+        """The row of one character id, or the (n, dim) matrix of the rows
+        of a sequence of ids."""
+        one = np.ndim(char_ids) == 0
+        ids = [int(c) for c in ([char_ids] if one else char_ids)]
+        for char_id in ids:
+            if not 0 <= char_id < self.vocab_size:
+                raise VocabularyError("character id %d outside vocabulary "
+                                      "of %d" % (char_id, self.vocab_size))
+        return nm.take(self.weights, ids[0] if one else ids)
 
 
 class GRUCell(ParamGroup):
@@ -92,44 +96,77 @@ class GRUCell(ParamGroup):
 
 
 def gru_step(cell, h_prev, x):
-    """One GRU transition; h' = (1 - z) * h_prev + z * cand."""
-    if h_prev.shape != (cell.hidden_dim,) or x.shape != (cell.input_dim,):
+    """One GRU transition; h' = (1 - z) * h_prev + z * cand.
+
+    x is the input vector, or the triple (W_z x, W_r x, W_h x) of its
+    input products when the caller computed them ahead, as gru_run does
+    for a whole sequence.
+    """
+    precomputed = isinstance(x, tuple)
+    shapes = [t.shape for t in x] if precomputed else [x.shape]
+    want = [(cell.hidden_dim,)] * 3 if precomputed else [(cell.input_dim,)]
+    if h_prev.shape != (cell.hidden_dim,) or shapes != want:
         raise DimensionError(
             "gru_step: state %s / input %s vs cell dims (%d, %d)"
-            % (h_prev.shape, x.shape, cell.hidden_dim, cell.input_dim))
-    z = nm.sigmoid(nm.add(nm.add(nm.linear(x, cell.w_z),
-                                 nm.linear(h_prev, cell.u_z)), cell.b_z))
-    r = nm.sigmoid(nm.add(nm.add(nm.linear(x, cell.w_r),
-                                 nm.linear(h_prev, cell.u_r)), cell.b_r))
-    cand = nm.tanh(nm.add(nm.add(nm.linear(x, cell.w_h),
+            % (h_prev.shape, shapes, cell.hidden_dim, cell.input_dim))
+    wz_x, wr_x, wh_x = x if precomputed else (
+        nm.linear(x, w) for w in (cell.w_z, cell.w_r, cell.w_h))
+    z = nm.sigmoid(nm.add(nm.add(wz_x, nm.linear(h_prev, cell.u_z)),
+                          cell.b_z))
+    r = nm.sigmoid(nm.add(nm.add(wr_x, nm.linear(h_prev, cell.u_r)),
+                          cell.b_r))
+    cand = nm.tanh(nm.add(nm.add(wh_x,
                                  nm.linear(nm.mul(r, h_prev), cell.u_h)),
                           cell.b_h))
     keep = nm.sub(Tensor(np.ones(cell.hidden_dim)), z)
     return nm.add(nm.mul(keep, h_prev), nm.mul(z, cand))
 
 
-def gru_run(cell, xs):
-    """States after each step of a left-to-right GRU pass from zero."""
-    h = cell.zero_state()
-    states = []
-    for x in xs:
-        h = gru_step(cell, h, x)
-        states.append(h)
+def gru_run(cell, xs, prefix=(), reverse=False):
+    """States of a GRU pass over the rows of the matrix xs, in step order.
+
+    The pass reads the rows first to last, or last to first when reverse
+    is set, from the zero state.  The input products W_z X, W_r X and
+    W_h X are one linear each for the whole sequence, split into step rows
+    by one nm.rows record apiece; only the recurrent products U h run per
+    step.  prefix holds the states of the first steps of an earlier pass
+    whose inputs began as these do: they start the result as they are,
+    and the pass goes on from the last of them.
+    """
+    if xs.data.ndim != 2 or xs.shape[1] != cell.input_dim:
+        raise DimensionError("gru_run: inputs %s vs cell input dim %d"
+                             % (xs.shape, cell.input_dim))
+    n = xs.shape[0]
+    if len(prefix) > n:
+        raise DimensionError("gru_run: %d prefix states for %d inputs"
+                             % (len(prefix), n))
+    steps = range(n - 1, -1, -1) if reverse else range(n)
+    states = list(prefix)
+    if len(states) < n:
+        gates = list(zip(*(nm.rows(nm.linear(xs, w))
+                           for w in (cell.w_z, cell.w_r, cell.w_h))))
+        h = states[-1] if states else cell.zero_state()
+        for t in steps[len(states):]:
+            h = gru_step(cell, h, gates[t])
+            states.append(h)
     return states
 
 
-def bigru_encode(cell_fw, cell_bw, xs):
-    """Forward/backward GRU states as an (n, 2h) matrix, one row per input.
+def bigru_encode(cell_fw, cell_bw, xs, forward=()):
+    """(n, 2h) matrix of Bi-GRU states, and the list of forward states.
 
-    Both passes start from the zero state; row j is
-    [forward_j ; backward_j].
+    xs is an (n, input_dim) matrix, one input per row.  Both passes start
+    from the zero state; row j is [forward_j ; backward_j].  forward holds
+    the forward states of an earlier encoding whose inputs began as these
+    do (gru_run's prefix): the forward pass then runs over the remaining
+    rows only.  The backward pass always runs in full.
     """
-    xs = list(xs)
-    if not xs:
-        raise DomainError("bigru_encode needs at least one input")
-    forward = nm.stack(gru_run(cell_fw, xs))
-    backward = nm.stack(list(reversed(gru_run(cell_bw, list(reversed(xs))))))
-    return nm.concat([forward, backward], axis=1)
+    if xs.data.ndim != 2 or xs.shape[0] == 0:
+        raise DomainError("bigru_encode needs at least one input row, got "
+                          "shape %s" % (xs.shape,))
+    states = gru_run(cell_fw, xs, prefix=forward)
+    backward = gru_run(cell_bw, xs, reverse=True)[::-1]
+    return nm.concat([nm.stack(states), nm.stack(backward)], axis=1), states
 
 
 class AttentionParams(ParamGroup):

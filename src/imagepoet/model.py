@@ -1,7 +1,8 @@
 """The full image-to-poem generator.
 
 A poem is produced line by line.  For each line the preceding lines are
-re-encoded with a Bi-GRU, then characters are decoded greedily: at each
+encoded with a Bi-GRU, whose forward pass goes on from the previous
+line's forward states, then characters are decoded greedily: at each
 step the previous state queries attention over both the encoded context
 and the visual feature rows, a GRU updates the state, the keyword memory
 turns the state topic-aware, and two softmax heads are mixed into the
@@ -166,7 +167,9 @@ class GenerationContext:
     matrix of context Bi-GRU states.  Each key matrix is stacked once and
     projected once per context rather than at every decode step; a
     projection of None leaves attend to project the keys at each step.
-    state is the initial decoder state.
+    state is the initial decoder state.  forward is encode_context's
+    (ids, forward states) pair, which a later context that begins with
+    the same characters extends (prepare_context's earlier).
     """
 
     visual: tuple
@@ -174,19 +177,37 @@ class GenerationContext:
     topic_ids: tuple
     state: Tensor
     text: tuple
+    forward: tuple
 
 
-def encode_context(model, preceding):
-    """(n, 2h) matrix of Bi-GRU states, one row per preceding character.
+def encode_context(model, preceding, earlier=()):
+    """Bi-GRU states of a context, and the pair that lets a later one reuse
+    its forward pass.
 
-    An empty context encodes the single poem-start marker instead, so the
-    first line still has something to attend over.
+    Returns the (n, 2h) matrix of states, one row per preceding character,
+    and the pair (ids, forward states).  An empty context encodes the
+    single poem-start marker instead, so the first line still has
+    something to attend over.  earlier holds such pairs from earlier
+    calls.  A forward state depends only on the characters read so far,
+    so the states of the longest prefix this context shares with any of
+    them are reused, and the forward pass runs over the rest only; the
+    backward pass runs in full.  A reused state equals a recomputed one
+    to the bit when both input GEMMs have at least three rows: BLAS may
+    round a one- or two-row product differently.
     """
-    ids = list(preceding)
-    if not ids:
-        ids = [POEM_START_ID]
-    embs = [model.embedding.lookup(c) for c in ids]
-    return bigru_encode(model.encoder_fw, model.encoder_bw, embs)
+    ids = tuple(int(c) for c in preceding) or (POEM_START_ID,)
+    reused = ()
+    for old_ids, states in earlier:
+        shared = 0
+        for a, b in zip(old_ids, ids):
+            if a != b:
+                break
+            shared += 1
+        if shared > len(reused):
+            reused = states[:shared]
+    h, forward = bigru_encode(model.encoder_fw, model.encoder_bw,
+                              model.embedding.lookup(ids), reused)
+    return h, (ids, forward)
 
 
 def visual_keys(model, features):
@@ -216,19 +237,22 @@ def topic_vocabulary(keywords, vocab_size):
 
 
 def prepare_context(model, features, keywords, preceding, bank=None,
-                    visual=None):
+                    visual=None, earlier=()):
     """Encode everything one line generation needs.
 
     bank and visual, when given, are the keyword bank and the (key matrix,
     projection) pair of these keywords and features, shared by a poem's
-    lines.
+    lines or by the scored samples of one image.  earlier holds the
+    forward pairs of contexts encoded before (GenerationContext.forward);
+    the context extends the one it shares the longest prefix with
+    (encode_context).
     """
     if bank is None:
         bank = tmem.encode_keywords(model.embedding, model.keyword_fw,
                                     model.keyword_bw, keywords)
     if visual is None:
         visual = project_visual(model, features)
-    h = encode_context(model, preceding)
+    h, forward = encode_context(model, preceding, earlier)
     # The initial state, tanh of a learned map of the mean context, is
     # recorded before the key projection, so the backward pass adds the
     # mean's adjoint into h last.
@@ -239,7 +263,8 @@ def prepare_context(model, features, keywords, preceding, bank=None,
         bank=bank,
         topic_ids=topic_vocabulary(keywords, model.config.vocab_size),
         state=state,
-        text=project_keys(model.text_attention, h))
+        text=project_keys(model.text_attention, h),
+        forward=forward)
 
 
 @dataclasses.dataclass
@@ -362,18 +387,22 @@ def generate_line(model, ctx):
 def generate_poem(model, features, keywords):
     """Full poem; each line is conditioned on all previously generated ones.
 
-    The keyword bank and the visual key matrix are built once per poem;
-    only the preceding lines change from line to line.  The visual keys
-    are still projected at every decode step, the figure the benchmark's
-    tracer self-test pins (ROADMAP open item 1).
+    The keyword bank and the visual key matrix are built once per poem.
+    Each line's context is the previous line's context plus that line, so
+    its forward encoder pass goes on from the previous context's forward
+    states and reads the new line only.  The visual keys are still
+    projected at every decode step, the figure the benchmark's tracer
+    self-test pins (ROADMAP open item 1).
     """
     bank = tmem.encode_keywords(model.embedding, model.keyword_fw,
                                 model.keyword_bw, keywords)
     visual = (visual_keys(model, features), None)
     lines = []
+    earlier = ()
     for _ in range(model.config.lines_per_poem):
         preceding = [c for line in lines for c in line]
         ctx = prepare_context(model, features, keywords, preceding, bank=bank,
-                              visual=visual)
+                              visual=visual, earlier=earlier)
+        earlier = (ctx.forward,)
         lines.append(generate_line(model, ctx))
     return lines

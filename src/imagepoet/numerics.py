@@ -102,6 +102,9 @@ class Tape:
         return False
 
     def record(self, output, inputs, backward_fn):
+        """Append a record.  output is one tensor, or a tuple of tensors
+        whose adjoints backward_fn receives as one list (None for each
+        that received none)."""
         self._records.append((output, inputs, backward_fn))
 
     def gradients(self, loss, accumulate=False):
@@ -130,9 +133,14 @@ class Tape:
         grads = {}      # leaf -> the buffer its contributions sum into
         outers = {}     # leaf -> ([u...], [v...]) row blocks of OuterGrads
         for output, inputs, backward_fn in reversed(self._records):
-            out_grad = adjoint.pop(output, None)
-            if out_grad is None:
-                continue
+            if type(output) is tuple:
+                out_grad = [adjoint.pop(t, None) for t in output]
+                if all(g is None for g in out_grad):
+                    continue
+            else:
+                out_grad = adjoint.pop(output, None)
+                if out_grad is None:
+                    continue
             for tensor, grad in zip(inputs, backward_fn(out_grad)):
                 if grad is None:
                     continue
@@ -379,6 +387,32 @@ def stack(parts):
         return tuple(g[i] for i in range(len(parts)))
 
     return _emit(out, tuple(parts), backward)
+
+
+def rows(m):
+    """The rows of a matrix as a list of vectors, recorded as one op.
+
+    Its backward stacks the rows' adjoints into m's, with zeros for a row
+    that received none: n rows cost one record and one matrix-sized
+    adjoint, where n takes would cost n records and n dense adjoints.
+    """
+    md = m.data
+    if md.ndim != 2:
+        raise DimensionError("rows of shape %s" % (md.shape,))
+    outs = tuple(Tensor(row) for row in md)
+    if _tapes and m.needs_grad:
+        for out in outs:
+            out.needs_grad = True
+
+        def backward(grads):
+            dense = np.zeros(md.shape)
+            for i, g in enumerate(grads):
+                if g is not None:
+                    dense[i] = g
+            return (dense,)
+
+        _tapes[-1].record(outs, (m,), backward)
+    return list(outs)
 
 
 def sum_all(a):

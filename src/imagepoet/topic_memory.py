@@ -48,21 +48,19 @@ def encode_keywords(embedding, cell_fw, cell_bw, keywords):
     """Build a MemoryBank from keyword character-id sequences.
 
     Keys come from a keyword Bi-GRU (its own parameters, half the state
-    width per direction); contents are mean character embeddings.
+    width per direction), each direction one gru_run over the keyword's
+    embedding matrix; contents are mean character embeddings.
     """
     keys, contents = [], []
     for keyword in keywords:
         chars = list(keyword)
         if not chars:
             raise DomainError("keyword with zero characters")
-        embs = [embedding.lookup(c) for c in chars]
-        fw_last = gru_run(cell_fw, embs)[-1]
-        bw_first = gru_run(cell_bw, list(reversed(embs)))[-1]
-        keys.append(nm.concat([fw_last, bw_first]))
-        total = embs[0]
-        for e in embs[1:]:
-            total = nm.add(total, e)
-        contents.append(nm.scale(total, 1.0 / len(chars)))
+        embs = embedding.lookup(chars)
+        keys.append(nm.concat([gru_run(cell_fw, embs)[-1],
+                               gru_run(cell_bw, embs, reverse=True)[-1]]))
+        contents.append(nm.matmul(Tensor(np.full(len(chars),
+                                                 1.0 / len(chars))), embs))
     if not keys:
         return MemoryBank.empty()
     return MemoryBank(nm.stack(keys), nm.stack(contents))

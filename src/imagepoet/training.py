@@ -5,10 +5,14 @@ rhyme-bearing final character first; generation undoes the reversal.
 Teacher forcing feeds each step the previous target character, so a
 sample runs the decoder recurrence over its whole target first and then
 scores all of its states in one output-side pass (model.output_side).
-Batches group samples of equal preceding length, so no padding or masking
-is ever needed.  A batch is recorded on one tape per chunk of
-GRADIENT_CHUNK samples, and each chunk's backward pass writes its
-gradients straight into .grad.
+One scorer, _batch_loss_sum, serves evaluation, cross_entropy_loss and
+every gradient chunk.  Within one call, samples of equal grid and
+keywords share one keyword bank and one visual projection, and each of
+their contexts extends the forward encoder states of an earlier one
+that begins like it.  Training batches group samples of equal preceding
+length, so no padding or masking is ever needed.  A batch is recorded on
+one tape per chunk of GRADIENT_CHUNK samples, and each chunk's backward
+pass writes its gradients straight into .grad.
 """
 
 import dataclasses
@@ -18,8 +22,9 @@ import numpy as np
 
 from . import model as mdl
 from . import numerics as nm
+from . import topic_memory as tmem
 from .checkpoint import checkpoint_bytes, model_from_bytes
-from .errors import ConfigError, NumericalError, VocabularyError
+from .errors import ConfigError, DomainError, NumericalError, VocabularyError
 from .numerics import Tape
 from .rng import SeededRng
 
@@ -75,18 +80,15 @@ def _check_ids(ids, vocab_size, what):
                                   "of %d" % (what, int(c), vocab_size))
 
 
-def _sample_loss_sum(model, sample):
+def _sample_loss_sum(model, sample, ctx):
     """Teacher-forced -log p summed over the reversed target characters.
 
-    Each step's input is the previous target character, so the recurrence
+    ctx is the sample's prepared context (model.prepare_context).  Each
+    step's input is the previous target character, so the recurrence
     runs alone over the whole target, and the output side then scores
     all of its states as one matrix.
     """
-    vocab = model.config.vocab_size
-    _check_ids(sample.preceding, vocab, "preceding")
-    _check_ids(sample.target, vocab, "target")
-    ctx = mdl.prepare_context(model, sample.features, sample.keywords,
-                              sample.preceding)
+    _check_ids(sample.target, model.config.vocab_size, "target")
     targets = sample.target[::-1]
     states, visual, text = [], [], []
     s = ctx.state
@@ -104,18 +106,65 @@ def _sample_loss_sum(model, sample):
     if bad.size:
         raise NumericalError("probability of target character %d "
                              "underflowed to 0" % targets[bad[0]])
-    return nm.scale(nm.sum_all(nm.log(picked)), -1.0), len(targets)
+    return nm.scale(nm.sum_all(nm.log(picked)), -1.0)
+
+
+def _image_groups(batch):
+    """Indices of the batch's samples, grouped by equal grid and keywords.
+
+    Groups are found by content, so the batch order only orders them.  A
+    grid is compared by identity first: build_samples gives every line of
+    an image the same array.  Buckets keyed by the keywords and the grid's
+    sum keep the comparisons within likely matches.
+    """
+    buckets = {}
+    groups = []
+    for i, sample in enumerate(batch):
+        grid = sample.features
+        bucket = buckets.setdefault(
+            (tuple(sample.keywords), float(grid.sum())), [])
+        for group in bucket:
+            other = batch[group[0]].features
+            if other is grid or np.array_equal(other, grid):
+                group.append(i)
+                break
+        else:
+            bucket.append([i])
+            groups.append(bucket[-1])
+    return groups
 
 
 def _batch_loss_sum(model, batch):
-    """Summed -log p over a batch's target characters, and their count."""
-    total = None
-    chars = 0
-    for sample in batch:
-        loss_sum, n = _sample_loss_sum(model, sample)
-        total = loss_sum if total is None else nm.add(total, loss_sum)
-        chars += n
-    return total, chars
+    """Summed -log p over a batch's target characters, and their count.
+
+    Each group of samples with equal grid and keywords (_image_groups)
+    builds one keyword bank and one visual projection, and each of its
+    contexts extends the forward encoder states of the group's earlier
+    context that shares the longest prefix with it (encode_context).  The
+    per-sample loss sums are added in batch order.  Nothing outlives the
+    call, so no shared tensor crosses a tape.
+    """
+    if not batch:
+        raise DomainError("cannot score an empty batch")
+    sums = [None] * len(batch)
+    for group in _image_groups(batch):
+        first = batch[group[0]]
+        bank = tmem.encode_keywords(model.embedding, model.keyword_fw,
+                                    model.keyword_bw, first.keywords)
+        visual = mdl.project_visual(model, first.features)
+        earlier = []
+        for i in group:
+            sample = batch[i]
+            ctx = mdl.prepare_context(model, sample.features,
+                                      sample.keywords, sample.preceding,
+                                      bank=bank, visual=visual,
+                                      earlier=earlier)
+            earlier.append(ctx.forward)
+            sums[i] = _sample_loss_sum(model, sample, ctx)
+    total = sums[0]
+    for loss_sum in sums[1:]:
+        total = nm.add(total, loss_sum)
+    return total, sum(len(sample.target) for sample in batch)
 
 
 def cross_entropy_loss(model, batch):
@@ -139,16 +188,17 @@ def accumulate_gradients(model, batch, worker_threads=1):
     and later passes add into it.  A batch within one chunk is one tape,
     as cross_entropy_loss records it.  worker_threads is ignored.
     """
-    inv = 1.0 / sum(len(sample.target) for sample in batch)
+    chars = sum(len(sample.target) for sample in batch)
     total = 0.0
-    for start in range(0, len(batch), GRADIENT_CHUNK):
+    # An empty batch still reaches the scorer, which rejects it.
+    for start in range(0, len(batch) or 1, GRADIENT_CHUNK):
         with Tape() as tape:
             loss_sum, _ = _batch_loss_sum(
                 model, batch[start:start + GRADIENT_CHUNK])
-            loss = nm.scale(loss_sum, inv)
+            loss = nm.scale(loss_sum, 1.0 / chars)
         tape.backward(loss)
         total += loss_sum.item()
-    return total * inv
+    return total * (1.0 / chars)
 
 
 def clip_gradients(params, max_norm):

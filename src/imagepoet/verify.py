@@ -51,10 +51,11 @@ class GradReport:
     per_param: dict
 
 
-def full_model_grad_check(model, sample, h=1e-5, inject_error=False):
-    """Central-difference check of the training loss over every parameter."""
+def full_model_grad_check(model, batch, h=1e-5, inject_error=False):
+    """Central-difference check of a batch's training loss over every
+    parameter."""
     def loss():
-        return cross_entropy_loss(model, [sample])
+        return cross_entropy_loss(model, batch)
 
     model.zero_grads()
     with nm.Tape() as tape:
@@ -138,7 +139,7 @@ def run_checks(seed=7, dist_steps=1000, inject_error=False,
     model = init_params(CHECK_CONFIG, rng)
     ok = True
 
-    grad = full_model_grad_check(model, toy_sample(CHECK_CONFIG, rng),
+    grad = full_model_grad_check(model, [toy_sample(CHECK_CONFIG, rng)],
                                  inject_error=inject_error)
     grad_ok = grad.max_error < 1e-5
     ok = ok and grad_ok

@@ -42,7 +42,7 @@ def test_criterion_1_gradient_correctness():
     sample = toy_sample(ACCEPT_CONFIG, rng, with_preceding=True,
                         keyword_count=2)
     started = time.time()
-    grad = full_model_grad_check(model, sample, h=1e-5)
+    grad = full_model_grad_check(model, [sample], h=1e-5)
     elapsed = time.time() - started
     assert grad.max_error < 1e-5, grad.worst_param
     assert elapsed < 60.0
@@ -222,7 +222,7 @@ def test_criterion_6_oracle_equivalence():
         bw = GRUCell.create(3, 3, rng)
         xs = [rng.uniform_array(3, -1.0, 1.0)
               for _ in range(1 + rng.below(4))]
-        got = bigru_encode(fw, bw, [Tensor(x) for x in xs])
+        got, _ = bigru_encode(fw, bw, Tensor(xs))
         ref = bigru_ref(fw, bw, xs)
         err = max(float(np.max(np.abs(g - r))) for g, r in zip(got.data, ref))
         worst["bigru"] = max(worst["bigru"], err)

@@ -6,7 +6,8 @@ import pytest
 from imagepoet.checkpoint import (MAGIC, checkpoint_bytes, load_checkpoint,
                                   model_from_bytes, save_checkpoint)
 from imagepoet.errors import (CheckpointShapeError, CheckpointTruncatedError,
-                              CheckpointVersionError, ConfigError)
+                              CheckpointValueError, CheckpointVersionError,
+                              ConfigError)
 from imagepoet.model import ModelConfig, init_params
 from imagepoet.rng import SeededRng
 
@@ -170,3 +171,29 @@ def test_swapped_parameters_are_rejected(model):
     with pytest.raises(CheckpointShapeError,
                        match=r"parameter 1 .*'encoder\.fw\.w_z'"):
         model_from_bytes(swapped)
+
+
+@pytest.mark.parametrize("name", ["head.generic.w_out", "embedding.weights",
+                                  "attention.visual.key_proj"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_non_finite_values_are_rejected(model, name, value):
+    dict(model.parameters())[name].data.flat[3] = value
+    blob = checkpoint_bytes(model)
+    with pytest.raises(CheckpointValueError, match=name.replace(".", r"\.")):
+        model_from_bytes(blob)
+
+
+@pytest.mark.parametrize("tail", [b"junk", b"\x00", bytes(8)])
+def test_trailing_bytes_are_rejected(model, tail):
+    with pytest.raises(CheckpointShapeError, match="follow the last"):
+        model_from_bytes(checkpoint_bytes(model) + tail)
+
+
+def test_file_errors_name_the_file(model, tmp_path):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(checkpoint_bytes(model)[:-5])
+    with pytest.raises(CheckpointTruncatedError) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+    assert "ended early" in str(info.value)

@@ -240,6 +240,28 @@ class TestGenerate:
                           "--keywords", keywords)
         assert code == 2
 
+    @pytest.mark.parametrize("damage", ["nan", "trailing"])
+    def test_unusable_checkpoint_names_the_file(self, corpus, tmp_path,
+                                                capsys, damage):
+        # A model that matches the corpus grids, so only the checkpoint
+        # can stop the poem.
+        model = init_params(toy_config(visual_count=2, visual_dim=3),
+                            SeededRng(2))
+        if damage == "nan":
+            model.head_generic.w_out.data[0, 0] = float("nan")
+        blob = checkpoint_bytes(model)
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(blob + (b"junk" if damage == "trailing" else b""))
+        keywords = write_keyword_file(tmp_path, [(2,)])
+        code, out = run_cli("generate", "--checkpoint", str(ckpt),
+                            "--features", corpus["features"],
+                            "--keywords", keywords)
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert str(ckpt) in err
+        assert ("'head.generic.w_out'" if damage == "nan"
+                else "follow the last parameter") in err
+
     def test_non_integer_config_size_is_an_input_error(self, corpus,
                                                        tmp_path, capsys):
         blob = checkpoint_bytes(init_params(toy_config(), SeededRng(2)))

@@ -4,7 +4,8 @@ import pytest
 from imagepoet import numerics as nm
 from imagepoet.errors import DimensionError, DomainError, VocabularyError
 from imagepoet.layers import (AttentionParams, EmbeddingTable, GRUCell,
-                              OutputHead, attend, bigru_encode, gru_step)
+                              OutputHead, attend, bigru_encode, gru_run,
+                              gru_step)
 from imagepoet.numerics import Tensor, grad_check
 from imagepoet.rng import SeededRng
 
@@ -26,6 +27,14 @@ class TestEmbedding:
         for bad in (-1, 6, 100):
             with pytest.raises(VocabularyError):
                 table.lookup(bad)
+            with pytest.raises(VocabularyError):
+                table.lookup([0, bad])
+
+    def test_a_sequence_looks_up_a_matrix_of_rows(self, rng):
+        table = EmbeddingTable.create(6, 4, rng)
+        ids = [5, 0, 5, 2]
+        assert np.array_equal(table.lookup(ids).data,
+                              table.weights.data[ids])
 
 
 class TestGruStep:
@@ -61,12 +70,76 @@ class TestGruStep:
             gru_step(cell, Tensor(vec(rng, 5)), Tensor(vec(rng, 3)))
 
 
+class TestGruRun:
+    def test_precomputed_input_rows_match_the_vector_step(self, rng):
+        cell = GRUCell.create(3, 4, rng)
+        xs = Tensor(np.stack([vec(rng, 3) for _ in range(5)]))
+        h = cell.zero_state()
+        for got, x in zip(gru_run(cell, xs), xs.data):
+            h = gru_step(cell, h, Tensor(x))
+            assert np.max(np.abs(got.data - h.data)) < 1e-15
+
+    def test_reverse_pass_reads_the_last_row_first(self, rng):
+        cell = GRUCell.create(3, 4, rng)
+        xs = np.stack([vec(rng, 3) for _ in range(4)])
+        got = gru_run(cell, Tensor(xs), reverse=True)
+        want = gru_run(cell, Tensor(xs[::-1].copy()))
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a.data - b.data)) < 1e-15
+
+    def test_one_input_product_per_gate_for_the_whole_sequence(
+            self, rng, monkeypatch):
+        cell = GRUCell.create(3, 4, rng)
+        inputs = []
+        linear = nm.linear
+
+        def recording(x, w, b=None):
+            if w in (cell.w_z, cell.w_r, cell.w_h):
+                inputs.append(x.shape)
+            return linear(x, w, b)
+
+        monkeypatch.setattr(nm, "linear", recording)
+        gru_run(cell, Tensor(np.stack([vec(rng, 3) for _ in range(6)])))
+        assert inputs == [(6, 3)] * 3
+
+    def test_precomputed_rows_of_the_wrong_width_rejected(self, rng):
+        cell = GRUCell.create(3, 4, rng)
+        rows = (Tensor(vec(rng, 4)), Tensor(vec(rng, 4)), Tensor(vec(rng, 3)))
+        with pytest.raises(DimensionError):
+            gru_step(cell, cell.zero_state(), rows)
+
+    def test_more_prefix_states_than_inputs_rejected(self, rng):
+        cell = GRUCell.create(3, 4, rng)
+        states = gru_run(cell, Tensor(np.stack([vec(rng, 3)] * 3)))
+        with pytest.raises(DimensionError):
+            gru_run(cell, Tensor(np.stack([vec(rng, 3)] * 2)), prefix=states)
+
+
 class TestBigru:
+    @pytest.mark.parametrize("hidden", [8, 512])
+    def test_extended_forward_states_are_a_fresh_pass_bitwise(self, hidden):
+        # Contexts of 7, 14 and 21 rows, as a poem's lines give them: each
+        # extends the forward states of the one before.  The result is
+        # bitwise the encoding of the 21 rows from scratch.
+        rng = SeededRng(9)
+        fw = GRUCell.create(hidden, hidden, rng)
+        bw = GRUCell.create(hidden, hidden, rng)
+        xs = rng.uniform_array(21 * hidden, -1.0, 1.0).reshape(21, hidden)
+        fresh, fresh_forward = bigru_encode(fw, bw, Tensor(xs))
+        forward = ()
+        for n in (7, 14, 21):
+            out, extended = bigru_encode(fw, bw, Tensor(xs[:n]), forward)
+            assert extended[:len(forward)] == list(forward)
+            forward = extended
+        assert out.data.tobytes() == fresh.data.tobytes()
+        assert [s.data.tobytes() for s in forward] == [
+            s.data.tobytes() for s in fresh_forward]
+
     def test_single_step_composition(self, rng):
         fw = GRUCell.create(3, 2, rng)
         bw = GRUCell.create(3, 2, rng)
         x = Tensor(vec(rng, 3))
-        out = bigru_encode(fw, bw, [x])
+        out, _ = bigru_encode(fw, bw, nm.stack([x]))
         expected = np.concatenate([
             gru_step(fw, fw.zero_state(), x).data,
             gru_step(bw, bw.zero_state(), x).data])
@@ -76,15 +149,15 @@ class TestBigru:
     def test_output_count_matches_input_count(self, length, rng):
         fw = GRUCell.create(3, 2, rng)
         bw = GRUCell.create(3, 2, rng)
-        xs = [Tensor(vec(rng, 3)) for _ in range(length)]
-        out = bigru_encode(fw, bw, xs)
+        xs = nm.stack([Tensor(vec(rng, 3)) for _ in range(length)])
+        out, _ = bigru_encode(fw, bw, xs)
         assert out.shape == (length, 4)
 
     def test_matches_unrolled_oracle(self, rng):
         fw = GRUCell.create(3, 4, rng)
         bw = GRUCell.create(3, 4, rng)
         xs = [vec(rng, 3) for _ in range(3)]
-        out = bigru_encode(fw, bw, [Tensor(x) for x in xs])
+        out, _ = bigru_encode(fw, bw, Tensor(xs))
         ref = bigru_ref(fw, bw, xs)
         for got, want in zip(out.data, ref):
             assert np.max(np.abs(got - want)) < 1e-12
@@ -93,7 +166,7 @@ class TestBigru:
         fw = GRUCell.create(3, 2, rng)
         bw = GRUCell.create(3, 2, rng)
         with pytest.raises(DomainError):
-            bigru_encode(fw, bw, [])
+            bigru_encode(fw, bw, Tensor(np.zeros((0, 3))))
 
 
 class TestAttend:

@@ -76,26 +76,56 @@ class TestInitParams:
 class TestEncodeContext:
     def test_one_state_per_character(self, model, rng):
         ids = [rng.below(model.config.vocab_size) for _ in range(14)]
-        assert encode_context(model, ids).shape == (14, 2 * model.config.hidden_dim)
+        states, _ = encode_context(model, ids)
+        assert states.shape == (14, 2 * model.config.hidden_dim)
 
     def test_empty_context_is_single_marker(self, model):
-        states = encode_context(model, [])
+        states, _ = encode_context(model, [])
         assert states.shape[0] == 1
-        marker = [model.embedding.lookup(mdl.POEM_START_ID)]
-        expected = bigru_encode(model.encoder_fw, model.encoder_bw, marker)
+        marker = model.embedding.lookup([mdl.POEM_START_ID])
+        expected, _ = bigru_encode(model.encoder_fw, model.encoder_bw, marker)
         assert np.array_equal(states.data[0], expected.data[0])
 
     def test_matches_bigru_over_embeddings(self, model):
         ids = [3, 7]
-        states = encode_context(model, ids)
-        embs = [model.embedding.lookup(c) for c in ids]
-        expected = bigru_encode(model.encoder_fw, model.encoder_bw, embs)
+        states, _ = encode_context(model, ids)
+        embs = model.embedding.lookup(ids)
+        expected, _ = bigru_encode(model.encoder_fw, model.encoder_bw, embs)
         for got, want in zip(states.data, expected.data):
             assert np.array_equal(got, want)
 
     def test_out_of_vocab_rejected(self, model):
         with pytest.raises(VocabularyError):
             encode_context(model, [model.config.vocab_size])
+
+    def test_returns_the_encoded_ids_and_forward_states(self, model):
+        states, (ids, forward) = encode_context(model, [])
+        assert ids == (mdl.POEM_START_ID,) and len(forward) == 1
+        h = model.config.hidden_dim
+        assert np.array_equal(forward[0].data, states.data[0, :h])
+
+    def test_extends_the_longest_shared_prefix(self, model, rng,
+                                               monkeypatch):
+        ids = [2 + rng.below(model.config.vocab_size - 2) for _ in range(12)]
+        other = list(ids[:9])
+        other[6] = ids[6] + 1 if ids[6] + 1 < model.config.vocab_size else 2
+        earlier = [encode_context(model, ids[:4])[1],
+                   encode_context(model, other)[1]]
+        fresh, _ = encode_context(model, ids)
+        steps = []
+        gru = gru_step
+
+        def counting(cell, h, x):
+            steps.append(cell)
+            return gru(cell, h, x)
+
+        monkeypatch.setattr("imagepoet.layers.gru_step", counting)
+        extended, (_, forward) = encode_context(model, ids, earlier)
+        # Six of the other context's states are shared; twelve backward.
+        assert steps.count(model.encoder_fw) == 6
+        assert steps.count(model.encoder_bw) == 12
+        assert forward[:6] == earlier[1][1][:6]
+        assert extended.data.tobytes() == fresh.data.tobytes()
 
 
 class TestDecodeStep:
@@ -376,6 +406,25 @@ class TestGeneration:
             assert ctx.text[0].shape[0] == (i * g if i else 1)
             lines.append(generate_line(model, ctx))
         assert lines == poem
+
+    def test_forward_encoder_reads_each_line_once(self, model, rng,
+                                                 monkeypatch):
+        steps = []
+        gru = gru_step
+
+        def counting(cell, h, x):
+            steps.append(cell)
+            return gru(cell, h, x)
+
+        monkeypatch.setattr("imagepoet.layers.gru_step", counting)
+        poem = generate_poem(model, features_for(model.config, rng), [(3,)])
+        g, lines = model.config.chars_per_line, model.config.lines_per_poem
+        # The marker context, then each new line once; the first line's
+        # context extends the marker's state only if it begins with it.
+        shared = int(poem[0][0] == mdl.POEM_START_ID)
+        assert steps.count(model.encoder_fw) == 1 + (lines - 1) * g - shared
+        assert steps.count(model.encoder_bw) == 1 + sum(
+            i * g for i in range(lines))
 
     def test_bad_feature_shape_rejected(self, model):
         with pytest.raises(DimensionError):

@@ -196,7 +196,7 @@ class TestGradCheck:
         "matmul", "add", "sub", "mul", "scale", "add_rowvec", "tanh",
         "sigmoid", "log", "softmax", "concat", "stack", "pick", "take_row",
         "take_rows", "gather", "scatter", "softmax_rows", "scatter_rows",
-        "pick_per_row",
+        "pick_per_row", "rows",
     ])
     def test_every_op_matches_central_differences(self, case, rng):
         probe = Tensor(arr(rng, 3, 4), requires_grad=True)
@@ -238,12 +238,36 @@ class TestGradCheck:
                 t, [1, 6, 0, 3], 8))),
             "pick_per_row": lambda t: nm.sum_all(nm.log(nm.pick(
                 nm.softmax(t), [2, 0, 3]))),
+            # Row 1 is never read, so its adjoint is zero.
+            "rows": lambda t: nm.sum_all(nm.tanh(nm.concat(
+                [row for i, row in enumerate(nm.rows(nm.tanh(t)))
+                 if i != 1]))),
         }
         err = grad_check(funcs[case], probe, h=1e-5)
         assert err < 1e-5, "%s gradient off by %.3e" % (case, err)
 
 
 class TestRowOps:
+    def test_rows_are_one_record_whose_backward_stacks_the_adjoints(
+            self, rng):
+        m = Tensor(arr(rng, 3, 4), requires_grad=True)
+        with Tape() as tape:
+            inner = nm.tanh(m)
+            parts = nm.rows(inner)
+            loss = nm.sum_all(nm.mul(parts[2], parts[0]))
+        assert [np.array_equal(p.data, row)
+                for p, row in zip(parts, inner.data)] == [True] * 3
+        assert len(tape._records) == 4
+        grads = tape.gradients(loss)
+        want = (1.0 - inner.data ** 2) * np.stack(
+            [inner.data[2], np.zeros(4), inner.data[0]])
+        assert np.array_equal(grads[m], want)
+
+    def test_rows_of_a_constant_record_nothing(self, rng):
+        with Tape() as tape:
+            nm.rows(Tensor(arr(rng, 2, 3)))
+        assert tape._records == []
+
     def test_softmax_rows_are_each_rows_softmax(self, rng):
         m = arr(rng, 3, 4)
         out = nm.softmax(Tensor(m)).data

@@ -6,8 +6,11 @@ import pytest
 
 from imagepoet import model as mdl
 from imagepoet import numerics as nm
+from imagepoet import topic_memory as tmem
 from imagepoet import training
-from imagepoet.errors import ConfigError, NumericalError, VocabularyError
+from imagepoet.datapipe import split_pool
+from imagepoet.errors import (ConfigError, DomainError, NumericalError,
+                              VocabularyError)
 from imagepoet.model import init_params
 from imagepoet.numerics import SWEEP_BLOCK, Tape, Tensor
 from imagepoet.rng import SeededRng
@@ -15,6 +18,7 @@ from imagepoet.training import (AdaDeltaState, TrainConfig, TrainSample,
                                 accumulate_gradients, adadelta_update,
                                 clip_gradients, cross_entropy_loss,
                                 evaluate_loss, train)
+from imagepoet.verify import full_model_grad_check
 
 from conftest import toy_config
 from oracles import batch_loss_ref
@@ -34,6 +38,38 @@ def make_sample(config, rng, keywords=((3, 4), (9,)), preceding_len=5):
 
 def make_pool(config, rng, n, **kw):
     return [make_sample(config, rng, **kw) for _ in range(n)]
+
+
+def nested_pool(config, rng, images, seed):
+    """The samples of one poem per image, as build_samples makes them (one
+    grid array per image, every line's true preceding lines), shuffled as
+    split_pool shuffles them."""
+    samples = []
+    g = config.chars_per_line
+    for i in range(images):
+        grid = rng.uniform_array(config.visual_count * config.visual_dim,
+                                 -1.0, 1.0).reshape(config.visual_count,
+                                                    config.visual_dim)
+        keywords = [(2 + i, 3), (4,)][:1 + i % 2]
+        lines = [tuple(2 + rng.below(config.vocab_size - 2)
+                       for _ in range(g))
+                 for _ in range(config.lines_per_poem)]
+        samples += [TrainSample(features=grid, keywords=keywords,
+                                preceding=sum(lines[:j], ()),
+                                target=lines[j])
+                    for j in range(config.lines_per_poem)]
+    return split_pool(samples, (1.0, 0.0, 0.0), seed)[0]
+
+
+def per_sample_grads(model, batch):
+    """Gradient sums of each sample scored alone on its own tape."""
+    want = {p: np.zeros(p.shape) for _, p in model.parameters()}
+    for sample in batch:
+        with Tape() as tape:
+            loss_sum, _ = training._batch_loss_sum(model, [sample])
+        for p, g in tape.gradients(loss_sum).items():
+            want[p] += g
+    return want
 
 
 class TestCrossEntropy:
@@ -75,7 +111,7 @@ class TestCrossEntropy:
             want = nm.scale(want, -1.0)
         want_grads = tape.gradients(want)
         with Tape() as tape:
-            got, n = training._sample_loss_sum(model, sample)
+            got, n = training._batch_loss_sum(model, [sample])
         got_grads = tape.gradients(got)
         assert n == len(sample.target)
         assert abs(got.item() - want.item()) <= 1e-12 * abs(want.item())
@@ -112,6 +148,12 @@ class TestCrossEntropy:
             cross_entropy_loss(model, [sample])
         assert "underflowed" in str(info.value)
 
+    @pytest.mark.parametrize("score", [evaluate_loss, cross_entropy_loss,
+                                       accumulate_gradients])
+    def test_empty_pool_is_a_domain_error(self, model, score):
+        with pytest.raises(DomainError, match="empty batch"):
+            score(model, [])
+
     def test_target_outside_vocab_rejected(self, model, rng):
         sample = make_sample(model.config, rng)
         bad = TrainSample(features=sample.features, keywords=sample.keywords,
@@ -119,6 +161,80 @@ class TestCrossEntropy:
                           target=(model.config.vocab_size,) * 5)
         with pytest.raises(VocabularyError):
             cross_entropy_loss(model, [bad])
+
+
+class TestSharedScoring:
+    def test_shuffled_pool_matches_per_sample_sum_and_reference(self, model,
+                                                                rng):
+        pool = nested_pool(model.config, rng, 3, seed=4)
+        assert [len(s.preceding) for s in pool] != sorted(
+            len(s.preceding) for s in pool)
+        got = evaluate_loss(model, pool)
+        chars = sum(len(s.target) for s in pool)
+        alone = sum(cross_entropy_loss(model, [s]).item() * len(s.target)
+                    for s in pool) / chars
+        assert abs(got - alone) <= 1e-12 * abs(alone)
+        want = batch_loss_ref(model, pool)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_one_bank_and_projection_per_image(self, model, rng,
+                                               monkeypatch):
+        pool = nested_pool(model.config, rng, 3, seed=5)
+        # An equal grid in another array still joins its image's group.
+        pool[0] = TrainSample(features=pool[0].features.copy(),
+                              keywords=pool[0].keywords,
+                              preceding=pool[0].preceding,
+                              target=pool[0].target)
+        calls = {"bank": 0, "visual": 0}
+        encode, project = tmem.encode_keywords, mdl.project_visual
+
+        def counting_bank(*args):
+            calls["bank"] += 1
+            return encode(*args)
+
+        def counting_visual(*args):
+            calls["visual"] += 1
+            return project(*args)
+
+        monkeypatch.setattr(tmem, "encode_keywords", counting_bank)
+        monkeypatch.setattr(mdl, "project_visual", counting_visual)
+        evaluate_loss(model, pool)
+        assert calls == {"bank": 3, "visual": 3}
+
+    def test_equal_grids_with_other_keywords_are_not_shared(self, model,
+                                                            rng):
+        sample = make_sample(model.config, rng)
+        other = TrainSample(features=sample.features, keywords=[(5,)],
+                            preceding=sample.preceding, target=sample.target)
+        alone = [cross_entropy_loss(model, [s]).item() for s in (sample,
+                                                                  other)]
+        both = cross_entropy_loss(model, [sample, other]).item()
+        assert abs(both - sum(alone) / 2) <= 1e-12 * abs(both)
+
+    def test_chunked_gradients_match_per_sample_tapes(self, rng):
+        # Two images of three nested contexts each: six samples, so the
+        # default chunk of four splits them.
+        config = toy_config(lines_per_poem=3)
+        model = init_params(config, SeededRng(8))
+        batch = nested_pool(config, rng, 2, seed=6)
+        assert len(batch) > training.GRADIENT_CHUNK
+        want = per_sample_grads(model, batch)
+        inv = 1.0 / sum(len(s.target) for s in batch)
+        model.zero_grads()
+        accumulate_gradients(model, batch)
+        scale = max(np.max(np.abs(g)) for g in want.values()) * inv
+        for name, p in model.parameters():
+            assert (np.max(np.abs(want[p] * inv - p.grad))
+                    <= 1e-12 * scale), name
+
+    def test_finite_differences_pass_on_a_shared_batch(self, rng):
+        config = toy_config(vocab_size=6, hidden_dim=2, memory_dim=2,
+                            visual_count=2, visual_dim=2, lines_per_poem=3,
+                            chars_per_line=2)
+        model = init_params(config, SeededRng(12))
+        batch = nested_pool(config, rng, 2, seed=7)
+        grad = full_model_grad_check(model, batch, h=1e-5)
+        assert grad.max_error < 1e-5, grad.worst_param
 
 
 class TestAdaDelta:
@@ -245,7 +361,7 @@ class TestGradientAccumulation:
         chars = 0
         for sample in batch:
             with Tape() as tape:
-                loss_sum, n = training._sample_loss_sum(model, sample)
+                loss_sum, n = training._batch_loss_sum(model, [sample])
             grads = tape.gradients(loss_sum)
             chars += n
             for name, p in model.parameters():
@@ -286,7 +402,7 @@ class TestGradientAccumulation:
         chars = 0
         for sample in batch:
             with Tape() as tape:
-                loss_sum, n = training._sample_loss_sum(model, sample)
+                loss_sum, n = training._batch_loss_sum(model, [sample])
             grads = tape.gradients(loss_sum)
             chars += n
             for name, p in model.parameters():
