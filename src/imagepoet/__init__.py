@@ -10,9 +10,9 @@ from .errors import (CheckpointError, CheckpointShapeError,
                      ConfigError, ContractError, DataError, DimensionError,
                      DomainError, NumericalError, UsageError, VocabularyError)
 from .model import (LINE_START_ID, POEM_START_ID, GenerationContext,
-                    ModelConfig, PoemModel, decode_step, encode_context,
-                    generate_line, generate_poem, init_params, output_probs,
-                    prepare_context)
+                    ImageContext, ModelConfig, PoemModel, decode_step,
+                    encode_context, generate_line, generate_poem, init_params,
+                    output_probs, prepare_context, prepare_image)
 from .numerics import Tape, Tensor, grad_check
 from .rng import SeededRng
 from .topic_memory import MemoryBank, address, encode_keywords, fuse, read

@@ -87,8 +87,10 @@ def read_checkpoint(fh):
     """Deserialize a model from a buffered binary stream.
 
     fh is a file opened for binary reading, or a BytesIO: a read comes up
-    short only at the end of the stream.  Values are read straight into
-    the parameters' buffers.
+    short only at the end of the stream.  A seekable stream too short for
+    the values its config declares is rejected before they are allocated;
+    a pipe cannot tell its length, so it is rejected at its first short
+    read.  Values are read straight into the parameters' buffers.
     """
     if _read_exact(fh, len(MAGIC)) != MAGIC:
         raise CheckpointVersionError("not a checkpoint file (bad magic)")
@@ -102,6 +104,13 @@ def read_checkpoint(fh):
         config = ModelConfig.from_dict(json.loads(config_blob))
     except (ValueError, TypeError) as exc:
         raise CheckpointVersionError("corrupted checkpoint config: %s" % exc)
+    if fh.seekable():
+        here = fh.tell()
+        left = fh.seek(0, io.SEEK_END) - here
+        fh.seek(here)
+        wanted = 8 * config.param_count()
+        if left < wanted:
+            raise _truncated(wanted, left)
 
     model = init_params(config)
     params = model.parameters()

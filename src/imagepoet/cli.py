@@ -13,7 +13,7 @@ from . import datapipe, poetics, verify
 from .checkpoint import load_checkpoint
 from .errors import (CheckpointError, ConfigError, DataError, DimensionError,
                      DomainError, NumericalError, UsageError, VocabularyError)
-from .model import ModelConfig, generate_poem, init_params
+from .model import ModelConfig, check_ids, generate_poem, init_params
 from .rng import SeededRng
 from .training import TrainConfig, train
 
@@ -82,21 +82,22 @@ def build_parser():
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--steps", type=int, default=200,
                    help="randomized decode steps for distribution checks")
-    p.add_argument("--inject-grad-error", action="store_true",
-                   help=argparse.SUPPRESS)  # negative-control test hook
     return parser
 
 
 def cmd_train(args, stdout):
+    # Validated before the corpus is checked against its sizes, so a bad
+    # size flag is reported as itself; the grids set the visual dims below.
     config = ModelConfig(vocab_size=args.vocab, hidden_dim=args.hidden,
                          memory_dim=args.hidden,
                          topic_weight=args.topic_weight,
                          lines_per_poem=args.lines,
-                         chars_per_line=args.chars)
+                         chars_per_line=args.chars).validate()
     lexicon = datapipe.load_concept_lexicon(args.lexicon)
     images, poems = datapipe.load_corpus(args.corpus,
                                          lines_per_poem=args.lines,
-                                         chars_per_line=args.chars)
+                                         chars_per_line=args.chars,
+                                         vocab_size=args.vocab)
     matches = datapipe.match_pairs(images, poems, lexicon)
     samples = datapipe.build_samples(matches, images, poems, lexicon)
     if not samples:
@@ -129,8 +130,9 @@ def cmd_train(args, stdout):
     return 0
 
 
-def _load_keyword_file(path):
-    return [datapipe.parse_ids(line, path, number, "keyword")
+def _load_keyword_file(path, vocab_size):
+    return [check_ids(datapipe.parse_ids(line, path, number, "keyword"),
+                      vocab_size, "%s:%d: keyword" % (path, number))
             for number, line in poetics.content_lines(path)]
 
 
@@ -170,7 +172,7 @@ def cmd_generate(args, stdout):
         raise UsageError("--validate requires --lexicon and --pattern")
     model = _load_model(args)
     features = _load_grid(args.features, model.config)
-    keywords = _load_keyword_file(args.keywords)
+    keywords = _load_keyword_file(args.keywords, model.config.vocab_size)
     if args.validate:
         # Checked before the poem, so a bad file prints nothing.
         lexicon = poetics.load_lexicon(args.lexicon)
@@ -215,7 +217,6 @@ def cmd_eval(args, stdout):
 
 def cmd_check(args, stdout):
     ok = verify.run_checks(seed=args.seed, dist_steps=args.steps,
-                           inject_error=args.inject_grad_error,
                            report_line=lambda s: stdout.write(s + "\n"))
     if not ok:
         raise NumericalError("verification checks failed")

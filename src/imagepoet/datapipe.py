@@ -24,6 +24,7 @@ import struct
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError
+from .model import check_ids
 from .poetics import claim_key, content_lines
 from .rng import SeededRng
 from .training import TrainSample
@@ -139,8 +140,13 @@ def _not_str(value, what):
     return value
 
 
-def load_corpus(path, lines_per_poem=None, chars_per_line=None):
-    """Image and poem records from a JSON-lines corpus file."""
+def load_corpus(path, lines_per_poem=None, chars_per_line=None,
+                vocab_size=None):
+    """Image and poem records from a JSON-lines corpus file.
+
+    Each given size is checked on every poem: its line count, the length
+    of each line, and that every character id lies in the vocabulary.
+    """
     images, poems = [], []
     image_lines, poem_lines = {}, {}
     base = os.path.dirname(os.path.abspath(path))
@@ -185,6 +191,9 @@ def load_corpus(path, lines_per_poem=None, chars_per_line=None):
                             raise DataError(
                                 "%s:%d: line %d has %d chars, expected %d"
                                 % (path, number, i, len(l), chars_per_line))
+                if vocab_size is not None:
+                    check_ids([c for l in lines for c in l], vocab_size,
+                              "%s:%d: poem" % (path, number))
                 poems.append(PoemRecord(poem_id, lines))
             else:
                 raise DataError("%s:%d: record is neither an image nor a poem"

@@ -1,8 +1,10 @@
 """The full image-to-poem generator.
 
-A poem is produced line by line.  For each line the preceding lines are
-encoded with a Bi-GRU, whose forward pass goes on from the previous
-line's forward states, then characters are decoded greedily: at each
+A poem is produced line by line from one image: its keyword memory and
+visual feature rows are prepared once (prepare_image) and shared by
+every line.  For each line the preceding lines are encoded with a
+Bi-GRU, whose forward pass goes on from the previous line's forward
+states (prepare_context), then characters are decoded greedily: at each
 step the previous state queries attention over both the encoded context
 and the visual feature rows, a GRU updates the state, the keyword memory
 turns the state topic-aware, and two softmax heads are mixed into the
@@ -36,6 +38,16 @@ def require_integer(name, value, low=None):
         raise ConfigError("%s must be an integer, got %r" % (name, value))
     if low is not None and value < low:
         raise ConfigError("%s must be >= %d, got %d" % (name, low, value))
+
+
+def check_ids(ids, vocab_size, what):
+    """ids, unless one lies outside [0, vocab_size); what names them in
+    the error."""
+    for c in ids:
+        if not 0 <= c < vocab_size:
+            raise VocabularyError("%s character id %d outside vocabulary "
+                                  "of %d" % (what, c, vocab_size))
+    return ids
 
 
 def _gru_count(input_dim, hidden_dim):
@@ -159,17 +171,32 @@ def init_params(config, rng=None):
 
 
 @dataclasses.dataclass
-class GenerationContext:
-    """Per-sample inputs prepared for decoding one line.
+class ImageContext:
+    """What every line conditioned on one image shares (prepare_image).
 
-    visual and text are the (key matrix, projection) pairs of project_keys
-    for the two attention streams: the feature grid, and the (n, 2h)
-    matrix of context Bi-GRU states.  Each key matrix is stacked once and
-    projected once per context rather than at every decode step; a
-    projection of None leaves attend to project the keys at each step.
-    state is the initial decoder state.  forward is encode_context's
-    (ids, forward states) pair, which a later context that begins with
-    the same characters extends (prepare_context's earlier).
+    bank is the keyword memory of the image's keywords, and topic_ids the
+    sorted ids of every character in them.  visual is the (key matrix, projection) pair of
+    project_keys for its feature grid; a projection of None leaves attend
+    to project the keys at each decode step.  forward lists the (ids,
+    forward states) pair of each context prepared from this image so far
+    (encode_context), which a later context that begins with the same
+    characters extends.
+    """
+
+    bank: tmem.MemoryBank
+    topic_ids: tuple
+    visual: tuple
+    forward: list
+
+
+@dataclasses.dataclass
+class GenerationContext:
+    """Per-line inputs prepared for decoding (prepare_context).
+
+    visual, bank and topic_ids are the image's (ImageContext).  text is
+    the (key matrix, projection) pair of project_keys for the (n, 2h)
+    matrix of context Bi-GRU states, projected once per context rather
+    than at every decode step.  state is the initial decoder state.
     """
 
     visual: tuple
@@ -177,7 +204,6 @@ class GenerationContext:
     topic_ids: tuple
     state: Tensor
     text: tuple
-    forward: tuple
 
 
 def encode_context(model, preceding, earlier=()):
@@ -210,61 +236,52 @@ def encode_context(model, preceding, earlier=()):
     return h, (ids, forward)
 
 
-def visual_keys(model, features):
-    """The feature grid as the visual attention's key matrix."""
+def prepare_image(model, features, keywords, project=True):
+    """The keyword bank, topic vocabulary and visual keys of one image.
+
+    Built once and shared by every line prepared from it (prepare_context).
+    project=False leaves the visual keys unprojected, so attend projects
+    them at each decode step (generate_poem).
+    """
+    bank = tmem.encode_keywords(model.embedding, model.keyword_fw,
+                                model.keyword_bw, keywords)
     config = model.config
     feats = np.asarray(features, dtype=np.float64)
     if feats.shape != (config.visual_count, config.visual_dim):
         raise DimensionError("visual features %s, expected (%d, %d)"
                              % (feats.shape, config.visual_count,
                                 config.visual_dim))
-    return Tensor(feats)
+    keys = Tensor(feats)
+    return ImageContext(
+        bank=bank,
+        topic_ids=check_ids(
+            tuple(sorted({int(c) for kw in keywords for c in kw})),
+            config.vocab_size, "keyword"),
+        visual=(project_keys(model.visual_attention, keys) if project
+                else (keys, None)),
+        forward=[])
 
 
-def project_visual(model, features):
-    """The feature grid and its visual key projection (see project_keys)."""
-    return project_keys(model.visual_attention, visual_keys(model, features))
+def prepare_context(model, image, preceding):
+    """Encode everything one line of an image needs.
 
-
-def topic_vocabulary(keywords, vocab_size):
-    """Sorted ids of every character appearing in the keywords."""
-    ids = sorted({int(c) for kw in keywords for c in kw})
-    for c in ids:
-        if not 0 <= c < vocab_size:
-            raise VocabularyError("keyword character id %d outside "
-                                  "vocabulary of %d" % (c, vocab_size))
-    return tuple(ids)
-
-
-def prepare_context(model, features, keywords, preceding, bank=None,
-                    visual=None, earlier=()):
-    """Encode everything one line generation needs.
-
-    bank and visual, when given, are the keyword bank and the (key matrix,
-    projection) pair of these keywords and features, shared by a poem's
-    lines or by the scored samples of one image.  earlier holds the
-    forward pairs of contexts encoded before (GenerationContext.forward);
-    the context extends the one it shares the longest prefix with
-    (encode_context).
+    The context extends the forward encoder states of the image's earlier
+    context that shares the longest prefix with it (encode_context), and
+    its own pair joins image.forward.
     """
-    if bank is None:
-        bank = tmem.encode_keywords(model.embedding, model.keyword_fw,
-                                    model.keyword_bw, keywords)
-    if visual is None:
-        visual = project_visual(model, features)
-    h, forward = encode_context(model, preceding, earlier)
+    h, forward = encode_context(model, preceding, image.forward)
+    image.forward.append(forward)
     # The initial state, tanh of a learned map of the mean context, is
     # recorded before the key projection, so the backward pass adds the
     # mean's adjoint into h last.
     mean = nm.matmul(Tensor(np.full(h.shape[0], 1.0 / h.shape[0])), h)
     state = nm.tanh(nm.linear(mean, model.state_map.w, model.state_map.b))
     return GenerationContext(
-        visual=visual,
-        bank=bank,
-        topic_ids=topic_vocabulary(keywords, model.config.vocab_size),
+        visual=image.visual,
+        bank=image.bank,
+        topic_ids=image.topic_ids,
         state=state,
-        text=project_keys(model.text_attention, h),
-        forward=forward)
+        text=project_keys(model.text_attention, h))
 
 
 @dataclasses.dataclass
@@ -387,22 +404,17 @@ def generate_line(model, ctx):
 def generate_poem(model, features, keywords):
     """Full poem; each line is conditioned on all previously generated ones.
 
-    The keyword bank and the visual key matrix are built once per poem.
-    Each line's context is the previous line's context plus that line, so
-    its forward encoder pass goes on from the previous context's forward
-    states and reads the new line only.  The visual keys are still
-    projected at every decode step, the figure the benchmark's tracer
-    self-test pins (ROADMAP open item 1).
+    The poem's lines share one image (prepare_image).  Each line's context
+    is the previous line's context plus that line, so its forward encoder
+    pass goes on from the previous context's forward states and reads the
+    new line only.  The visual keys are still projected at every decode
+    step, the figure the benchmark's tracer self-test pins (ROADMAP open
+    item 1).
     """
-    bank = tmem.encode_keywords(model.embedding, model.keyword_fw,
-                                model.keyword_bw, keywords)
-    visual = (visual_keys(model, features), None)
+    image = prepare_image(model, features, keywords, project=False)
     lines = []
-    earlier = ()
     for _ in range(model.config.lines_per_poem):
         preceding = [c for line in lines for c in line]
-        ctx = prepare_context(model, features, keywords, preceding, bank=bank,
-                              visual=visual, earlier=earlier)
-        earlier = (ctx.forward,)
-        lines.append(generate_line(model, ctx))
+        lines.append(generate_line(model,
+                                   prepare_context(model, image, preceding)))
     return lines

@@ -6,10 +6,11 @@ Teacher forcing feeds each step the previous target character, so a
 sample runs the decoder recurrence over its whole target first and then
 scores all of its states in one output-side pass (model.output_side).
 One scorer, _batch_loss_sum, serves evaluation, cross_entropy_loss and
-every gradient chunk.  Within one call, samples of equal grid and
-keywords share one keyword bank and one visual projection, and each of
-their contexts extends the forward encoder states of an earlier one
-that begins like it.  Training batches group samples of equal preceding
+every gradient chunk.  Within one call, the samples of one image (the
+same grid array and keywords) are prepared from one model.ImageContext,
+so they share its keyword bank and visual projection, and each of their
+contexts extends the forward encoder states of an earlier one that
+begins like it.  Training batches group samples of equal preceding
 length, so no padding or masking is ever needed.  A batch is recorded on
 one tape per chunk of GRADIENT_CHUNK samples, and each chunk's backward
 pass writes its gradients straight into .grad.
@@ -22,9 +23,8 @@ import numpy as np
 
 from . import model as mdl
 from . import numerics as nm
-from . import topic_memory as tmem
 from .checkpoint import checkpoint_bytes, model_from_bytes
-from .errors import ConfigError, DomainError, NumericalError, VocabularyError
+from .errors import ConfigError, DomainError, NumericalError
 from .numerics import Tape
 from .rng import SeededRng
 
@@ -73,13 +73,6 @@ class TrainConfig:
         return self
 
 
-def _check_ids(ids, vocab_size, what):
-    for c in ids:
-        if not 0 <= int(c) < vocab_size:
-            raise VocabularyError("%s character id %d outside vocabulary "
-                                  "of %d" % (what, int(c), vocab_size))
-
-
 def _sample_loss_sum(model, sample, ctx):
     """Teacher-forced -log p summed over the reversed target characters.
 
@@ -88,7 +81,7 @@ def _sample_loss_sum(model, sample, ctx):
     runs alone over the whole target, and the output side then scores
     all of its states as one matrix.
     """
-    _check_ids(sample.target, model.config.vocab_size, "target")
+    mdl.check_ids(sample.target, model.config.vocab_size, "target")
     targets = sample.target[::-1]
     states, visual, text = [], [], []
     s = ctx.state
@@ -109,58 +102,29 @@ def _sample_loss_sum(model, sample, ctx):
     return nm.scale(nm.sum_all(nm.log(picked)), -1.0)
 
 
-def _image_groups(batch):
-    """Indices of the batch's samples, grouped by equal grid and keywords.
-
-    Groups are found by content, so the batch order only orders them.  A
-    grid is compared by identity first: build_samples gives every line of
-    an image the same array.  Buckets keyed by the keywords and the grid's
-    sum keep the comparisons within likely matches.
-    """
-    buckets = {}
-    groups = []
-    for i, sample in enumerate(batch):
-        grid = sample.features
-        bucket = buckets.setdefault(
-            (tuple(sample.keywords), float(grid.sum())), [])
-        for group in bucket:
-            other = batch[group[0]].features
-            if other is grid or np.array_equal(other, grid):
-                group.append(i)
-                break
-        else:
-            bucket.append([i])
-            groups.append(bucket[-1])
-    return groups
-
-
 def _batch_loss_sum(model, batch):
     """Summed -log p over a batch's target characters, and their count.
 
-    Each group of samples with equal grid and keywords (_image_groups)
-    builds one keyword bank and one visual projection, and each of its
-    contexts extends the forward encoder states of the group's earlier
-    context that shares the longest prefix with it (encode_context).  The
-    per-sample loss sums are added in batch order.  Nothing outlives the
-    call, so no shared tensor crosses a tape.
+    Samples holding the same grid array and equal keywords are one image:
+    build_samples gives every line of an image the same array.  Images
+    are scored one after another, each prepared once (model.prepare_image)
+    and its samples' contexts prepared from it (model.prepare_context).
+    The per-sample loss sums are added in batch order.  Nothing outlives
+    the call, so no shared tensor crosses a tape.
     """
     if not batch:
         raise DomainError("cannot score an empty batch")
+    images = {}
+    for i, sample in enumerate(batch):
+        images.setdefault((id(sample.features), tuple(sample.keywords)),
+                          []).append(i)
     sums = [None] * len(batch)
-    for group in _image_groups(batch):
+    for group in images.values():
         first = batch[group[0]]
-        bank = tmem.encode_keywords(model.embedding, model.keyword_fw,
-                                    model.keyword_bw, first.keywords)
-        visual = mdl.project_visual(model, first.features)
-        earlier = []
+        image = mdl.prepare_image(model, first.features, first.keywords)
         for i in group:
-            sample = batch[i]
-            ctx = mdl.prepare_context(model, sample.features,
-                                      sample.keywords, sample.preceding,
-                                      bank=bank, visual=visual,
-                                      earlier=earlier)
-            earlier.append(ctx.forward)
-            sums[i] = _sample_loss_sum(model, sample, ctx)
+            ctx = mdl.prepare_context(model, image, batch[i].preceding)
+            sums[i] = _sample_loss_sum(model, batch[i], ctx)
     total = sums[0]
     for loss_sum in sums[1:]:
         total = nm.add(total, loss_sum)

@@ -15,7 +15,7 @@ from imagepoet.datapipe import ConceptLexicon, keyword_recall
 from imagepoet.layers import AttentionParams, GRUCell, attend, bigru_encode, gru_step
 from imagepoet.model import (LINE_START_ID, ModelConfig, decode_step,
                              generate_line, generate_poem, init_params,
-                             prepare_context)
+                             prepare_context, prepare_image)
 from imagepoet.numerics import Tensor
 from imagepoet.rng import SeededRng
 from imagepoet.training import (TrainConfig, TrainSample, cross_entropy_loss,
@@ -76,7 +76,8 @@ def test_criterion_3_ablation_identities():
 
     # (a) zeroed memory vectors: the topic-aware state equals the state,
     # bitwise, at every step.
-    ctx = prepare_context(model, features, keywords, [1, 2])
+    ctx = prepare_context(model, prepare_image(model, features, keywords),
+                          [1, 2])
     ctx.bank = ctx.bank.zeroed()
     s = ctx.state
     y = LINE_START_ID
@@ -87,7 +88,8 @@ def test_criterion_3_ablation_identities():
         y = int(np.argmax(step.p.data))
 
     # (b) zeroed visual features: the visual context is exactly zero.
-    ctx = prepare_context(model, np.zeros_like(features), keywords, [1, 2])
+    image = prepare_image(model, np.zeros_like(features), keywords)
+    ctx = prepare_context(model, image, [1, 2])
     s = ctx.state
     for _ in range(steps):
         step = decode_step(model, ctx, s, LINE_START_ID)
@@ -96,7 +98,8 @@ def test_criterion_3_ablation_identities():
 
     # (c) zero topic weight: the mixture is the generic distribution.
     model.config.topic_weight = 0.0
-    ctx = prepare_context(model, features, keywords, [1, 2])
+    ctx = prepare_context(model, prepare_image(model, features, keywords),
+                          [1, 2])
     s = ctx.state
     worst = 0.0
     for _ in range(steps):
@@ -138,8 +141,8 @@ def test_criterion_4_overfit_memorization():
     loss = evaluate_loss(model, samples)
     reproduced = 0
     for sample in samples:
-        ctx = prepare_context(model, sample.features, sample.keywords,
-                              sample.preceding)
+        image = prepare_image(model, sample.features, sample.keywords)
+        ctx = prepare_context(model, image, sample.preceding)
         if tuple(generate_line(model, ctx)) == sample.target:
             reproduced += 1
     assert elapsed < 600.0
@@ -326,7 +329,8 @@ def test_criterion_9_paper_scale_shapes():
     assert model.param_count() == config.param_count()
 
     features = rng.uniform_array(196 * 512, -1.0, 1.0).reshape(196, 512)
-    ctx = prepare_context(model, features, [(3, 4), (5, 6, 7)], [2] * 7)
+    image = prepare_image(model, features, [(3, 4), (5, 6, 7)])
+    ctx = prepare_context(model, image, [2] * 7)
     s = ctx.state
     step = decode_step(model, ctx, s, LINE_START_ID)
     assert step.state.shape == (512,) and step.topic_state.shape == (512,)

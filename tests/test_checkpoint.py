@@ -1,10 +1,12 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
 from imagepoet.checkpoint import (MAGIC, checkpoint_bytes, load_checkpoint,
-                                  model_from_bytes, save_checkpoint)
+                                  model_from_bytes, read_checkpoint,
+                                  save_checkpoint)
 from imagepoet.errors import (CheckpointShapeError, CheckpointTruncatedError,
                               CheckpointValueError, CheckpointVersionError,
                               ConfigError)
@@ -118,6 +120,23 @@ def test_truncation_detected(model):
     for cut in (4, len(MAGIC) + 2, len(blob) // 2, len(blob) - 3):
         with pytest.raises(CheckpointTruncatedError):
             model_from_bytes(blob[:cut])
+
+
+def test_config_larger_than_the_stream_is_rejected_before_allocation(model):
+    # 10^12 embedding rows would be terabytes; the stream holds kilobytes.
+    blob = with_config(checkpoint_bytes(model), vocab_size=10**12)
+    with pytest.raises(CheckpointTruncatedError, match="ended early"):
+        model_from_bytes(blob)
+
+
+def test_a_pipe_is_read_without_seeking(model):
+    blob = checkpoint_bytes(model)
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "wb") as fh:
+        fh.write(blob)  # within the pipe's buffer: a toy model is small
+    with os.fdopen(read_end, "rb") as fh:
+        assert not fh.seekable()
+        assert checkpoint_bytes(read_checkpoint(fh)) == blob
 
 
 def test_shape_mismatch_detected(model):

@@ -46,6 +46,31 @@ def train_once(corpus, tmp_path, name="model.ckpt", seed="3", extra=()):
 
 
 class TestTrain:
+    def test_id_outside_the_vocabulary_names_its_corpus_line(
+            self, corpus, tmp_path, capsys):
+        with open(corpus["corpus"], encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        bad = next(number for number, record in enumerate(records, start=1)
+                   if max(map(max, record.get("lines", [[0]]))) >= 5)
+        code, out = run_cli("train", "--corpus", corpus["corpus"],
+                            "--lexicon", corpus["lexicon"],
+                            "--out", str(tmp_path / "model.ckpt"),
+                            *TRAIN_FLAGS, "--vocab", "5")
+        assert (code, out) == (2, "")
+        assert ("%s:%d: poem character id" % (corpus["corpus"], bad)
+                in capsys.readouterr().err)
+        assert not os.path.exists(tmp_path / "model.ckpt.log")
+
+    @pytest.mark.parametrize("flag", ["--vocab", "--lines", "--chars"])
+    def test_zero_size_flag_is_reported_as_the_flag(self, corpus, tmp_path,
+                                                     capsys, flag):
+        code, out = run_cli("train", "--corpus", corpus["corpus"],
+                            "--lexicon", corpus["lexicon"],
+                            "--out", str(tmp_path / "model.ckpt"),
+                            *TRAIN_FLAGS, flag, "0")
+        assert (code, out) == (2, "")
+        assert "must be >= 1, got 0" in capsys.readouterr().err
+
     def test_writes_checkpoint_and_log(self, corpus, tmp_path):
         ckpt = train_once(corpus, tmp_path)
         assert os.path.exists(ckpt)
@@ -274,6 +299,32 @@ class TestGenerate:
         assert (code, out) == (2, "")
         assert "hidden_dim must be an integer" in capsys.readouterr().err
 
+    def test_config_larger_than_the_file_names_the_file(self, corpus,
+                                                        tmp_path, capsys):
+        blob = checkpoint_bytes(init_params(toy_config(), SeededRng(2)))
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(with_config(blob, vocab_size=10**12))
+        keywords = write_keyword_file(tmp_path, [(2,)])
+        code, out = run_cli("generate", "--checkpoint", str(ckpt),
+                            "--features", corpus["features"],
+                            "--keywords", keywords)
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "ended early" in err
+
+    def test_keyword_outside_the_vocabulary_names_its_line(
+            self, corpus, tmp_path, capsys):
+        ckpt = str(tmp_path / "model.ckpt")
+        save_checkpoint(init_params(toy_config(visual_count=2, visual_dim=3),
+                                    SeededRng(2)), ckpt)
+        keywords = write_keyword_file(tmp_path, [(2,), (2, 999)])
+        code, out = run_cli("generate", "--checkpoint", ckpt,
+                            "--features", corpus["features"],
+                            "--keywords", keywords)
+        assert (code, out) == (2, "")
+        assert (keywords + ":2: keyword character id 999 outside vocabulary "
+                "of 20") in capsys.readouterr().err
+
     def test_feature_shape_mismatch_is_an_input_error(self, corpus, tmp_path):
         ckpt = train_once(corpus, tmp_path)
         keywords = write_keyword_file(tmp_path, [(2,)])
@@ -387,8 +438,17 @@ class TestCheck:
         assert code == 3
         assert "max relative error nan" in out and "FAIL" in out
 
-    def test_corrupted_gradient_hook_fails(self):
-        code, out = run_cli("check", "--steps", "20", "--inject-grad-error")
+    def test_corrupted_gradient_hook_fails(self, monkeypatch):
+        gradients = nm.Tape.gradients
+
+        def corrupted(tape, loss, accumulate=False):
+            grads = gradients(tape, loss, accumulate)
+            for grad in grads.values():
+                grad.flat[0] += 1.0
+            return grads
+
+        monkeypatch.setattr(nm.Tape, "gradients", corrupted)
+        code, out = run_cli("check", "--steps", "20")
         assert code == 3
         assert "FAIL" in out
 

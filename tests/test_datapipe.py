@@ -9,7 +9,8 @@ from imagepoet.datapipe import (ConceptLexicon, ImageRecord, PoemRecord,
                                 load_concept_lexicon, load_feature_file,
                                 match_pairs, save_concept_lexicon, split_pool,
                                 write_feature_file)
-from imagepoet.errors import ConfigError, DataError, DomainError
+from imagepoet.errors import (ConfigError, DataError, DomainError,
+                              VocabularyError)
 
 LEXICON = ConceptLexicon({
     "water": {(1, 2), (3,)},
@@ -279,6 +280,14 @@ class TestCorpusFiles:
             load_corpus(path, lines_per_poem=2, chars_per_line=3)
         images, poems = load_corpus(path, lines_per_poem=2, chars_per_line=2)
         assert poems[0].lines == [(1, 2), (3, 4)]
+
+    def test_id_outside_the_vocabulary_names_its_line(self, tmp_path):
+        path = write_corpus(tmp_path, [], [("p", [(1, 2)]), ("q", [(3, 4)])],
+                            name="ids.jsonl")
+        with pytest.raises(VocabularyError, match=r"ids\.jsonl:2: poem "
+                           r"character id 4 outside vocabulary of 4"):
+            load_corpus(path, vocab_size=4)
+        assert len(load_corpus(path, vocab_size=5)[1]) == 2
 
 
 class TestConceptLexiconFiles:

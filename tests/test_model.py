@@ -9,7 +9,7 @@ from imagepoet.layers import attend, bigru_encode, gru_step
 from imagepoet.model import (LINE_START_ID, ModelConfig, decode_step,
                              encode_context, generate_line, generate_poem,
                              greedy_decode_reversed, init_params,
-                             output_probs, prepare_context)
+                             output_probs, prepare_context, prepare_image)
 from imagepoet.numerics import Tensor, grad_check
 from imagepoet.rng import SeededRng
 
@@ -130,7 +130,8 @@ class TestEncodeContext:
 
 class TestDecodeStep:
     def test_empty_keywords_leave_state_untouched(self, model, rng):
-        ctx = prepare_context(model, features_for(model.config, rng), [], [2])
+        image = prepare_image(model, features_for(model.config, rng), [])
+        ctx = prepare_context(model, image, [2])
         s = ctx.state
         step = decode_step(model, ctx, s, LINE_START_ID)
         assert step.topic_state is step.state
@@ -140,7 +141,8 @@ class TestDecodeStep:
         config = toy_config(visual_count=1)
         model = init_params(config, SeededRng(8))
         features = features_for(config, rng)
-        ctx = prepare_context(model, features, [(3,)], [1, 2])
+        ctx = prepare_context(model, prepare_image(model, features, [(3,)]),
+                              [1, 2])
         s = ctx.state
         for _ in range(4):
             step = decode_step(model, ctx, s, 3)
@@ -150,7 +152,8 @@ class TestDecodeStep:
     def test_zeroed_features_zero_the_visual_context(self, model, rng):
         features = np.zeros((model.config.visual_count,
                              model.config.visual_dim))
-        ctx = prepare_context(model, features, [(3,)], [1, 2])
+        ctx = prepare_context(model, prepare_image(model, features, [(3,)]),
+                              [1, 2])
         s = ctx.state
         for _ in range(4):
             step = decode_step(model, ctx, s, 3)
@@ -159,8 +162,9 @@ class TestDecodeStep:
                                   np.zeros(model.config.visual_dim))
 
     def test_step_matches_hand_composition(self, model, rng):
-        ctx = prepare_context(model, features_for(model.config, rng),
-                              [(3, 4), (9,)], [1, 2, 3])
+        image = prepare_image(model, features_for(model.config, rng),
+                              [(3, 4), (9,)])
+        ctx = prepare_context(model, image, [1, 2, 3])
         s_prev = ctx.state
         y_prev = 7
         step = decode_step(model, ctx, s_prev, y_prev)
@@ -198,7 +202,8 @@ class TestOutputProbs:
     def test_lambda_zero_returns_generic_exactly(self, rng):
         config = toy_config(topic_weight=0.0)
         model = init_params(config, SeededRng(9))
-        ctx = prepare_context(model, features_for(config, rng), [(3, 4)], [1])
+        image = prepare_image(model, features_for(config, rng), [(3, 4)])
+        ctx = prepare_context(model, image, [1])
         s = ctx.state
         step = decode_step(model, ctx, s, LINE_START_ID)
         p_g = nm.softmax(model.head_generic.logits(nm.concat(
@@ -207,7 +212,8 @@ class TestOutputProbs:
         assert step.p_topic is None
 
     def test_no_keywords_disable_the_bias(self, model, rng):
-        ctx = prepare_context(model, features_for(model.config, rng), [], [1])
+        image = prepare_image(model, features_for(model.config, rng), [])
+        ctx = prepare_context(model, image, [1])
         s = ctx.state
         step = decode_step(model, ctx, s, LINE_START_ID)
         p_g = nm.softmax(model.head_generic.logits(nm.concat(
@@ -219,8 +225,9 @@ class TestOutputProbs:
         lam = model.config.topic_weight
         for _ in range(20):
             keywords = [(rng.below(20), rng.below(20))]
-            ctx = prepare_context(model, features_for(model.config, rng),
-                                  keywords, [rng.below(20)])
+            image = prepare_image(model, features_for(model.config, rng),
+                                  keywords)
+            ctx = prepare_context(model, image, [rng.below(20)])
             s = ctx.state
             step = decode_step(model, ctx, s, LINE_START_ID)
             p, p_g, p_t = step.p, step.p_generic, step.p_topic
@@ -307,7 +314,8 @@ class TestHoistedWork:
                 target=target)])
             counts.append(len(stacks))
         assert counts == [4 + 4] * 2
-        ctx = prepare_context(model, features, keywords, [1, 2])
+        ctx = prepare_context(model, prepare_image(model, features, keywords),
+                              [1, 2])
         stacks.clear()
         decode_step(model, ctx, ctx.state, LINE_START_ID)
         assert stacks == []
@@ -347,8 +355,9 @@ class TestHoistedWork:
 
     def test_topic_head_scores_only_the_topic_rows(self, model, rng,
                                                    monkeypatch):
-        ctx = prepare_context(model, features_for(model.config, rng),
-                              [(3, 4), (9,)], [1])
+        image = prepare_image(model, features_for(model.config, rng),
+                              [(3, 4), (9,)])
+        ctx = prepare_context(model, image, [1])
         s = ctx.state
         step = decode_step(model, ctx, s, LINE_START_ID)
         features = nm.concat([step.topic_state, step.visual_context,
@@ -372,8 +381,8 @@ class TestHoistedWork:
 
 class TestGeneration:
     def test_line_is_reversed_emission(self, model, rng):
-        ctx = prepare_context(model, features_for(model.config, rng),
-                              [(3,)], [])
+        image = prepare_image(model, features_for(model.config, rng), [(3,)])
+        ctx = prepare_context(model, image, [])
         emitted = greedy_decode_reversed(model, ctx)
         line = generate_line(model, ctx)
         assert line == list(reversed(emitted))
@@ -382,7 +391,8 @@ class TestGeneration:
     def test_line_length(self, chars, rng):
         config = toy_config(chars_per_line=chars)
         model = init_params(config, SeededRng(10))
-        ctx = prepare_context(model, features_for(config, rng), [(3,)], [])
+        image = prepare_image(model, features_for(config, rng), [(3,)])
+        ctx = prepare_context(model, image, [])
         assert len(generate_line(model, ctx)) == chars
 
     def test_poem_shape_and_determinism(self, model, rng):
@@ -402,22 +412,32 @@ class TestGeneration:
         for i in range(model.config.lines_per_poem):
             preceding = [c for line in lines for c in line]
             assert len(preceding) == i * g
-            ctx = prepare_context(model, features, keywords, preceding)
+            image = prepare_image(model, features, keywords)
+            ctx = prepare_context(model, image, preceding)
             assert ctx.text[0].shape[0] == (i * g if i else 1)
             lines.append(generate_line(model, ctx))
         assert lines == poem
 
     def test_forward_encoder_reads_each_line_once(self, model, rng,
                                                  monkeypatch):
+        # One image per poem, and each new line read once from it.
         steps = []
-        gru = gru_step
+        images = []
+        gru, prepare = gru_step, mdl.prepare_image
 
         def counting(cell, h, x):
             steps.append(cell)
             return gru(cell, h, x)
 
+        def preparing(*args, **kwargs):
+            images.append(prepare(*args, **kwargs))
+            return images[-1]
+
         monkeypatch.setattr("imagepoet.layers.gru_step", counting)
+        monkeypatch.setattr(mdl, "prepare_image", preparing)
         poem = generate_poem(model, features_for(model.config, rng), [(3,)])
+        assert len(images) == 1
+        assert len(images[0].forward) == model.config.lines_per_poem
         g, lines = model.config.chars_per_line, model.config.lines_per_poem
         # The marker context, then each new line once; the first line's
         # context extends the marker's state only if it begins with it.

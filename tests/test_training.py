@@ -61,6 +61,19 @@ def nested_pool(config, rng, images, seed):
     return split_pool(samples, (1.0, 0.0, 0.0), seed)[0]
 
 
+def record_images(monkeypatch):
+    """The grids that model.prepare_image is called with from now on."""
+    grids = []
+    prepare = mdl.prepare_image
+
+    def recording(model, features, keywords):
+        grids.append(features)
+        return prepare(model, features, keywords)
+
+    monkeypatch.setattr(mdl, "prepare_image", recording)
+    return grids
+
+
 def per_sample_grads(model, batch):
     """Gradient sums of each sample scored alone on its own tape."""
     want = {p: np.zeros(p.shape) for _, p in model.parameters()}
@@ -100,8 +113,9 @@ class TestCrossEntropy:
         sample = make_sample(model.config, rng, keywords=keywords)
         params = model.parameters()
         with Tape() as tape:
-            ctx = mdl.prepare_context(model, sample.features,
-                                      sample.keywords, sample.preceding)
+            image = mdl.prepare_image(model, sample.features,
+                                      sample.keywords)
+            ctx = mdl.prepare_context(model, image, sample.preceding)
             s, y_prev, want = ctx.state, mdl.LINE_START_ID, None
             for target_id in reversed(sample.target):
                 step = mdl.decode_step(model, ctx, s, y_prev)
@@ -180,26 +194,41 @@ class TestSharedScoring:
     def test_one_bank_and_projection_per_image(self, model, rng,
                                                monkeypatch):
         pool = nested_pool(model.config, rng, 3, seed=5)
-        # An equal grid in another array still joins its image's group.
+        banks = []
+        encode = tmem.encode_keywords
+
+        def counting_bank(*args):
+            banks.append(encode(*args))
+            return banks[-1]
+
+        monkeypatch.setattr(tmem, "encode_keywords", counting_bank)
+        grids = record_images(monkeypatch)
+        evaluate_loss(model, pool)
+        assert (len(banks), len(grids)) == (3, 3)
+
+    def test_a_copied_grid_is_another_image_of_equal_loss(self, model, rng,
+                                                          monkeypatch):
+        pool = nested_pool(model.config, rng, 3, seed=9)
+        shared = evaluate_loss(model, pool)
         pool[0] = TrainSample(features=pool[0].features.copy(),
                               keywords=pool[0].keywords,
                               preceding=pool[0].preceding,
                               target=pool[0].target)
-        calls = {"bank": 0, "visual": 0}
-        encode, project = tmem.encode_keywords, mdl.project_visual
+        grids = record_images(monkeypatch)
+        copied = evaluate_loss(model, pool)
+        assert len(grids) == 4
+        assert abs(copied - shared) <= 1e-12 * abs(shared)
+        want = batch_loss_ref(model, pool)
+        assert abs(copied - want) <= 1e-12 * abs(want)
 
-        def counting_bank(*args):
-            calls["bank"] += 1
-            return encode(*args)
-
-        def counting_visual(*args):
-            calls["visual"] += 1
-            return project(*args)
-
-        monkeypatch.setattr(tmem, "encode_keywords", counting_bank)
-        monkeypatch.setattr(mdl, "project_visual", counting_visual)
+    def test_a_split_pool_prepares_each_grid_array_once(self, model, rng,
+                                                        monkeypatch):
+        pool = nested_pool(model.config, rng, 4, seed=11)
+        grids = record_images(monkeypatch)
         evaluate_loss(model, pool)
-        assert calls == {"bank": 3, "visual": 3}
+        arrays = {id(s.features) for s in pool}
+        assert len(arrays) == 4
+        assert sorted(map(id, grids)) == sorted(arrays)
 
     def test_equal_grids_with_other_keywords_are_not_shared(self, model,
                                                             rng):
