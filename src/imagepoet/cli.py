@@ -93,11 +93,11 @@ def cmd_train(args, stdout):
                          topic_weight=args.topic_weight,
                          lines_per_poem=args.lines,
                          chars_per_line=args.chars).validate()
-    lexicon = datapipe.load_concept_lexicon(args.lexicon)
     images, poems = datapipe.load_corpus(args.corpus,
                                          lines_per_poem=args.lines,
                                          chars_per_line=args.chars,
                                          vocab_size=args.vocab)
+    lexicon = datapipe.load_concept_lexicon(args.lexicon, args.vocab)
     matches = datapipe.match_pairs(images, poems, lexicon)
     samples = datapipe.build_samples(matches, images, poems, lexicon)
     if not samples:
@@ -193,7 +193,8 @@ def cmd_generate(args, stdout):
 
 def cmd_eval(args, stdout):
     model = _load_model(args)
-    lexicon = datapipe.load_concept_lexicon(args.lexicon)
+    lexicon = datapipe.load_concept_lexicon(args.lexicon,
+                                            model.config.vocab_size)
     images, _ = datapipe.load_corpus(args.corpus)
     images = [img for img in images if img.concepts]
     if not images:

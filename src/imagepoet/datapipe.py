@@ -69,7 +69,9 @@ def parse_ids(text, path, number, what):
         raise DataError("%s:%d: bad %s %r" % (path, number, what, text))
 
 
-def load_concept_lexicon(path):
+def load_concept_lexicon(path, vocab_size=None):
+    """The lexicon in path.  Given vocab_size, a realization holding an id
+    outside [0, vocab_size) is rejected, naming its line."""
     lexicon, first_lines = {}, {}
     for number, line in content_lines(path):
         parts = line.split("\t")
@@ -80,6 +82,10 @@ def load_concept_lexicon(path):
         claim_key(first_lines, label, path, number, "label")
         reals = {parse_ids(chunk, path, number, "realization")
                  for chunk in map(str.strip, blob.split(",")) if chunk}
+        if vocab_size is not None:
+            for real in reals:
+                check_ids(real, vocab_size,
+                          "%s:%d: realization" % (path, number))
         if not reals:
             raise DataError("%s:%d: label %r has no realizations"
                             % (path, number, label))

@@ -98,27 +98,32 @@ class GRUCell(ParamGroup):
 def gru_step(cell, h_prev, x):
     """One GRU transition; h' = (1 - z) * h_prev + z * cand.
 
-    x is the input vector, or the triple (W_z x, W_r x, W_h x) of its
-    input products when the caller computed them ahead, as gru_run does
-    for a whole sequence.
+    h_prev is one state, or a (B, h) matrix of B states that step
+    together: each gate's products are then one linear over the B rows,
+    and its bias is added to every row.  x is the matching input vector or
+    (B, input_dim) matrix, or the triple (W_z x, W_r x, W_h x) of its input
+    products when the caller computed them ahead, as gru_run does for a
+    whole sequence.
     """
     precomputed = isinstance(x, tuple)
+    lead = h_prev.shape[:-1]
     shapes = [t.shape for t in x] if precomputed else [x.shape]
-    want = [(cell.hidden_dim,)] * 3 if precomputed else [(cell.input_dim,)]
-    if h_prev.shape != (cell.hidden_dim,) or shapes != want:
+    want = ([lead + (cell.hidden_dim,)] * 3 if precomputed
+            else [lead + (cell.input_dim,)])
+    if (h_prev.data.ndim not in (1, 2) or h_prev.shape[-1] != cell.hidden_dim
+            or shapes != want):
         raise DimensionError(
             "gru_step: state %s / input %s vs cell dims (%d, %d)"
             % (h_prev.shape, shapes, cell.hidden_dim, cell.input_dim))
+    bias = nm.add if h_prev.data.ndim == 1 else nm.add_rowvec
     wz_x, wr_x, wh_x = x if precomputed else (
         nm.linear(x, w) for w in (cell.w_z, cell.w_r, cell.w_h))
-    z = nm.sigmoid(nm.add(nm.add(wz_x, nm.linear(h_prev, cell.u_z)),
-                          cell.b_z))
-    r = nm.sigmoid(nm.add(nm.add(wr_x, nm.linear(h_prev, cell.u_r)),
-                          cell.b_r))
-    cand = nm.tanh(nm.add(nm.add(wh_x,
-                                 nm.linear(nm.mul(r, h_prev), cell.u_h)),
-                          cell.b_h))
-    keep = nm.sub(Tensor(np.ones(cell.hidden_dim)), z)
+    z = nm.sigmoid(bias(nm.add(wz_x, nm.linear(h_prev, cell.u_z)), cell.b_z))
+    r = nm.sigmoid(bias(nm.add(wr_x, nm.linear(h_prev, cell.u_r)), cell.b_r))
+    cand = nm.tanh(bias(nm.add(wh_x,
+                               nm.linear(nm.mul(r, h_prev), cell.u_h)),
+                        cell.b_h))
+    keep = nm.sub(Tensor(np.ones(h_prev.shape)), z)
     return nm.add(nm.mul(keep, h_prev), nm.mul(z, cand))
 
 

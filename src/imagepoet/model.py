@@ -13,6 +13,11 @@ output distribution with extra mass on keyword characters.
 Lines are decoded in reverse (rhyme-bearing character first) and flipped
 back before they are returned, mirroring the training-time inversion of
 target lines.
+
+A decode step is three parts: decoder_input (both attention streams),
+the decoder GRU and output_side.  Teacher-forced scoring runs the same
+parts, but steps the states of many samples through the GRU as one
+matrix and scores each sample's states afterwards (training._loss_sums).
 """
 
 import dataclasses
@@ -304,18 +309,20 @@ class Step:
     p: Tensor
 
 
-def recurrence(model, ctx, s_prev, y_prev):
-    """The new state and both attention streams' (context, weights) pairs.
+def decoder_input(model, ctx, s_prev, y_prev):
+    """The decoder GRU's input for one state, and both attention streams'
+    (context, weights) pairs.
 
-    Both streams are queried with the previous state; the decoder GRU then
-    reads the previous character's embedding and both contexts.  Nothing
-    here depends on the output side (see output_side), so a teacher-forced
-    pass runs the recurrence alone and scores its states afterwards.
+    Both streams are queried with the previous state; the input is the
+    previous character's embedding and both contexts.  Nothing here
+    depends on the output side (see output_side), so a teacher-forced
+    pass runs the recurrence alone, the rows of several samples stepping
+    through one gru_step together, and scores its states afterwards.
     """
     text = attend(model.text_attention, s_prev, *ctx.text)
     visual = attend(model.visual_attention, s_prev, *ctx.visual)
     x = nm.concat([model.embedding.lookup(y_prev), text[0], visual[0]])
-    return gru_step(model.decoder, s_prev, x), text, visual
+    return x, text, visual
 
 
 def output_side(model, ctx, state, visual_context, text_context):
@@ -339,9 +346,11 @@ def output_side(model, ctx, state, visual_context, text_context):
 
 
 def decode_step(model, ctx, s_prev, y_prev):
-    """One decoder step: the recurrence, then the output side of its state."""
-    s_t, (h_hat, text_weights), (v_hat, visual_weights) = recurrence(
+    """One decoder step: the decoder GRU over decoder_input, then the
+    output side of its state."""
+    x, (h_hat, text_weights), (v_hat, visual_weights) = decoder_input(
         model, ctx, s_prev, y_prev)
+    s_t = gru_step(model.decoder, s_prev, x)
     o_t, z, p_generic, p_topic, p = output_side(model, ctx, s_t, v_hat, h_hat)
     return Step(state=s_t, topic_state=o_t, text_context=h_hat,
                 visual_context=v_hat, text_weights=text_weights,

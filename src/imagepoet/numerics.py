@@ -216,11 +216,18 @@ class OuterGrad:
 
 
 def _emit(data, inputs, backward_fn):
-    out = Tensor(data)
+    """The tensor of one array, or the tuple of tensors of a tuple of
+    arrays, recorded as one op when an input needs a gradient.
+
+    For a tuple, backward_fn receives the outputs' adjoints as one list
+    (see Tape.record).  Every op of this module creates its outputs here.
+    """
+    outs = tuple(map(Tensor, data)) if type(data) is tuple else Tensor(data)
     if _tapes and any(t.needs_grad for t in inputs):
-        out.needs_grad = True
-        _tapes[-1].record(out, inputs, backward_fn)
-    return out
+        for out in outs if type(outs) is tuple else (outs,):
+            out.needs_grad = True
+        _tapes[-1].record(outs, inputs, backward_fn)
+    return outs
 
 
 def _require_same_shape(op, a, b):
@@ -399,20 +406,15 @@ def rows(m):
     md = m.data
     if md.ndim != 2:
         raise DimensionError("rows of shape %s" % (md.shape,))
-    outs = tuple(Tensor(row) for row in md)
-    if _tapes and m.needs_grad:
-        for out in outs:
-            out.needs_grad = True
 
-        def backward(grads):
-            dense = np.zeros(md.shape)
-            for i, g in enumerate(grads):
-                if g is not None:
-                    dense[i] = g
-            return (dense,)
+    def backward(grads):
+        dense = np.zeros(md.shape)
+        for i, g in enumerate(grads):
+            if g is not None:
+                dense[i] = g
+        return (dense,)
 
-        _tapes[-1].record(outs, (m,), backward)
-    return list(outs)
+    return list(_emit(tuple(md), (m,), backward))
 
 
 def sum_all(a):

@@ -2,18 +2,23 @@
 
 Target lines are reversed before scoring so the model learns to emit the
 rhyme-bearing final character first; generation undoes the reversal.
-Teacher forcing feeds each step the previous target character, so a
-sample runs the decoder recurrence over its whole target first and then
-scores all of its states in one output-side pass (model.output_side).
-One scorer, _batch_loss_sum, serves evaluation, cross_entropy_loss and
-every gradient chunk.  Within one call, the samples of one image (the
-same grid array and keywords) are prepared from one model.ImageContext,
-so they share its keyword bank and visual projection, and each of their
-contexts extends the forward encoder states of an earlier one that
-begins like it.  Training batches group samples of equal preceding
-length, so no padding or masking is ever needed.  A batch is recorded on
-one tape per chunk of GRADIENT_CHUNK samples, and each chunk's backward
-pass writes its gradients straight into .grad.
+Teacher forcing feeds each step the previous target character, so the
+decoder recurrence runs over whole targets first and the states are
+scored afterwards, each sample's in one output-side pass
+(model.output_side).  One scorer, _batch_loss_sum, serves evaluation,
+cross_entropy_loss and every gradient chunk.  Within one call, the
+samples of one image (the same grid array and keywords) are prepared
+from one model.ImageContext, so they share its keyword bank and visual
+projection, and each of their contexts extends the forward encoder
+states of an earlier one that begins like it.  The samples of a wave of
+whole images (at most WAVE_SAMPLES samples, unless one image holds more)
+that share a target length step through the decoder GRU together, one
+(B, h) matrix of states, so each gate's weights are read once per step
+as a GEMM rather than once per sample as GEMVs.  Training batches group
+samples of equal preceding and target length, so no padding or masking
+is ever needed.  A batch is recorded on one tape per chunk of
+GRADIENT_CHUNK samples, always one wave, and each chunk's backward pass
+writes its gradients straight into .grad.
 """
 
 import dataclasses
@@ -25,6 +30,7 @@ from . import model as mdl
 from . import numerics as nm
 from .checkpoint import checkpoint_bytes, model_from_bytes
 from .errors import ConfigError, DomainError, NumericalError
+from .layers import gru_step
 from .numerics import Tape
 from .rng import SeededRng
 
@@ -32,6 +38,11 @@ from .rng import SeededRng
 # records until its backward pass, about 22 MiB per paper-scale sample,
 # so this bounds that memory whatever the batch size.
 GRADIENT_CHUNK = 4
+
+# Samples whose recurrences _batch_loss_sum runs as one, unless one image
+# holds more.  One GEMM of B rows beats B GEMVs from about B = 3; the
+# wave's contexts are alive together, so this bounds that memory.
+WAVE_SAMPLES = 16
 
 
 @dataclasses.dataclass
@@ -73,33 +84,85 @@ class TrainConfig:
         return self
 
 
-def _sample_loss_sum(model, sample, ctx):
-    """Teacher-forced -log p summed over the reversed target characters.
+def _loss_sums(model, samples, ctxs):
+    """Teacher-forced -log p summed over each sample's reversed target.
 
-    ctx is the sample's prepared context (model.prepare_context).  Each
-    step's input is the previous target character, so the recurrence
-    runs alone over the whole target, and the output side then scores
-    all of its states as one matrix.
+    The samples share one target length, and ctxs holds their prepared
+    contexts (model.prepare_context).  Each step's input is the previous
+    target character, so the recurrence runs alone, every sample's row
+    stepping together: each row builds its decoder input with its own
+    context (model.decoder_input), the rows' inputs are stacked, one
+    gru_step advances the (B, h) matrix of states, and one nm.rows record
+    splits it into the next step's queries.  Each sample's output side
+    then scores all of its states as one matrix.
     """
-    mdl.check_ids(sample.target, model.config.vocab_size, "target")
-    targets = sample.target[::-1]
-    states, visual, text = [], [], []
-    s = ctx.state
-    y_prev = mdl.LINE_START_ID
-    for target_id in targets:
-        s, (h_hat, _), (v_hat, _) = mdl.recurrence(model, ctx, s, y_prev)
-        states.append(s)
-        visual.append(v_hat)
-        text.append(h_hat)
-        y_prev = target_id
-    p = mdl.output_side(model, ctx, nm.stack(states), nm.stack(visual),
-                        nm.stack(text))[-1]
-    picked = nm.pick(p, targets)
-    bad = np.flatnonzero(~(picked.data > 0.0))  # also catches NaN
-    if bad.size:
-        raise NumericalError("probability of target character %d "
-                             "underflowed to 0" % targets[bad[0]])
-    return nm.scale(nm.sum_all(nm.log(picked)), -1.0)
+    targets = [mdl.check_ids(s.target, model.config.vocab_size,
+                             "target")[::-1] for s in samples]
+    queries = [ctx.state for ctx in ctxs]
+    matrix = nm.stack(queries)
+    y_prev = [mdl.LINE_START_ID] * len(samples)
+    states, visual, text = ([[] for _ in samples] for _ in range(3))
+    for t in range(len(targets[0])):
+        inputs = []
+        for b, ctx in enumerate(ctxs):
+            x, (h_hat, _), (v_hat, _) = mdl.decoder_input(
+                model, ctx, queries[b], y_prev[b])
+            inputs.append(x)
+            visual[b].append(v_hat)
+            text[b].append(h_hat)
+        matrix = gru_step(model.decoder, matrix, nm.stack(inputs))
+        queries = nm.rows(matrix)
+        for b, s in enumerate(queries):
+            states[b].append(s)
+        y_prev = [target[t] for target in targets]
+    sums = []
+    for b, (ctx, target) in enumerate(zip(ctxs, targets)):
+        p = mdl.output_side(model, ctx, nm.stack(states[b]),
+                            nm.stack(visual[b]), nm.stack(text[b]))[-1]
+        picked = nm.pick(p, target)
+        bad = np.flatnonzero(~(picked.data > 0.0))  # also catches NaN
+        if bad.size:
+            raise NumericalError("probability of target character %d "
+                                 "underflowed to 0" % target[bad[0]])
+        sums.append(nm.scale(nm.sum_all(nm.log(picked)), -1.0))
+    return sums
+
+
+def _waves(groups):
+    """The image groups in runs of at most WAVE_SAMPLES samples, each run
+    holding at least one whole group."""
+    wave, size = [], 0
+    for group in groups:
+        if wave and size + len(group) > WAVE_SAMPLES:
+            yield wave
+            wave, size = [], 0
+        wave.append(group)
+        size += len(group)
+    if wave:
+        yield wave
+
+
+def _wave_loss_sums(model, batch, wave):
+    """{index: loss sum} of the samples of a wave's image groups.
+
+    Each image is prepared once (model.prepare_image) and each sample's
+    context from it (model.prepare_context); the samples of equal target
+    length then run their recurrences as one (_loss_sums).
+    """
+    ctxs = {}
+    for group in wave:
+        first = batch[group[0]]
+        image = mdl.prepare_image(model, first.features, first.keywords)
+        for i in group:
+            ctxs[i] = mdl.prepare_context(model, image, batch[i].preceding)
+    lengths = {}
+    for i in ctxs:
+        lengths.setdefault(len(batch[i].target), []).append(i)
+    sums = {}
+    for rows in lengths.values():
+        sums.update(zip(rows, _loss_sums(model, [batch[i] for i in rows],
+                                         [ctxs[i] for i in rows])))
+    return sums
 
 
 def _batch_loss_sum(model, batch):
@@ -107,10 +170,11 @@ def _batch_loss_sum(model, batch):
 
     Samples holding the same grid array and equal keywords are one image:
     build_samples gives every line of an image the same array.  Images
-    are scored one after another, each prepared once (model.prepare_image)
-    and its samples' contexts prepared from it (model.prepare_context).
-    The per-sample loss sums are added in batch order.  Nothing outlives
-    the call, so no shared tensor crosses a tape.
+    are scored in waves of whole images, up to WAVE_SAMPLES samples each
+    (_waves), and each wave's contexts are let go before the next is
+    prepared (_wave_loss_sums).  The per-sample loss sums are added in
+    batch order.  Nothing outlives the call, so no shared tensor crosses a
+    tape.
     """
     if not batch:
         raise DomainError("cannot score an empty batch")
@@ -118,16 +182,12 @@ def _batch_loss_sum(model, batch):
     for i, sample in enumerate(batch):
         images.setdefault((id(sample.features), tuple(sample.keywords)),
                           []).append(i)
-    sums = [None] * len(batch)
-    for group in images.values():
-        first = batch[group[0]]
-        image = mdl.prepare_image(model, first.features, first.keywords)
-        for i in group:
-            ctx = mdl.prepare_context(model, image, batch[i].preceding)
-            sums[i] = _sample_loss_sum(model, batch[i], ctx)
+    sums = {}
+    for wave in _waves(images.values()):
+        sums.update(_wave_loss_sums(model, batch, wave))
     total = sums[0]
-    for loss_sum in sums[1:]:
-        total = nm.add(total, loss_sum)
+    for i in range(1, len(batch)):
+        total = nm.add(total, sums[i])
     return total, sum(len(sample.target) for sample in batch)
 
 

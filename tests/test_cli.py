@@ -45,7 +45,30 @@ def train_once(corpus, tmp_path, name="model.ckpt", seed="3", extra=()):
     return ckpt
 
 
+def lexicon_beyond_vocab(corpus, tmp_path):
+    """The toy lexicon with its first line realized by ids 2 and 99."""
+    with open(corpus["lexicon"], encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == "c0\t2"
+    path = tmp_path / "wide_concepts.tsv"
+    path.write_text("\n".join(["c0\t2,99"] + lines[1:]) + "\n",
+                    encoding="utf-8")
+    return str(path)
+
+
 class TestTrain:
+    def test_lexicon_id_outside_the_vocabulary_names_its_line(
+            self, corpus, tmp_path, capsys):
+        lexicon = lexicon_beyond_vocab(corpus, tmp_path)
+        code, out = run_cli("train", "--corpus", corpus["corpus"],
+                            "--lexicon", lexicon,
+                            "--out", str(tmp_path / "model.ckpt"),
+                            *TRAIN_FLAGS)
+        assert (code, out) == (2, "")
+        assert ("%s:1: realization character id 99 outside vocabulary of 16"
+                % lexicon in capsys.readouterr().err)
+        assert not os.path.exists(tmp_path / "model.ckpt.log")
+
     def test_id_outside_the_vocabulary_names_its_corpus_line(
             self, corpus, tmp_path, capsys):
         with open(corpus["corpus"], encoding="utf-8") as fh:
@@ -397,6 +420,17 @@ class TestEval:
         assert code == 2
         err = capsys.readouterr().err
         assert "feat1.vfgr" in err and "(3, 3)" in err
+
+    def test_lexicon_id_outside_the_checkpoint_vocabulary_names_its_line(
+            self, corpus, tmp_path, capsys):
+        ckpt = train_once(corpus, tmp_path)
+        lexicon = lexicon_beyond_vocab(corpus, tmp_path)
+        code, out = run_cli("eval", "--checkpoint", ckpt,
+                            "--corpus", corpus["corpus"],
+                            "--lexicon", lexicon)
+        assert (code, out) == (2, "")
+        assert ("%s:1: realization character id 99 outside vocabulary of 16"
+                % lexicon in capsys.readouterr().err)
 
     def test_bad_second_grid_fails_before_any_output(self, corpus, tmp_path,
                                                      capsys):

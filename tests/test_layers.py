@@ -69,6 +69,32 @@ class TestGruStep:
         with pytest.raises(DimensionError):
             gru_step(cell, Tensor(vec(rng, 5)), Tensor(vec(rng, 3)))
 
+    @pytest.mark.parametrize("precomputed", [False, True])
+    def test_a_matrix_of_states_steps_as_its_rows(self, rng, precomputed):
+        cell = GRUCell.create(5, 4, rng)
+        hs = np.stack([vec(rng, 4) for _ in range(6)])
+        xs = np.stack([vec(rng, 5) for _ in range(6)])
+
+        def inputs(x):
+            x = Tensor(x)
+            return (tuple(nm.linear(x, w) for w in (cell.w_z, cell.w_r,
+                                                   cell.w_h))
+                    if precomputed else x)
+
+        got = gru_step(cell, Tensor(hs), inputs(xs)).data
+        assert got.shape == (6, 4)
+        for row, h, x in zip(got, hs, xs):
+            want = gru_step(cell, Tensor(h), inputs(x)).data
+            assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("h_shape, x_shape", [
+        ((2, 4), (3,)), ((2, 4), (3, 3)), ((4,), (2, 3)), ((1, 2, 4), (3,)),
+        ((), (3,))])
+    def test_state_and_input_rows_must_agree(self, rng, h_shape, x_shape):
+        cell = GRUCell.create(3, 4, rng)
+        with pytest.raises(DimensionError):
+            gru_step(cell, Tensor(np.zeros(h_shape)), Tensor(np.zeros(x_shape)))
+
 
 class TestGruRun:
     def test_precomputed_input_rows_match_the_vector_step(self, rng):

@@ -305,15 +305,17 @@ class TestHoistedWork:
 
         monkeypatch.setattr(nm, "stack", counting)
         # Context Bi-GRU: forward and backward states; bank: keys, contents;
-        # scored steps: states, visual and text contexts, topic logits.
+        # scored steps: states, visual and text contexts, topic logits;
+        # the recurrence: the initial states, then one stack of the rows'
+        # decoder inputs per step.
         counts = []
         for target in ((5,), (5, 6, 7, 8, 9)):
             stacks.clear()
             cross_entropy_loss(model, [TrainSample(
                 features=features, keywords=keywords, preceding=(1, 2, 3),
                 target=target)])
-            counts.append(len(stacks))
-        assert counts == [4 + 4] * 2
+            counts.append(len(stacks) - len(target))
+        assert counts == [4 + 4 + 1] * 2
         ctx = prepare_context(model, prepare_image(model, features, keywords),
                               [1, 2])
         stacks.clear()

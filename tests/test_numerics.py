@@ -7,6 +7,7 @@ import pytest
 
 from imagepoet import numerics as nm
 from imagepoet.errors import ContractError, DimensionError, DomainError
+from imagepoet.layers import GRUCell, gru_step
 from imagepoet.numerics import Tape, Tensor, grad_check
 from imagepoet.rng import SeededRng
 
@@ -196,10 +197,11 @@ class TestGradCheck:
         "matmul", "add", "sub", "mul", "scale", "add_rowvec", "tanh",
         "sigmoid", "log", "softmax", "concat", "stack", "pick", "take_row",
         "take_rows", "gather", "scatter", "softmax_rows", "scatter_rows",
-        "pick_per_row", "rows",
+        "pick_per_row", "rows", "gru_step_rows",
     ])
     def test_every_op_matches_central_differences(self, case, rng):
         probe = Tensor(arr(rng, 3, 4), requires_grad=True)
+        cell = GRUCell.create(4, 4, rng)
         other_v = Tensor(arr(rng, 4))
         other_m = Tensor(arr(rng, 3, 4))
 
@@ -242,6 +244,9 @@ class TestGradCheck:
             "rows": lambda t: nm.sum_all(nm.tanh(nm.concat(
                 [row for i, row in enumerate(nm.rows(nm.tanh(t)))
                  if i != 1]))),
+            # Three states of width 4 step together, each reading its row.
+            "gru_step_rows": lambda t: nm.sum_all(nm.tanh(gru_step(
+                cell, nm.tanh(t), nm.scale(t, 0.5)))),
         }
         err = grad_check(funcs[case], probe, h=1e-5)
         assert err < 1e-5, "%s gradient off by %.3e" % (case, err)
@@ -262,6 +267,23 @@ class TestRowOps:
         want = (1.0 - inner.data ** 2) * np.stack(
             [inner.data[2], np.zeros(4), inner.data[0]])
         assert np.array_equal(grads[m], want)
+
+    def test_rows_are_one_emitted_op(self, rng, monkeypatch):
+        # Every op reaches the tape through _emit, where op counters look.
+        emitted = []
+        emit = nm._emit
+
+        def counting(data, inputs, backward_fn):
+            emitted.append(type(data))
+            return emit(data, inputs, backward_fn)
+
+        monkeypatch.setattr(nm, "_emit", counting)
+        m = Tensor(arr(rng, 3, 4), requires_grad=True)
+        with Tape() as tape:
+            parts = nm.rows(m)
+        assert emitted == [tuple]
+        assert [record[0] for record in tape._records] == [tuple(parts)]
+        assert all(p.needs_grad for p in parts)
 
     def test_rows_of_a_constant_record_nothing(self, rng):
         with Tape() as tape:

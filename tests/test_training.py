@@ -74,6 +74,30 @@ def record_images(monkeypatch):
     return grids
 
 
+def ragged(pool, lengths=(5, 2, 4)):
+    """pool with sample i's target cut to lengths[i % len(lengths)]
+    characters; grids stay the same arrays."""
+    return [TrainSample(features=s.features, keywords=s.keywords,
+                        preceding=s.preceding,
+                        target=s.target[:lengths[i % len(lengths)]])
+            for i, s in enumerate(pool)]
+
+
+def record_decoder_steps(model, monkeypatch):
+    """The state shapes of the scorer's decoder gru_step calls from now
+    on."""
+    shapes = []
+    step = training.gru_step
+
+    def recording(cell, h, x):
+        if cell is model.decoder:
+            shapes.append(h.shape)
+        return step(cell, h, x)
+
+    monkeypatch.setattr(training, "gru_step", recording)
+    return shapes
+
+
 def per_sample_grads(model, batch):
     """Gradient sums of each sample scored alone on its own tape."""
     want = {p: np.zeros(p.shape) for _, p in model.parameters()}
@@ -262,6 +286,77 @@ class TestSharedScoring:
                             chars_per_line=2)
         model = init_params(config, SeededRng(12))
         batch = nested_pool(config, rng, 2, seed=7)
+        grad = full_model_grad_check(model, batch, h=1e-5)
+        assert grad.max_error < 1e-5, grad.worst_param
+
+
+class TestBatchedRecurrence:
+    def test_mixed_lengths_match_per_sample_scoring_and_reference(
+            self, model, rng, monkeypatch):
+        pool = ragged(nested_pool(model.config, rng, 3, seed=4))
+        assert len({len(s.preceding) for s in pool}) == 4
+        assert len({len(s.target) for s in pool}) == 3
+        chars = sum(len(s.target) for s in pool)
+        alone = sum(cross_entropy_loss(model, [s]).item() * len(s.target)
+                    for s in pool) / chars
+        steps = record_decoder_steps(model, monkeypatch)
+        got = evaluate_loss(model, pool)
+        # One recurrence per target length, each of four samples.
+        assert steps == [(4, model.config.hidden_dim)] * (5 + 2 + 4)
+        assert abs(got - alone) <= 1e-12 * abs(alone)
+        want = batch_loss_ref(model, pool)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_twelve_samples_step_the_decoder_once_per_step(self, model, rng,
+                                                           monkeypatch):
+        pool = nested_pool(model.config, rng, 3, seed=5)
+        assert len(pool) == 12
+        steps = record_decoder_steps(model, monkeypatch)
+        evaluate_loss(model, pool)
+        assert steps == [(12, model.config.hidden_dim)] * len(pool[0].target)
+
+    def test_a_larger_pool_is_scored_in_waves_of_whole_images(
+            self, model, rng, monkeypatch):
+        # Five images of four samples: four images fill the first wave.
+        pool = nested_pool(model.config, rng, 5, seed=6)
+        assert len(pool) > training.WAVE_SAMPLES
+        steps = record_decoder_steps(model, monkeypatch)
+        waves = evaluate_loss(model, pool)
+        g, h = model.config.chars_per_line, model.config.hidden_dim
+        assert steps == [(16, h)] * g + [(4, h)] * g
+        # An image larger than a wave is a wave of its own.
+        steps.clear()
+        monkeypatch.setattr(training, "WAVE_SAMPLES", 3)
+        alone = evaluate_loss(model, pool)
+        assert steps == [(4, h)] * g * 5
+        assert abs(alone - waves) <= 1e-12 * abs(waves)
+        want = batch_loss_ref(model, pool)
+        assert abs(waves - want) <= 1e-12 * abs(want)
+
+    def test_a_mixed_chunk_has_the_per_sample_gradients(self, rng):
+        # Two images of two lines, two target lengths: one chunk, one wave.
+        config = toy_config(lines_per_poem=2)
+        model = init_params(config, SeededRng(8))
+        batch = ragged(nested_pool(config, rng, 2, seed=6), (5, 5, 3))
+        assert len(batch) == training.GRADIENT_CHUNK
+        want = per_sample_grads(model, batch)
+        inv = 1.0 / sum(len(s.target) for s in batch)
+        model.zero_grads()
+        loss = accumulate_gradients(model, batch)
+        alone = sum(cross_entropy_loss(model, [s]).item() * len(s.target)
+                    for s in batch) * inv
+        assert abs(loss - alone) <= 1e-12 * abs(alone)
+        scale = max(np.max(np.abs(g)) for g in want.values()) * inv
+        for name, p in model.parameters():
+            assert (np.max(np.abs(want[p] * inv - p.grad))
+                    <= 1e-12 * scale), name
+
+    def test_finite_differences_pass_on_a_mixed_two_image_batch(self, rng):
+        config = toy_config(vocab_size=6, hidden_dim=2, memory_dim=2,
+                            visual_count=2, visual_dim=2, lines_per_poem=3,
+                            chars_per_line=3)
+        model = init_params(config, SeededRng(13))
+        batch = ragged(nested_pool(config, rng, 2, seed=8), (3, 2))
         grad = full_model_grad_check(model, batch, h=1e-5)
         assert grad.max_error < 1e-5, grad.worst_param
 
