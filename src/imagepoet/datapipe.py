@@ -126,6 +126,9 @@ def load_feature_file(path):
             if version != FEATURE_VERSION:
                 raise DataError("%s: unsupported feature version %d"
                                 % (path, version))
+            if not rows or not cols:
+                raise DataError("%s: empty feature grid of %d x %d"
+                                % (path, rows, cols))
             size = os.fstat(fh.fileno()).st_size - len(header)
             if size != 4 * rows * cols:
                 raise DataError("%s: expected %d feature values, file holds "
@@ -176,8 +179,13 @@ def load_corpus(path, lines_per_poem=None, chars_per_line=None,
                                       "concepts")))
                 elif "poem_id" in record:
                     poem_id = str(record["poem_id"])
-                    lines = [tuple(int(c) for c in _not_str(l, "a line"))
+                    lines = [tuple(_not_str(l, "a line"))
                              for l in _not_str(record["lines"], "lines")]
+                    # type(), not isinstance(): true and false are not ids.
+                    bad = [c for l in lines for c in l if type(c) is not int]
+                    if bad:
+                        raise TypeError("character id %r is not an integer"
+                                        % (bad[0],))
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise DataError("%s:%d: malformed record: %s: %s"
                                 % (path, number, type(exc).__name__, exc))

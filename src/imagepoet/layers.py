@@ -31,6 +31,16 @@ def param(rng, *shape):
                   requires_grad=True)
 
 
+def check_ids(ids, vocab_size, what):
+    """ids, unless one lies outside [0, vocab_size); what names them in
+    the error."""
+    for c in ids:
+        if not 0 <= c < vocab_size:
+            raise VocabularyError("%s character id %d outside vocabulary "
+                                  "of %d" % (what, c, vocab_size))
+    return ids
+
+
 class ParamGroup:
     """Trainable tensors named by _FIELDS, taken and listed in that order."""
 
@@ -61,11 +71,8 @@ class EmbeddingTable(ParamGroup):
         """The row of one character id, or the (n, dim) matrix of the rows
         of a sequence of ids."""
         one = np.ndim(char_ids) == 0
-        ids = [int(c) for c in ([char_ids] if one else char_ids)]
-        for char_id in ids:
-            if not 0 <= char_id < self.vocab_size:
-                raise VocabularyError("character id %d outside vocabulary "
-                                      "of %d" % (char_id, self.vocab_size))
+        ids = check_ids([int(c) for c in ([char_ids] if one else char_ids)],
+                        self.vocab_size, "embedded")
         return nm.take(self.weights, ids[0] if one else ids)
 
 

@@ -26,10 +26,10 @@ import numpy as np
 
 from . import numerics as nm
 from . import topic_memory as tmem
-from .errors import ConfigError, DimensionError, VocabularyError
+from .errors import ConfigError, DimensionError
 from .layers import (AttentionParams, EmbeddingTable, GRUCell, OutputHead,
-                     ParamGroup, attend, gru_step, bigru_encode, param,
-                     project_keys)
+                     ParamGroup, attend, gru_step, bigru_encode, check_ids,
+                     param, project_keys)
 from .numerics import Tensor
 
 # Reserved vocabulary ids.
@@ -43,16 +43,6 @@ def require_integer(name, value, low=None):
         raise ConfigError("%s must be an integer, got %r" % (name, value))
     if low is not None and value < low:
         raise ConfigError("%s must be >= %d, got %d" % (name, low, value))
-
-
-def check_ids(ids, vocab_size, what):
-    """ids, unless one lies outside [0, vocab_size); what names them in
-    the error."""
-    for c in ids:
-        if not 0 <= c < vocab_size:
-            raise VocabularyError("%s character id %d outside vocabulary "
-                                  "of %d" % (what, c, vocab_size))
-    return ids
 
 
 def _gru_count(input_dim, hidden_dim):

@@ -10,15 +10,16 @@ cross_entropy_loss and every gradient chunk.  Within one call, the
 samples of one image (the same grid array and keywords) are prepared
 from one model.ImageContext, so they share its keyword bank and visual
 projection, and each of their contexts extends the forward encoder
-states of an earlier one that begins like it.  The samples of a wave of
-whole images (at most WAVE_SAMPLES samples, unless one image holds more)
-that share a target length step through the decoder GRU together, one
-(B, h) matrix of states, so each gate's weights are read once per step
-as a GEMM rather than once per sample as GEMVs.  Training batches group
-samples of equal preceding and target length, so no padding or masking
-is ever needed.  A batch is recorded on one tape per chunk of
-GRADIENT_CHUNK samples, always one wave, and each chunk's backward pass
-writes its gradients straight into .grad.
+states of an earlier one that begins like it.  Every target is one line
+of chars_per_line characters, so all samples of a wave of whole images
+(at most WAVE_SAMPLES samples, unless one image holds more) step through
+the decoder GRU together in one recurrence, one (B, h) matrix of states,
+so each gate's weights are read once per step as a GEMM rather than
+once per sample as GEMVs.  Training batches group samples of equal
+preceding length, so no padding or masking is ever needed.  A batch is
+recorded on one tape per chunk of GRADIENT_CHUNK samples, always one
+wave, and each chunk's backward pass writes its gradients straight into
+.grad.
 """
 
 import dataclasses
@@ -84,25 +85,39 @@ class TrainConfig:
         return self
 
 
-def _loss_sums(model, samples, ctxs):
-    """Teacher-forced -log p summed over each sample's reversed target.
+def _loss_sums(model, batch, wave):
+    """{index: teacher-forced -log p summed over the reversed target} of
+    the samples of a wave's image groups.
 
-    The samples share one target length, and ctxs holds their prepared
-    contexts (model.prepare_context).  Each step's input is the previous
-    target character, so the recurrence runs alone, every sample's row
+    Each image is prepared once (model.prepare_image) and each sample's
+    context from it (model.prepare_context).  Every target is one line of
+    chars_per_line characters, and each step's input is the previous
+    target character, so the recurrence runs alone, every row of the wave
     stepping together: each row builds its decoder input with its own
     context (model.decoder_input), the rows' inputs are stacked, one
     gru_step advances the (B, h) matrix of states, and one nm.rows record
     splits it into the next step's queries.  Each sample's output side
     then scores all of its states as one matrix.
     """
-    targets = [mdl.check_ids(s.target, model.config.vocab_size,
-                             "target")[::-1] for s in samples]
+    g = model.config.chars_per_line
+    rows = [i for group in wave for i in group]
+    targets = [mdl.check_ids(batch[i].target, model.config.vocab_size,
+                             "target")[::-1] for i in rows]
+    for target in targets:
+        if len(target) != g:
+            raise DomainError("target has %d characters, but a line has "
+                              "chars_per_line = %d" % (len(target), g))
+    ctxs = []
+    for group in wave:
+        first = batch[group[0]]
+        image = mdl.prepare_image(model, first.features, first.keywords)
+        ctxs += [mdl.prepare_context(model, image, batch[i].preceding)
+                 for i in group]
     queries = [ctx.state for ctx in ctxs]
     matrix = nm.stack(queries)
-    y_prev = [mdl.LINE_START_ID] * len(samples)
-    states, visual, text = ([[] for _ in samples] for _ in range(3))
-    for t in range(len(targets[0])):
+    y_prev = [mdl.LINE_START_ID] * len(rows)
+    states, visual, text = ([[] for _ in rows] for _ in range(3))
+    for t in range(g):
         inputs = []
         for b, ctx in enumerate(ctxs):
             x, (h_hat, _), (v_hat, _) = mdl.decoder_input(
@@ -115,8 +130,8 @@ def _loss_sums(model, samples, ctxs):
         for b, s in enumerate(queries):
             states[b].append(s)
         y_prev = [target[t] for target in targets]
-    sums = []
-    for b, (ctx, target) in enumerate(zip(ctxs, targets)):
+    sums = {}
+    for b, (i, ctx, target) in enumerate(zip(rows, ctxs, targets)):
         p = mdl.output_side(model, ctx, nm.stack(states[b]),
                             nm.stack(visual[b]), nm.stack(text[b]))[-1]
         picked = nm.pick(p, target)
@@ -124,7 +139,7 @@ def _loss_sums(model, samples, ctxs):
         if bad.size:
             raise NumericalError("probability of target character %d "
                                  "underflowed to 0" % target[bad[0]])
-        sums.append(nm.scale(nm.sum_all(nm.log(picked)), -1.0))
+        sums[i] = nm.scale(nm.sum_all(nm.log(picked)), -1.0)
     return sums
 
 
@@ -142,37 +157,14 @@ def _waves(groups):
         yield wave
 
 
-def _wave_loss_sums(model, batch, wave):
-    """{index: loss sum} of the samples of a wave's image groups.
-
-    Each image is prepared once (model.prepare_image) and each sample's
-    context from it (model.prepare_context); the samples of equal target
-    length then run their recurrences as one (_loss_sums).
-    """
-    ctxs = {}
-    for group in wave:
-        first = batch[group[0]]
-        image = mdl.prepare_image(model, first.features, first.keywords)
-        for i in group:
-            ctxs[i] = mdl.prepare_context(model, image, batch[i].preceding)
-    lengths = {}
-    for i in ctxs:
-        lengths.setdefault(len(batch[i].target), []).append(i)
-    sums = {}
-    for rows in lengths.values():
-        sums.update(zip(rows, _loss_sums(model, [batch[i] for i in rows],
-                                         [ctxs[i] for i in rows])))
-    return sums
-
-
 def _batch_loss_sum(model, batch):
-    """Summed -log p over a batch's target characters, and their count.
+    """Summed -log p over a batch's target characters.
 
     Samples holding the same grid array and equal keywords are one image:
     build_samples gives every line of an image the same array.  Images
     are scored in waves of whole images, up to WAVE_SAMPLES samples each
     (_waves), and each wave's contexts are let go before the next is
-    prepared (_wave_loss_sums).  The per-sample loss sums are added in
+    prepared (_loss_sums).  The per-sample loss sums are added in
     batch order.  Nothing outlives the call, so no shared tensor crosses a
     tape.
     """
@@ -184,17 +176,17 @@ def _batch_loss_sum(model, batch):
                           []).append(i)
     sums = {}
     for wave in _waves(images.values()):
-        sums.update(_wave_loss_sums(model, batch, wave))
+        sums.update(_loss_sums(model, batch, wave))
     total = sums[0]
     for i in range(1, len(batch)):
         total = nm.add(total, sums[i])
-    return total, sum(len(sample.target) for sample in batch)
+    return total
 
 
 def cross_entropy_loss(model, batch):
     """Mean per-character negative log likelihood over a batch."""
-    total, chars = _batch_loss_sum(model, batch)
-    return nm.scale(total, 1.0 / chars)
+    total = _batch_loss_sum(model, batch)
+    return nm.scale(total, 1.0 / (len(batch) * model.config.chars_per_line))
 
 
 def evaluate_loss(model, pool):
@@ -212,12 +204,12 @@ def accumulate_gradients(model, batch, worker_threads=1):
     and later passes add into it.  A batch within one chunk is one tape,
     as cross_entropy_loss records it.  worker_threads is ignored.
     """
-    chars = sum(len(sample.target) for sample in batch)
+    chars = len(batch) * model.config.chars_per_line
     total = 0.0
     # An empty batch still reaches the scorer, which rejects it.
     for start in range(0, len(batch) or 1, GRADIENT_CHUNK):
         with Tape() as tape:
-            loss_sum, _ = _batch_loss_sum(
+            loss_sum = _batch_loss_sum(
                 model, batch[start:start + GRADIENT_CHUNK])
             loss = nm.scale(loss_sum, 1.0 / chars)
         tape.backward(loss)
@@ -314,14 +306,14 @@ def adadelta_update(state, params):
 
 
 def _make_batches(pool, batch_size, rng):
-    """Shuffled batches whose samples share (preceding length, target length)."""
+    """Shuffled batches whose samples share one preceding length."""
     order = list(range(len(pool)))
     rng.shuffle(order)
     buckets = {}
     batches = []
     for idx in order:
         sample = pool[idx]
-        key = (len(sample.preceding), len(sample.target))
+        key = len(sample.preceding)
         bucket = buckets.setdefault(key, [])
         bucket.append(sample)
         if len(bucket) == batch_size:

@@ -10,7 +10,7 @@ from imagepoet import numerics as nm
 from imagepoet.cli import main
 from imagepoet.datapipe import (keyword_recall, load_concept_lexicon,
                                 load_feature_file, image_keywords,
-                                load_corpus)
+                                load_corpus, write_feature_file)
 from imagepoet.checkpoint import (MAGIC, checkpoint_bytes, load_checkpoint,
                                   save_checkpoint)
 from imagepoet.model import generate_poem, init_params
@@ -83,6 +83,19 @@ class TestTrain:
         assert ("%s:%d: poem character id" % (corpus["corpus"], bad)
                 in capsys.readouterr().err)
         assert not os.path.exists(tmp_path / "model.ckpt.log")
+
+    def test_empty_feature_grid_names_its_file(self, corpus, tmp_path,
+                                               capsys):
+        for i in range(2):
+            write_feature_file(str(tmp_path / ("feat%d.vfgr" % i)),
+                               np.zeros((0, 3)))
+        code, out = run_cli("train", "--corpus", corpus["corpus"],
+                            "--lexicon", corpus["lexicon"],
+                            "--out", str(tmp_path / "model.ckpt"),
+                            *TRAIN_FLAGS)
+        assert (code, out) == (2, "")
+        assert ("%s: empty feature grid of 0 x 3" % corpus["features"]
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("flag", ["--vocab", "--lines", "--chars"])
     def test_zero_size_flag_is_reported_as_the_flag(self, corpus, tmp_path,

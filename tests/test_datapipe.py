@@ -231,6 +231,14 @@ class TestFeatureFiles:
         with pytest.raises(DataError):
             load_feature_file(str(tmp_path / "absent.vfgr"))
 
+    @pytest.mark.parametrize("shape", [(0, 6), (4, 0)])
+    def test_empty_grid_names_the_file(self, tmp_path, shape):
+        path = str(tmp_path / "empty.vfgr")
+        write_feature_file(path, np.zeros(shape))
+        with pytest.raises(DataError, match=r"empty\.vfgr: empty feature "
+                           r"grid of %d x %d" % shape):
+            load_feature_file(path)
+
 
 class TestCorpusFiles:
     def test_relative_feature_paths_resolve(self, corpus):
@@ -255,6 +263,9 @@ class TestCorpusFiles:
         {"image_id": "i", "concepts": "c1"},
         {"poem_id": "p", "lines": "234"},
         {"poem_id": "p", "lines": ["234", "567"]},
+        {"poem_id": "p", "lines": [[1.5, 2.9, 3]]},
+        {"poem_id": "p", "lines": [[2, True, 3]]},
+        {"poem_id": "p", "lines": [["4", 5, 6]]},
     ])
     def test_string_in_place_of_a_list_is_malformed(self, tmp_path, record):
         path = tmp_path / "bad.jsonl"

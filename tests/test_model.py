@@ -310,8 +310,10 @@ class TestHoistedWork:
         # decoder inputs per step.
         counts = []
         for target in ((5,), (5, 6, 7, 8, 9)):
+            scorer = init_params(toy_config(chars_per_line=len(target)),
+                                 SeededRng(42))
             stacks.clear()
-            cross_entropy_loss(model, [TrainSample(
+            cross_entropy_loss(scorer, [TrainSample(
                 features=features, keywords=keywords, preceding=(1, 2, 3),
                 target=target)])
             counts.append(len(stacks) - len(target))
@@ -326,8 +328,9 @@ class TestHoistedWork:
 
     @pytest.mark.parametrize("length", [1, 5])
     def test_scoring_reads_the_generic_head_and_memory_once(
-            self, model, rng, length, monkeypatch):
+            self, rng, length, monkeypatch):
         from imagepoet.training import TrainSample, cross_entropy_loss
+        model = init_params(toy_config(chars_per_line=length), SeededRng(42))
         sample = TrainSample(features=features_for(model.config, rng),
                              keywords=[(3, 4), (9,)], preceding=(1, 2, 3),
                              target=tuple(range(5, 5 + length)))

@@ -74,15 +74,6 @@ def record_images(monkeypatch):
     return grids
 
 
-def ragged(pool, lengths=(5, 2, 4)):
-    """pool with sample i's target cut to lengths[i % len(lengths)]
-    characters; grids stay the same arrays."""
-    return [TrainSample(features=s.features, keywords=s.keywords,
-                        preceding=s.preceding,
-                        target=s.target[:lengths[i % len(lengths)]])
-            for i, s in enumerate(pool)]
-
-
 def record_decoder_steps(model, monkeypatch):
     """The state shapes of the scorer's decoder gru_step calls from now
     on."""
@@ -103,7 +94,7 @@ def per_sample_grads(model, batch):
     want = {p: np.zeros(p.shape) for _, p in model.parameters()}
     for sample in batch:
         with Tape() as tape:
-            loss_sum, _ = training._batch_loss_sum(model, [sample])
+            loss_sum = training._batch_loss_sum(model, [sample])
         for p, g in tape.gradients(loss_sum).items():
             want[p] += g
     return want
@@ -149,9 +140,8 @@ class TestCrossEntropy:
             want = nm.scale(want, -1.0)
         want_grads = tape.gradients(want)
         with Tape() as tape:
-            got, n = training._batch_loss_sum(model, [sample])
+            got = training._batch_loss_sum(model, [sample])
         got_grads = tape.gradients(got)
-        assert n == len(sample.target)
         assert abs(got.item() - want.item()) <= 1e-12 * abs(want.item())
         # Relative to the largest gradient: some parameters' gradients are
         # pure cancellation residue, near 1e-11, differing in their bits.
@@ -191,6 +181,21 @@ class TestCrossEntropy:
     def test_empty_pool_is_a_domain_error(self, model, score):
         with pytest.raises(DomainError, match="empty batch"):
             score(model, [])
+
+    @pytest.mark.parametrize("score", [evaluate_loss, cross_entropy_loss,
+                                       accumulate_gradients])
+    @pytest.mark.parametrize("length", [3, 6])
+    def test_a_target_of_another_length_is_a_domain_error(self, model, rng,
+                                                          score, length):
+        pool = make_pool(model.config, rng, 3)
+        other = pool[1]
+        pool[1] = TrainSample(features=other.features,
+                              keywords=other.keywords,
+                              preceding=other.preceding,
+                              target=(7,) * length)
+        with pytest.raises(DomainError, match=r"target has %d characters, "
+                           r"but a line has chars_per_line = 5" % length):
+            score(model, pool)
 
     def test_target_outside_vocab_rejected(self, model, rng):
         sample = make_sample(model.config, rng)
@@ -293,16 +298,15 @@ class TestSharedScoring:
 class TestBatchedRecurrence:
     def test_mixed_lengths_match_per_sample_scoring_and_reference(
             self, model, rng, monkeypatch):
-        pool = ragged(nested_pool(model.config, rng, 3, seed=4))
+        pool = nested_pool(model.config, rng, 3, seed=4)
         assert len({len(s.preceding) for s in pool}) == 4
-        assert len({len(s.target) for s in pool}) == 3
-        chars = sum(len(s.target) for s in pool)
-        alone = sum(cross_entropy_loss(model, [s]).item() * len(s.target)
-                    for s in pool) / chars
+        alone = sum(cross_entropy_loss(model, [s]).item()
+                    for s in pool) / len(pool)
         steps = record_decoder_steps(model, monkeypatch)
         got = evaluate_loss(model, pool)
-        # One recurrence per target length, each of four samples.
-        assert steps == [(4, model.config.hidden_dim)] * (5 + 2 + 4)
+        # One recurrence of all twelve samples, whatever their contexts.
+        assert steps == ([(12, model.config.hidden_dim)]
+                         * model.config.chars_per_line)
         assert abs(got - alone) <= 1e-12 * abs(alone)
         want = batch_loss_ref(model, pool)
         assert abs(got - want) <= 1e-12 * abs(want)
@@ -334,17 +338,18 @@ class TestBatchedRecurrence:
         assert abs(waves - want) <= 1e-12 * abs(want)
 
     def test_a_mixed_chunk_has_the_per_sample_gradients(self, rng):
-        # Two images of two lines, two target lengths: one chunk, one wave.
+        # Two images of two lines, two context lengths: one chunk, one
+        # wave.
         config = toy_config(lines_per_poem=2)
         model = init_params(config, SeededRng(8))
-        batch = ragged(nested_pool(config, rng, 2, seed=6), (5, 5, 3))
+        batch = nested_pool(config, rng, 2, seed=6)
         assert len(batch) == training.GRADIENT_CHUNK
         want = per_sample_grads(model, batch)
-        inv = 1.0 / sum(len(s.target) for s in batch)
+        inv = 1.0 / (len(batch) * config.chars_per_line)
         model.zero_grads()
         loss = accumulate_gradients(model, batch)
-        alone = sum(cross_entropy_loss(model, [s]).item() * len(s.target)
-                    for s in batch) * inv
+        alone = sum(cross_entropy_loss(model, [s]).item()
+                    for s in batch) / len(batch)
         assert abs(loss - alone) <= 1e-12 * abs(alone)
         scale = max(np.max(np.abs(g)) for g in want.values()) * inv
         for name, p in model.parameters():
@@ -356,7 +361,7 @@ class TestBatchedRecurrence:
                             visual_count=2, visual_dim=2, lines_per_poem=3,
                             chars_per_line=3)
         model = init_params(config, SeededRng(13))
-        batch = ragged(nested_pool(config, rng, 2, seed=8), (3, 2))
+        batch = nested_pool(config, rng, 2, seed=8)
         grad = full_model_grad_check(model, batch, h=1e-5)
         assert grad.max_error < 1e-5, grad.worst_param
 
@@ -485,9 +490,9 @@ class TestGradientAccumulation:
         chars = 0
         for sample in batch:
             with Tape() as tape:
-                loss_sum, n = training._batch_loss_sum(model, [sample])
+                loss_sum = training._batch_loss_sum(model, [sample])
             grads = tape.gradients(loss_sum)
-            chars += n
+            chars += len(sample.target)
             for name, p in model.parameters():
                 if p in grads:
                     want[name] += grads[p]
@@ -526,9 +531,9 @@ class TestGradientAccumulation:
         chars = 0
         for sample in batch:
             with Tape() as tape:
-                loss_sum, n = training._batch_loss_sum(model, [sample])
+                loss_sum = training._batch_loss_sum(model, [sample])
             grads = tape.gradients(loss_sum)
-            chars += n
+            chars += len(sample.target)
             for name, p in model.parameters():
                 if p in grads:
                     want[name] += grads[p]
@@ -597,6 +602,22 @@ class TestGradientAccumulation:
         big.grad = np.array([1e200, 1.0])
         with pytest.raises(NumericalError, match="'big'"):
             clip_gradients(params, max_norm)
+
+
+class TestMakeBatches:
+    def test_batches_share_one_context_length(self, config, rng):
+        pool = (make_pool(config, rng, 7, preceding_len=0)
+                + make_pool(config, rng, 5, preceding_len=5)
+                + make_pool(config, rng, 3, preceding_len=10))
+        batches = training._make_batches(pool, 3, SeededRng(4))
+        placed = sorted(id(s) for batch in batches for s in batch)
+        assert placed == sorted(id(s) for s in pool)
+        for batch in batches:
+            assert 1 <= len(batch) <= 3
+            assert len({len(s.preceding) for s in batch}) == 1
+        again = training._make_batches(pool, 3, SeededRng(4))
+        assert ([[id(s) for s in batch] for batch in again]
+                == [[id(s) for s in batch] for batch in batches])
 
 
 class TestTrainLoop:
