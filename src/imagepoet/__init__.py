@@ -11,8 +11,8 @@ from .errors import (CheckpointError, CheckpointShapeError,
                      DomainError, NumericalError, UsageError, VocabularyError)
 from .model import (LINE_START_ID, POEM_START_ID, GenerationContext,
                     ImageContext, ModelConfig, PoemModel, decode_step,
-                    encode_context, generate_line, generate_poem, init_params,
-                    output_probs, prepare_context, prepare_image)
+                    generate_line, generate_poem, init_params, output_probs,
+                    prepare_context, prepare_contexts, prepare_image)
 from .numerics import Tape, Tensor, grad_check
 from .rng import SeededRng
 from .topic_memory import MemoryBank, address, encode_keywords, fuse, read

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DomainError
 from .model import check_ids
-from .poetics import claim_key, content_lines
+from .poetics import claim_key, content_lines, text_lines
 from .rng import SeededRng
 from .training import TrainSample
 
@@ -159,59 +159,59 @@ def load_corpus(path, lines_per_poem=None, chars_per_line=None,
     images, poems = [], []
     image_lines, poem_lines = {}, {}
     base = os.path.dirname(os.path.abspath(path))
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise DataError("%s:%d: bad JSON: %s" % (path, number, exc))
-            try:
-                if "image_id" in record:
-                    feature_path = record.get("feature_path", "")
-                    if feature_path and not os.path.isabs(feature_path):
-                        feature_path = os.path.join(base, feature_path)
-                    image = ImageRecord(
-                        str(record["image_id"]), feature_path,
-                        list(_not_str(record.get("concepts", []),
-                                      "concepts")))
-                elif "poem_id" in record:
-                    poem_id = str(record["poem_id"])
-                    lines = [tuple(_not_str(l, "a line"))
-                             for l in _not_str(record["lines"], "lines")]
-                    # type(), not isinstance(): true and false are not ids.
-                    bad = [c for l in lines for c in l if type(c) is not int]
-                    if bad:
-                        raise TypeError("character id %r is not an integer"
-                                        % (bad[0],))
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise DataError("%s:%d: malformed record: %s: %s"
-                                % (path, number, type(exc).__name__, exc))
+    for number, raw in text_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise DataError("%s:%d: bad JSON: %s" % (path, number, exc))
+        try:
             if "image_id" in record:
-                claim_key(image_lines, image.image_id, path, number,
-                          "image id")
-                images.append(image)
+                feature_path = record.get("feature_path", "")
+                if feature_path and not os.path.isabs(feature_path):
+                    feature_path = os.path.join(base, feature_path)
+                concepts = list(_not_str(record.get("concepts", []),
+                                         "concepts"))
+                bad = [c for c in concepts if not isinstance(c, str)]
+                if bad:
+                    raise TypeError("concept %r is not a string" % (bad[0],))
+                image = ImageRecord(str(record["image_id"]), feature_path,
+                                    concepts)
             elif "poem_id" in record:
-                claim_key(poem_lines, poem_id, path, number, "poem id")
-                if lines_per_poem is not None and len(lines) != lines_per_poem:
-                    raise DataError("%s:%d: poem has %d lines, expected %d"
-                                    % (path, number, len(lines),
-                                       lines_per_poem))
-                if chars_per_line is not None:
-                    for i, l in enumerate(lines, start=1):
-                        if len(l) != chars_per_line:
-                            raise DataError(
-                                "%s:%d: line %d has %d chars, expected %d"
-                                % (path, number, i, len(l), chars_per_line))
-                if vocab_size is not None:
-                    check_ids([c for l in lines for c in l], vocab_size,
-                              "%s:%d: poem" % (path, number))
-                poems.append(PoemRecord(poem_id, lines))
-            else:
-                raise DataError("%s:%d: record is neither an image nor a poem"
-                                % (path, number))
+                poem_id = str(record["poem_id"])
+                lines = [tuple(_not_str(l, "a line"))
+                         for l in _not_str(record["lines"], "lines")]
+                # type(), not isinstance(): true and false are not ids.
+                bad = [c for l in lines for c in l if type(c) is not int]
+                if bad:
+                    raise TypeError("character id %r is not an integer"
+                                    % (bad[0],))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DataError("%s:%d: malformed record: %s: %s"
+                            % (path, number, type(exc).__name__, exc))
+        if "image_id" in record:
+            claim_key(image_lines, image.image_id, path, number, "image id")
+            images.append(image)
+        elif "poem_id" in record:
+            claim_key(poem_lines, poem_id, path, number, "poem id")
+            if lines_per_poem is not None and len(lines) != lines_per_poem:
+                raise DataError("%s:%d: poem has %d lines, expected %d"
+                                % (path, number, len(lines), lines_per_poem))
+            if chars_per_line is not None:
+                for i, l in enumerate(lines, start=1):
+                    if len(l) != chars_per_line:
+                        raise DataError(
+                            "%s:%d: line %d has %d chars, expected %d"
+                            % (path, number, i, len(l), chars_per_line))
+            if vocab_size is not None:
+                check_ids([c for l in lines for c in l], vocab_size,
+                          "%s:%d: poem" % (path, number))
+            poems.append(PoemRecord(poem_id, lines))
+        else:
+            raise DataError("%s:%d: record is neither an image nor a poem"
+                            % (path, number))
     return images, poems
 
 

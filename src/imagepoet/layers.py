@@ -15,6 +15,8 @@ Conventions pinned here (and relied on by the oracles in the test suite):
   step.
 """
 
+import collections
+
 import numpy as np
 
 from . import numerics as nm
@@ -109,8 +111,8 @@ def gru_step(cell, h_prev, x):
     together: each gate's products are then one linear over the B rows,
     and its bias is added to every row.  x is the matching input vector or
     (B, input_dim) matrix, or the triple (W_z x, W_r x, W_h x) of its input
-    products when the caller computed them ahead, as gru_run does for a
-    whole sequence.
+    products when the caller computed them ahead, as gru_run does for
+    many steps at once.
     """
     precomputed = isinstance(x, tuple)
     lead = h_prev.shape[:-1]
@@ -134,51 +136,63 @@ def gru_step(cell, h_prev, x):
     return nm.add(nm.mul(keep, h_prev), nm.mul(z, cand))
 
 
-def gru_run(cell, xs, prefix=(), reverse=False):
-    """States of a GRU pass over the rows of the matrix xs, in step order.
+def gru_run(cell, embedding, sequences, states):
+    """Extend states, a map from id prefix to GRU state, with the state of
+    every prefix of the id sequences.
 
-    The pass reads the rows first to last, or last to first when reverse
-    is set, from the zero state.  The input products W_z X, W_r X and
-    W_h X are one linear each for the whole sequence, split into step rows
-    by one nm.rows record apiece; only the recurrent products U h run per
-    step.  prefix holds the states of the first steps of an earlier pass
-    whose inputs began as these do: they start the result as they are,
-    and the pass goes on from the last of them.
+    A state depends only on the ids read so far from the zero state, so
+    each distinct prefix is stepped once, and one already in states is
+    not stepped again.  The new prefixes step depth by depth: the input
+    products W_z x, W_r x and W_h x of all of them are one linear each,
+    split into depths by one nm.blocks record apiece, and each depth is
+    one gru_step of the (n_d, h) matrix of its parents' states, gathered
+    by one nm.stack and split back into states by one nm.rows.  One
+    sequence alone is the single-sequence pass to the bit: BLAS rounds a
+    one-row product as it rounds a vector one.
     """
-    if xs.data.ndim != 2 or xs.shape[1] != cell.input_dim:
-        raise DimensionError("gru_run: inputs %s vs cell input dim %d"
-                             % (xs.shape, cell.input_dim))
-    n = xs.shape[0]
-    if len(prefix) > n:
-        raise DimensionError("gru_run: %d prefix states for %d inputs"
-                             % (len(prefix), n))
-    steps = range(n - 1, -1, -1) if reverse else range(n)
-    states = list(prefix)
-    if len(states) < n:
-        gates = list(zip(*(nm.rows(nm.linear(xs, w))
-                           for w in (cell.w_z, cell.w_r, cell.w_h))))
-        h = states[-1] if states else cell.zero_state()
-        for t in steps[len(states):]:
-            h = gru_step(cell, h, gates[t])
-            states.append(h)
-    return states
+    new = list(dict.fromkeys(
+        seq[:d] for seq in sequences for d in range(1, len(seq) + 1)
+        if seq[:d] not in states))
+    if not new:
+        return
+    new.sort(key=len)
+    depths = list(collections.Counter(map(len, new)).values())
+    xs = embedding.lookup([prefix[-1] for prefix in new])
+    gates = zip(*(nm.blocks(nm.linear(xs, w), depths)
+                  for w in (cell.w_z, cell.w_r, cell.w_h)))
+    zero = cell.zero_state()
+    start = 0
+    for size, inputs in zip(depths, gates):
+        nodes = new[start:start + size]
+        start += size
+        parents = nm.stack([states[p[:-1]] if len(p) > 1 else zero
+                            for p in nodes])
+        states.update(zip(nodes, nm.rows(gru_step(cell, parents, inputs))))
 
 
-def bigru_encode(cell_fw, cell_bw, xs, forward=()):
-    """(n, 2h) matrix of Bi-GRU states, and the list of forward states.
+def bigru_encode(cell_fw, cell_bw, embedding, sequences, forward):
+    """The (n, 2h) matrix of Bi-GRU states of each id sequence.
 
-    xs is an (n, input_dim) matrix, one input per row.  Both passes start
-    from the zero state; row j is [forward_j ; backward_j].  forward holds
-    the forward states of an earlier encoding whose inputs began as these
-    do (gru_run's prefix): the forward pass then runs over the remaining
-    rows only.  The backward pass always runs in full.
+    Row j of a sequence's matrix is [forward_j ; backward_j]: the forward
+    state after its ids up to j, and the backward state after its ids
+    from the last down to j, both from the zero state.  Each direction is
+    one gru_run over all the sequences, the backward one over them
+    reversed, so a shared prefix, or in the backward direction a shared
+    suffix, is stepped once.  forward maps id prefixes to forward states:
+    an earlier encoding's prefixes are read from it, and this call's are
+    added to it.
     """
-    if xs.data.ndim != 2 or xs.shape[0] == 0:
-        raise DomainError("bigru_encode needs at least one input row, got "
-                          "shape %s" % (xs.shape,))
-    states = gru_run(cell_fw, xs, prefix=forward)
-    backward = gru_run(cell_bw, xs, reverse=True)[::-1]
-    return nm.concat([nm.stack(states), nm.stack(backward)], axis=1), states
+    sequences = [tuple(seq) for seq in sequences]
+    if not sequences or not all(sequences):
+        raise DomainError("bigru_encode needs sequences of at least one id")
+    backward = {}
+    gru_run(cell_fw, embedding, sequences, forward)
+    gru_run(cell_bw, embedding, [seq[::-1] for seq in sequences], backward)
+    return [nm.concat([nm.stack([forward[seq[:j + 1]]
+                                 for j in range(len(seq))]),
+                       nm.stack([backward[seq[j:][::-1]]
+                                 for j in range(len(seq))])], axis=1)
+            for seq in sequences]
 
 
 class AttentionParams(ParamGroup):

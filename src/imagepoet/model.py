@@ -3,10 +3,11 @@
 A poem is produced line by line from one image: its keyword memory and
 visual feature rows are prepared once (prepare_image) and shared by
 every line.  For each line the preceding lines are encoded with a
-Bi-GRU, whose forward pass goes on from the previous line's forward
-states (prepare_context), then characters are decoded greedily: at each
-step the previous state queries attention over both the encoded context
-and the visual feature rows, a GRU updates the state, the keyword memory
+Bi-GRU, whose forward pass reads the forward states of the previous
+lines' contexts from the image and steps the new line only
+(prepare_contexts), then characters are decoded greedily: at each step
+the previous state queries attention over both the encoded context and
+the visual feature rows, a GRU updates the state, the keyword memory
 turns the state topic-aware, and two softmax heads are mixed into the
 output distribution with extra mass on keyword characters.
 
@@ -14,10 +15,13 @@ Lines are decoded in reverse (rhyme-bearing character first) and flipped
 back before they are returned, mirroring the training-time inversion of
 target lines.
 
-A decode step is three parts: decoder_input (both attention streams),
-the decoder GRU and output_side.  Teacher-forced scoring runs the same
-parts, but steps the states of many samples through the GRU as one
-matrix and scores each sample's states afterwards (training._loss_sums).
+A decode step is four parts: decoder_input (both attention streams),
+the decoder GRU, head_input (the keyword memory read) and the two heads
+(the generic head's softmax, then output_probs).  Teacher-forced scoring
+runs the same parts on many samples at once (training._loss_sums): one
+prepare_contexts call encodes all their contexts, the GRU steps their
+states as one matrix, and the generic head scores all their states in
+one call; attention and the topic head stay per row.
 """
 
 import dataclasses
@@ -170,23 +174,23 @@ class ImageContext:
     """What every line conditioned on one image shares (prepare_image).
 
     bank is the keyword memory of the image's keywords, and topic_ids the
-    sorted ids of every character in them.  visual is the (key matrix, projection) pair of
-    project_keys for its feature grid; a projection of None leaves attend
-    to project the keys at each decode step.  forward lists the (ids,
-    forward states) pair of each context prepared from this image so far
-    (encode_context), which a later context that begins with the same
-    characters extends.
+    sorted ids of every character in them.  visual is the (key matrix,
+    projection) pair of project_keys for its feature grid; a projection of
+    None leaves attend to project the keys at each decode step.  forward
+    maps each id prefix of the contexts prepared from this image so far
+    to its forward encoder state (layers.bigru_encode), which a later
+    context that begins with the same ids reads instead of stepping.
     """
 
     bank: tmem.MemoryBank
     topic_ids: tuple
     visual: tuple
-    forward: list
+    forward: dict
 
 
 @dataclasses.dataclass
 class GenerationContext:
-    """Per-line inputs prepared for decoding (prepare_context).
+    """Per-line inputs prepared for decoding (prepare_contexts).
 
     visual, bank and topic_ids are the image's (ImageContext).  text is
     the (key matrix, projection) pair of project_keys for the (n, 2h)
@@ -201,40 +205,10 @@ class GenerationContext:
     text: tuple
 
 
-def encode_context(model, preceding, earlier=()):
-    """Bi-GRU states of a context, and the pair that lets a later one reuse
-    its forward pass.
-
-    Returns the (n, 2h) matrix of states, one row per preceding character,
-    and the pair (ids, forward states).  An empty context encodes the
-    single poem-start marker instead, so the first line still has
-    something to attend over.  earlier holds such pairs from earlier
-    calls.  A forward state depends only on the characters read so far,
-    so the states of the longest prefix this context shares with any of
-    them are reused, and the forward pass runs over the rest only; the
-    backward pass runs in full.  A reused state equals a recomputed one
-    to the bit when both input GEMMs have at least three rows: BLAS may
-    round a one- or two-row product differently.
-    """
-    ids = tuple(int(c) for c in preceding) or (POEM_START_ID,)
-    reused = ()
-    for old_ids, states in earlier:
-        shared = 0
-        for a, b in zip(old_ids, ids):
-            if a != b:
-                break
-            shared += 1
-        if shared > len(reused):
-            reused = states[:shared]
-    h, forward = bigru_encode(model.encoder_fw, model.encoder_bw,
-                              model.embedding.lookup(ids), reused)
-    return h, (ids, forward)
-
-
 def prepare_image(model, features, keywords, project=True):
     """The keyword bank, topic vocabulary and visual keys of one image.
 
-    Built once and shared by every line prepared from it (prepare_context).
+    Built once and shared by every line prepared from it (prepare_contexts).
     project=False leaves the visual keys unprojected, so attend projects
     them at each decode step (generate_poem).
     """
@@ -254,29 +228,47 @@ def prepare_image(model, features, keywords, project=True):
             config.vocab_size, "keyword"),
         visual=(project_keys(model.visual_attention, keys) if project
                 else (keys, None)),
-        forward=[])
+        forward={})
+
+
+def prepare_contexts(model, lines):
+    """Encode everything each of many lines needs, one GenerationContext
+    per (image, preceding ids) pair of lines.
+
+    All the contexts are encoded by one bigru_encode call, so a prefix
+    that several share is stepped once.  An empty context encodes the
+    single poem-start marker instead, so the first line still has
+    something to attend over.  The call reads and extends the forward
+    states of every image in lines; afterwards the images share one map,
+    since a forward state depends on the ids alone.
+    """
+    forward = {}
+    for image, _ in lines:
+        forward.update(image.forward)
+        image.forward = forward
+    encoded = bigru_encode(
+        model.encoder_fw, model.encoder_bw, model.embedding,
+        [tuple(int(c) for c in preceding) or (POEM_START_ID,)
+         for _, preceding in lines], forward)
+    ctxs = []
+    for (image, _), h in zip(lines, encoded):
+        # The initial state, tanh of a learned map of the mean context, is
+        # recorded before the key projection, so the backward pass adds
+        # the mean's adjoint into h last.
+        mean = nm.matmul(Tensor(np.full(h.shape[0], 1.0 / h.shape[0])), h)
+        state = nm.tanh(nm.linear(mean, model.state_map.w, model.state_map.b))
+        ctxs.append(GenerationContext(
+            visual=image.visual,
+            bank=image.bank,
+            topic_ids=image.topic_ids,
+            state=state,
+            text=project_keys(model.text_attention, h)))
+    return ctxs
 
 
 def prepare_context(model, image, preceding):
-    """Encode everything one line of an image needs.
-
-    The context extends the forward encoder states of the image's earlier
-    context that shares the longest prefix with it (encode_context), and
-    its own pair joins image.forward.
-    """
-    h, forward = encode_context(model, preceding, image.forward)
-    image.forward.append(forward)
-    # The initial state, tanh of a learned map of the mean context, is
-    # recorded before the key projection, so the backward pass adds the
-    # mean's adjoint into h last.
-    mean = nm.matmul(Tensor(np.full(h.shape[0], 1.0 / h.shape[0])), h)
-    state = nm.tanh(nm.linear(mean, model.state_map.w, model.state_map.b))
-    return GenerationContext(
-        visual=image.visual,
-        bank=image.bank,
-        topic_ids=image.topic_ids,
-        state=state,
-        text=project_keys(model.text_attention, h))
+    """The GenerationContext of one line (prepare_contexts)."""
+    return prepare_contexts(model, [(image, preceding)])[0]
 
 
 @dataclasses.dataclass
@@ -305,9 +297,10 @@ def decoder_input(model, ctx, s_prev, y_prev):
 
     Both streams are queried with the previous state; the input is the
     previous character's embedding and both contexts.  Nothing here
-    depends on the output side (see output_side), so a teacher-forced
-    pass runs the recurrence alone, the rows of several samples stepping
-    through one gru_step together, and scores its states afterwards.
+    depends on the output side (head_input and the heads), so a
+    teacher-forced pass runs the recurrence alone, the rows of several
+    samples stepping through one gru_step together, and scores its
+    states afterwards.
     """
     text = attend(model.text_attention, s_prev, *ctx.text)
     visual = attend(model.visual_attention, s_prev, *ctx.visual)
@@ -315,15 +308,15 @@ def decoder_input(model, ctx, s_prev, y_prev):
     return x, text, visual
 
 
-def output_side(model, ctx, state, visual_context, text_context):
-    """(topic_state, address, p_generic, p_topic, p) of decoder states.
+def head_input(model, ctx, state, visual_context, text_context):
+    """(features, topic_state, address) of decoder states.
 
     state is one state or a (T, h) matrix of them, and the contexts are
-    the matching vectors or matrices; a matrix scores every row in one
-    pass and each result has one row per state.  The state addresses the
-    keyword memory; an empty bank degrades to topic_state == state and no
-    address (the no-keywords variant).  The head input [topic_state;
-    visual_context; text_context] is built once for both output heads.
+    the matching vectors or matrices; a matrix is read in one pass and
+    each result has one row per state.  The state addresses the keyword
+    memory; an empty bank degrades to topic_state == state and no address
+    (the no-keywords variant).  features, the head input [topic_state;
+    visual_context; text_context], is built once for both output heads.
     """
     z = None
     o = state
@@ -332,39 +325,42 @@ def output_side(model, ctx, state, visual_context, text_context):
         o = tmem.fuse(tmem.read(ctx.bank, z), state)
     features = nm.concat([o, visual_context, text_context],
                          axis=state.data.ndim - 1)
-    return (o, z) + output_probs(model, ctx, features)
+    return features, o, z
 
 
 def decode_step(model, ctx, s_prev, y_prev):
-    """One decoder step: the decoder GRU over decoder_input, then the
-    output side of its state."""
+    """One decoder step: the decoder GRU over decoder_input, then both
+    heads on its state."""
     x, (h_hat, text_weights), (v_hat, visual_weights) = decoder_input(
         model, ctx, s_prev, y_prev)
     s_t = gru_step(model.decoder, s_prev, x)
-    o_t, z, p_generic, p_topic, p = output_side(model, ctx, s_t, v_hat, h_hat)
+    features, o_t, z = head_input(model, ctx, s_t, v_hat, h_hat)
+    p_generic = nm.softmax(model.head_generic.logits(features))
+    p_topic, p = output_probs(model, ctx, features, p_generic)
     return Step(state=s_t, topic_state=o_t, text_context=h_hat,
                 visual_context=v_hat, text_weights=text_weights,
                 visual_weights=visual_weights, address=z,
                 p_generic=p_generic, p_topic=p_topic, p=p)
 
 
-def output_probs(model, ctx, features):
-    """(p_generic, p_topic, p) from the head input features.
+def output_probs(model, ctx, features, p_generic):
+    """(p_topic, p) from the head input features of one context and their
+    generic distribution p_generic, the generic head's softmax.
 
     features is one head input or a matrix of them, one per row.  p_topic
     scores only the topic vocabulary's columns and is zero elsewhere;
     p = (weight * p_topic + p_generic) / (1 + weight).  Zero weight or an
-    empty topic vocabulary turns the bias off (see Step).
+    empty topic vocabulary turns the bias off: p_topic is None and p is
+    p_generic (see Step).
     """
-    p_generic = nm.softmax(model.head_generic.logits(features))
     weight = model.config.topic_weight
     if weight == 0.0 or not ctx.topic_ids:
-        return p_generic, None, p_generic
+        return None, p_generic
     restricted = nm.softmax(_topic_logits(model, ctx, features))
     p_topic = nm.scatter(restricted, ctx.topic_ids, model.config.vocab_size)
     p = nm.scale(nm.add(nm.scale(p_topic, weight), p_generic),
                  1.0 / (1.0 + weight))
-    return p_generic, p_topic, p
+    return p_topic, p
 
 
 def _topic_logits(model, ctx, features):
@@ -373,7 +369,8 @@ def _topic_logits(model, ctx, features):
     Each row of a matrix of features is its own head call: the benchmark's
     tracer self-test (bench/test_selftest.py) counts one topic-head call
     per teacher-forced step.  The generic head, whose 6000-row output
-    layer costs most, scores a matrix in one call.
+    layer costs most, scores all the rows of a scoring wave in one call
+    (training._loss_sums).
     """
     head = model.head_topic
     if features.data.ndim == 1:
@@ -405,10 +402,10 @@ def generate_poem(model, features, keywords):
 
     The poem's lines share one image (prepare_image).  Each line's context
     is the previous line's context plus that line, so its forward encoder
-    pass goes on from the previous context's forward states and reads the
-    new line only.  The visual keys are still projected at every decode
-    step, the figure the benchmark's tracer self-test pins (ROADMAP open
-    item 1).
+    pass reads the previous context's forward states from the image and
+    steps the new line only.  The visual keys are still projected at every
+    decode step, the figure the benchmark's tracer self-test pins (ROADMAP
+    open item 1).
     """
     image = prepare_image(model, features, keywords, project=False)
     lines = []

@@ -350,9 +350,12 @@ def softmax(v):
     if v.data.ndim not in (1, 2) or v.data.size == 0:
         raise DomainError("softmax expects a nonempty vector or matrix, "
                           "got shape %s" % (v.data.shape,))
-    shifted = v.data - v.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    # One new array: the max is subtracted into it, and the exponential
+    # and the division are taken in place, with the bits of
+    # e / e.sum() for e = exp(v - max).
+    out = v.data - v.data.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def backward(g):
         return (out * (g - np.sum(g * out, axis=-1, keepdims=True)),)
@@ -415,6 +418,30 @@ def rows(m):
         return (dense,)
 
     return list(_emit(tuple(md), (m,), backward))
+
+
+def blocks(m, sizes):
+    """Consecutive row blocks of a matrix, of sizes[i] rows each, recorded
+    as one op.
+
+    Each block is a view of m.  Its backward writes the blocks' adjoints
+    into one matrix-sized adjoint of m, with zeros for a block that
+    received none.
+    """
+    md = m.data
+    if md.ndim != 2 or min(sizes, default=-1) < 0 or sum(sizes) != len(md):
+        raise DimensionError("blocks of %s rows from shape %s"
+                             % (list(sizes), md.shape))
+    bounds = np.cumsum(sizes)[:-1]
+
+    def backward(grads):
+        dense = np.zeros(md.shape)
+        for piece, g in zip(np.split(dense, bounds), grads):
+            if g is not None:
+                piece[...] = g
+        return (dense,)
+
+    return list(_emit(tuple(np.split(md, bounds)), (m,), backward))
 
 
 def sum_all(a):

@@ -12,6 +12,7 @@ Pattern file: one line per poem line, chars_per_line symbols over
 """
 
 import dataclasses
+import io
 
 from .errors import DataError
 
@@ -159,14 +160,27 @@ def reverse_line(chars):
     return list(reversed(list(chars)))
 
 
+def text_lines(path):
+    """(line number, line) for each line of a UTF-8 text file, split as
+    text mode splits them.  A byte sequence that is not UTF-8 is a
+    DataError naming the file and the line that holds it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError("%s:%d: not UTF-8 text"
+                        % (path, data.count(b"\n", 0, exc.start) + 1))
+    return enumerate(io.StringIO(text, newline=None), start=1)
+
+
 def content_lines(path):
     """(line number, stripped line) for each line of a text file that is
     neither blank nor a ``#`` comment."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                yield number, line
+    for number, raw in text_lines(path):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield number, line
 
 
 def claim_key(first_lines, key, path, number, what):

@@ -48,21 +48,22 @@ def encode_keywords(embedding, cell_fw, cell_bw, keywords):
     """Build a MemoryBank from keyword character-id sequences.
 
     Keys come from a keyword Bi-GRU (its own parameters, half the state
-    width per direction), each direction one gru_run over the keyword's
-    embedding matrix; contents are mean character embeddings.
+    width per direction): each direction is one gru_run over all the
+    keywords, the backward one over them reversed, and a keyword's key is
+    its last forward and its last backward state.  Contents are mean
+    character embeddings.
     """
-    keys, contents = [], []
-    for keyword in keywords:
-        chars = list(keyword)
-        if not chars:
-            raise DomainError("keyword with zero characters")
-        embs = embedding.lookup(chars)
-        keys.append(nm.concat([gru_run(cell_fw, embs)[-1],
-                               gru_run(cell_bw, embs, reverse=True)[-1]]))
-        contents.append(nm.matmul(Tensor(np.full(len(chars),
-                                                 1.0 / len(chars))), embs))
-    if not keys:
+    keywords = [tuple(keyword) for keyword in keywords]
+    if not all(keywords):
+        raise DomainError("keyword with zero characters")
+    if not keywords:
         return MemoryBank.empty()
+    forward, backward = {}, {}
+    gru_run(cell_fw, embedding, keywords, forward)
+    gru_run(cell_bw, embedding, [kw[::-1] for kw in keywords], backward)
+    keys = [nm.concat([forward[kw], backward[kw[::-1]]]) for kw in keywords]
+    contents = [nm.matmul(Tensor(np.full(len(kw), 1.0 / len(kw))),
+                          embedding.lookup(kw)) for kw in keywords]
     return MemoryBank(nm.stack(keys), nm.stack(contents))
 
 

@@ -4,22 +4,26 @@ Target lines are reversed before scoring so the model learns to emit the
 rhyme-bearing final character first; generation undoes the reversal.
 Teacher forcing feeds each step the previous target character, so the
 decoder recurrence runs over whole targets first and the states are
-scored afterwards, each sample's in one output-side pass
-(model.output_side).  One scorer, _batch_loss_sum, serves evaluation,
-cross_entropy_loss and every gradient chunk.  Within one call, the
-samples of one image (the same grid array and keywords) are prepared
-from one model.ImageContext, so they share its keyword bank and visual
-projection, and each of their contexts extends the forward encoder
-states of an earlier one that begins like it.  Every target is one line
-of chars_per_line characters, so all samples of a wave of whole images
-(at most WAVE_SAMPLES samples, unless one image holds more) step through
-the decoder GRU together in one recurrence, one (B, h) matrix of states,
-so each gate's weights are read once per step as a GEMM rather than
-once per sample as GEMVs.  Training batches group samples of equal
-preceding length, so no padding or masking is ever needed.  A batch is
-recorded on one tape per chunk of GRADIENT_CHUNK samples, always one
-wave, and each chunk's backward pass writes its gradients straight into
-.grad.
+scored afterwards.  One scorer, _batch_loss_sum, serves evaluation,
+cross_entropy_loss and every gradient chunk.  It scores a batch in waves
+of whole images, at most WAVE_SAMPLES samples each unless one image
+holds more; the samples of one image (the same grid array and keywords)
+share one model.ImageContext, so its keyword bank and visual projection
+are built once.  Within a wave everything that reads one weight matrix
+for each sample reads it once for the whole wave, as a GEMM rather than
+as one GEMV per sample:
+* one model.prepare_contexts call encodes all the wave's contexts, each
+  Bi-GRU direction stepping the distinct prefixes of all of them depth
+  by depth (layers.bigru_encode);
+* every target is one line of chars_per_line characters, so the decoder
+  GRU steps all the wave's rows as one (B, h) matrix of states;
+* the generic head scores the (B * chars_per_line) head inputs of the
+  whole wave in one call.
+Attention, the keyword memory read and the topic head stay per sample.
+Training batches group samples of equal preceding length, so no padding
+or masking is ever needed.  A batch is recorded on one tape per chunk of
+GRADIENT_CHUNK samples, always one wave, and each chunk's backward pass
+writes its gradients straight into .grad.
 """
 
 import dataclasses
@@ -46,6 +50,18 @@ GRADIENT_CHUNK = 4
 WAVE_SAMPLES = 16
 
 
+def _ids(values, field):
+    """values as a tuple of ints.  As in a corpus, a float or a bool is not
+    an id: it is a DomainError naming field, where int() would truncate
+    it.  Python and numpy integers are ids."""
+    ids = tuple(values)
+    for c in ids:
+        if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+            raise DomainError("TrainSample %s id %r is not an integer"
+                              % (field, c))
+    return tuple(int(c) for c in ids)
+
+
 @dataclasses.dataclass
 class TrainSample:
     """One supervised instance: feature grid, keywords, context, target."""
@@ -57,9 +73,9 @@ class TrainSample:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.keywords = [tuple(int(c) for c in kw) for kw in self.keywords]
-        self.preceding = tuple(int(c) for c in self.preceding)
-        self.target = tuple(int(c) for c in self.target)
+        self.keywords = [_ids(kw, "keywords") for kw in self.keywords]
+        self.preceding = _ids(self.preceding, "preceding")
+        self.target = _ids(self.target, "target")
 
 
 @dataclasses.dataclass
@@ -89,15 +105,19 @@ def _loss_sums(model, batch, wave):
     """{index: teacher-forced -log p summed over the reversed target} of
     the samples of a wave's image groups.
 
-    Each image is prepared once (model.prepare_image) and each sample's
-    context from it (model.prepare_context).  Every target is one line of
-    chars_per_line characters, and each step's input is the previous
-    target character, so the recurrence runs alone, every row of the wave
-    stepping together: each row builds its decoder input with its own
-    context (model.decoder_input), the rows' inputs are stacked, one
-    gru_step advances the (B, h) matrix of states, and one nm.rows record
-    splits it into the next step's queries.  Each sample's output side
-    then scores all of its states as one matrix.
+    Each image is prepared once (model.prepare_image), and all the
+    samples' contexts in one model.prepare_contexts call.  Every target
+    is one line of chars_per_line characters, and each step's input is
+    the previous target character, so the recurrence runs alone, every
+    row of the wave stepping together: each row builds its decoder input
+    with its own context (model.decoder_input), the rows' inputs are
+    stacked, one gru_step advances the (B, h) matrix of states, and one
+    nm.rows record splits it into the next step's queries.  Each sample
+    then reads its keyword memory with all of its states as one matrix
+    (model.head_input), the generic head scores the head inputs of the
+    whole wave in one call, one nm.blocks record splits its distribution
+    back into samples, and each sample's topic head and mixture follow
+    (model.output_probs).
     """
     g = model.config.chars_per_line
     rows = [i for group in wave for i in group]
@@ -107,12 +127,12 @@ def _loss_sums(model, batch, wave):
         if len(target) != g:
             raise DomainError("target has %d characters, but a line has "
                               "chars_per_line = %d" % (len(target), g))
-    ctxs = []
+    lines = []
     for group in wave:
         first = batch[group[0]]
         image = mdl.prepare_image(model, first.features, first.keywords)
-        ctxs += [mdl.prepare_context(model, image, batch[i].preceding)
-                 for i in group]
+        lines += [(image, batch[i].preceding) for i in group]
+    ctxs = mdl.prepare_contexts(model, lines)
     queries = [ctx.state for ctx in ctxs]
     matrix = nm.stack(queries)
     y_prev = [mdl.LINE_START_ID] * len(rows)
@@ -130,10 +150,16 @@ def _loss_sums(model, batch, wave):
         for b, s in enumerate(queries):
             states[b].append(s)
         y_prev = [target[t] for target in targets]
+    features = [mdl.head_input(model, ctx, nm.stack(states[b]),
+                               nm.stack(visual[b]), nm.stack(text[b]))[0]
+                for b, ctx in enumerate(ctxs)]
+    generic = nm.blocks(
+        nm.softmax(model.head_generic.logits(nm.concat(features))),
+        [g] * len(rows))
     sums = {}
-    for b, (i, ctx, target) in enumerate(zip(rows, ctxs, targets)):
-        p = mdl.output_side(model, ctx, nm.stack(states[b]),
-                            nm.stack(visual[b]), nm.stack(text[b]))[-1]
+    for i, ctx, f, p_generic, target in zip(rows, ctxs, features, generic,
+                                             targets):
+        p = mdl.output_probs(model, ctx, f, p_generic)[-1]
         picked = nm.pick(p, target)
         bad = np.flatnonzero(~(picked.data > 0.0))  # also catches NaN
         if bad.size:

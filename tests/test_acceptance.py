@@ -12,7 +12,8 @@ from imagepoet import numerics as nm
 from imagepoet import topic_memory as tmem
 from imagepoet.checkpoint import checkpoint_bytes, model_from_bytes
 from imagepoet.datapipe import ConceptLexicon, keyword_recall
-from imagepoet.layers import AttentionParams, GRUCell, attend, bigru_encode, gru_step
+from imagepoet.layers import (AttentionParams, EmbeddingTable, GRUCell, attend,
+                              bigru_encode, gru_step)
 from imagepoet.model import (LINE_START_ID, ModelConfig, decode_step,
                              generate_line, generate_poem, init_params,
                              prepare_context, prepare_image)
@@ -225,7 +226,8 @@ def test_criterion_6_oracle_equivalence():
         bw = GRUCell.create(3, 3, rng)
         xs = [rng.uniform_array(3, -1.0, 1.0)
               for _ in range(1 + rng.below(4))]
-        got, _ = bigru_encode(fw, bw, Tensor(xs))
+        got, = bigru_encode(fw, bw, EmbeddingTable(Tensor(xs)),
+                            [tuple(range(len(xs)))], {})
         ref = bigru_ref(fw, bw, xs)
         err = max(float(np.max(np.abs(g - r))) for g, r in zip(got.data, ref))
         worst["bigru"] = max(worst["bigru"], err)

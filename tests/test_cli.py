@@ -361,6 +361,20 @@ class TestGenerate:
         assert (keywords + ":2: keyword character id 999 outside vocabulary "
                 "of 20") in capsys.readouterr().err
 
+    def test_keyword_file_that_is_not_utf8_names_its_line(
+            self, corpus, tmp_path, capsys):
+        ckpt = str(tmp_path / "model.ckpt")
+        save_checkpoint(init_params(toy_config(visual_count=2, visual_dim=3),
+                                    SeededRng(2)), ckpt)
+        keywords = tmp_path / "keywords.txt"
+        keywords.write_bytes(b"2+3\n\xe8\n")
+        code, out = run_cli("generate", "--checkpoint", ckpt,
+                            "--features", corpus["features"],
+                            "--keywords", str(keywords))
+        assert (code, out) == (2, "")
+        assert (str(keywords) + ":2: not UTF-8 text"
+                in capsys.readouterr().err)
+
     def test_feature_shape_mismatch_is_an_input_error(self, corpus, tmp_path):
         ckpt = train_once(corpus, tmp_path)
         keywords = write_keyword_file(tmp_path, [(2,)])

@@ -266,11 +266,20 @@ class TestCorpusFiles:
         {"poem_id": "p", "lines": [[1.5, 2.9, 3]]},
         {"poem_id": "p", "lines": [[2, True, 3]]},
         {"poem_id": "p", "lines": [["4", 5, 6]]},
+        {"image_id": "i", "concepts": [2, 3]},
     ])
     def test_string_in_place_of_a_list_is_malformed(self, tmp_path, record):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(DataError, match="bad.jsonl:1: malformed record"):
+            load_corpus(str(path))
+
+    def test_line_that_is_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "bytes.jsonl"
+        path.write_bytes(json.dumps({"image_id": "i"}).encode() + b"\n"
+                         + b'{"image_id": "\xe8"}\n')
+        with pytest.raises(DataError, match=r"bytes\.jsonl:2: not UTF-8 "
+                           r"text"):
             load_corpus(str(path))
 
     @pytest.mark.parametrize("record", [{"image_id": "i"},

@@ -96,22 +96,49 @@ class TestGruStep:
             gru_step(cell, Tensor(np.zeros(h_shape)), Tensor(np.zeros(x_shape)))
 
 
+def table_of(rows):
+    """An embedding table whose rows are the given input vectors, so that
+    the id sequence 0, 1, ... reads them in order."""
+    return EmbeddingTable(Tensor(np.asarray(rows, dtype=np.float64)))
+
+
+def single_pass(cell, xs):
+    """The states of one GRU pass over the rows of xs: the input products
+    one linear per gate over the whole sequence, then one vector step per
+    row."""
+    gates = list(zip(*(nm.rows(nm.linear(xs, w))
+                       for w in (cell.w_z, cell.w_r, cell.w_h))))
+    h = cell.zero_state()
+    states = []
+    for inputs in gates:
+        h = gru_step(cell, h, inputs)
+        states.append(h)
+    return states
+
+
 class TestGruRun:
     def test_precomputed_input_rows_match_the_vector_step(self, rng):
         cell = GRUCell.create(3, 4, rng)
-        xs = Tensor(np.stack([vec(rng, 3) for _ in range(5)]))
+        xs = np.stack([vec(rng, 3) for _ in range(5)])
+        states = {}
+        gru_run(cell, table_of(xs), [tuple(range(5))], states)
         h = cell.zero_state()
-        for got, x in zip(gru_run(cell, xs), xs.data):
+        for n, x in enumerate(xs, start=1):
             h = gru_step(cell, h, Tensor(x))
+            got = states[tuple(range(n))]
             assert np.max(np.abs(got.data - h.data)) < 1e-15
 
     def test_reverse_pass_reads_the_last_row_first(self, rng):
-        cell = GRUCell.create(3, 4, rng)
-        xs = np.stack([vec(rng, 3) for _ in range(4)])
-        got = gru_run(cell, Tensor(xs), reverse=True)
-        want = gru_run(cell, Tensor(xs[::-1].copy()))
-        for a, b in zip(got, want):
-            assert np.max(np.abs(a.data - b.data)) < 1e-15
+        # The backward half of a Bi-GRU row j is the pass over the
+        # sequence reversed, after it read the ids from the last down to j.
+        fw = GRUCell.create(3, 4, rng)
+        bw = GRUCell.create(3, 4, rng)
+        table = table_of([vec(rng, 3) for _ in range(4)])
+        out, = bigru_encode(fw, bw, table, [(0, 1, 2, 3)], {})
+        states = {}
+        gru_run(bw, table, [(3, 2, 1, 0)], states)
+        for j, prefix in enumerate([(3, 2, 1, 0), (3, 2, 1), (3, 2), (3,)]):
+            assert np.array_equal(out.data[j, 4:], states[prefix].data)
 
     def test_one_input_product_per_gate_for_the_whole_sequence(
             self, rng, monkeypatch):
@@ -125,8 +152,18 @@ class TestGruRun:
             return linear(x, w, b)
 
         monkeypatch.setattr(nm, "linear", recording)
-        gru_run(cell, Tensor(np.stack([vec(rng, 3) for _ in range(6)])))
+        table = table_of([vec(rng, 3) for _ in range(8)])
+        gru_run(cell, table, [tuple(range(6))], {})
         assert inputs == [(6, 3)] * 3
+        # A set of sequences: one product per gate for all their distinct
+        # prefixes; the known ones are not read again.
+        inputs.clear()
+        states = {}
+        gru_run(cell, table, [(0, 1, 2), (0, 1, 7, 6), (5,)], states)
+        assert inputs == [(6, 3)] * 3
+        inputs.clear()
+        gru_run(cell, table, [(0, 1, 2, 3), (5,)], states)
+        assert inputs == [(1, 3)] * 3
 
     def test_precomputed_rows_of_the_wrong_width_rejected(self, rng):
         cell = GRUCell.create(3, 4, rng)
@@ -134,11 +171,29 @@ class TestGruRun:
         with pytest.raises(DimensionError):
             gru_step(cell, cell.zero_state(), rows)
 
-    def test_more_prefix_states_than_inputs_rejected(self, rng):
+    def test_each_depth_is_one_step_of_its_distinct_prefixes(
+            self, rng, monkeypatch):
         cell = GRUCell.create(3, 4, rng)
-        states = gru_run(cell, Tensor(np.stack([vec(rng, 3)] * 3)))
-        with pytest.raises(DimensionError):
-            gru_run(cell, Tensor(np.stack([vec(rng, 3)] * 2)), prefix=states)
+        table = table_of([vec(rng, 3) for _ in range(6)])
+        alone = {}
+        for seq in [(0, 1, 2, 3), (0, 1, 4), (5, 1)]:
+            gru_run(cell, table, [seq], alone)
+        rows = []
+        gru = gru_step
+
+        def counting(cell, h, x):
+            rows.append(h.shape[0])
+            return gru(cell, h, x)
+
+        monkeypatch.setattr("imagepoet.layers.gru_step", counting)
+        together = {}
+        gru_run(cell, table, [(0, 1, 2, 3), (0, 1, 4), (5, 1)], together)
+        # Depth 1: (0,) and (5,); depth 2: (0, 1) and (5, 1); depth 3:
+        # (0, 1, 2) and (0, 1, 4); depth 4: (0, 1, 2, 3).
+        assert rows == [2, 2, 2, 1]
+        assert together.keys() == alone.keys()
+        for prefix, state in alone.items():
+            assert np.max(np.abs(together[prefix].data - state.data)) < 1e-15
 
 
 class TestBigru:
@@ -150,22 +205,39 @@ class TestBigru:
         rng = SeededRng(9)
         fw = GRUCell.create(hidden, hidden, rng)
         bw = GRUCell.create(hidden, hidden, rng)
-        xs = rng.uniform_array(21 * hidden, -1.0, 1.0).reshape(21, hidden)
-        fresh, fresh_forward = bigru_encode(fw, bw, Tensor(xs))
-        forward = ()
+        table = table_of(rng.uniform_array(21 * hidden, -1.0,
+                                           1.0).reshape(21, hidden))
+        ids = tuple(range(21))
+        fresh_forward = {}
+        fresh, = bigru_encode(fw, bw, table, [ids], fresh_forward)
+        forward = {}
         for n in (7, 14, 21):
-            out, extended = bigru_encode(fw, bw, Tensor(xs[:n]), forward)
-            assert extended[:len(forward)] == list(forward)
-            forward = extended
+            earlier = dict(forward)
+            out, = bigru_encode(fw, bw, table, [ids[:n]], forward)
+            assert all(forward[p] is s for p, s in earlier.items())
+            assert len(forward) == n
         assert out.data.tobytes() == fresh.data.tobytes()
-        assert [s.data.tobytes() for s in forward] == [
-            s.data.tobytes() for s in fresh_forward]
+        assert [forward[p].data.tobytes() for p in forward] == [
+            fresh_forward[p].data.tobytes() for p in forward]
+
+    @pytest.mark.parametrize("hidden", [8, 512])
+    def test_one_sequence_alone_is_the_single_pass_bitwise(self, hidden):
+        rng = SeededRng(10)
+        fw = GRUCell.create(hidden, hidden, rng)
+        bw = GRUCell.create(hidden, hidden, rng)
+        xs = rng.uniform_array(21 * hidden, -1.0, 1.0).reshape(21, hidden)
+        out, = bigru_encode(fw, bw, table_of(xs), [tuple(range(21))], {})
+        forward = single_pass(fw, Tensor(xs))
+        backward = single_pass(bw, Tensor(xs[::-1].copy()))[::-1]
+        want = np.stack([np.concatenate([f.data, b.data])
+                         for f, b in zip(forward, backward)])
+        assert out.data.tobytes() == want.tobytes()
 
     def test_single_step_composition(self, rng):
         fw = GRUCell.create(3, 2, rng)
         bw = GRUCell.create(3, 2, rng)
         x = Tensor(vec(rng, 3))
-        out, _ = bigru_encode(fw, bw, nm.stack([x]))
+        out, = bigru_encode(fw, bw, table_of([x.data]), [(0,)], {})
         expected = np.concatenate([
             gru_step(fw, fw.zero_state(), x).data,
             gru_step(bw, bw.zero_state(), x).data])
@@ -175,24 +247,54 @@ class TestBigru:
     def test_output_count_matches_input_count(self, length, rng):
         fw = GRUCell.create(3, 2, rng)
         bw = GRUCell.create(3, 2, rng)
-        xs = nm.stack([Tensor(vec(rng, 3)) for _ in range(length)])
-        out, _ = bigru_encode(fw, bw, xs)
+        table = table_of([vec(rng, 3) for _ in range(length)])
+        out, = bigru_encode(fw, bw, table, [tuple(range(length))], {})
         assert out.shape == (length, 4)
 
     def test_matches_unrolled_oracle(self, rng):
         fw = GRUCell.create(3, 4, rng)
         bw = GRUCell.create(3, 4, rng)
         xs = [vec(rng, 3) for _ in range(3)]
-        out, _ = bigru_encode(fw, bw, Tensor(xs))
+        out, = bigru_encode(fw, bw, table_of(xs), [(0, 1, 2)], {})
         ref = bigru_ref(fw, bw, xs)
         for got, want in zip(out.data, ref):
             assert np.max(np.abs(got - want)) < 1e-12
 
+    def test_a_set_of_sequences_matches_each_encoded_alone(self, rng,
+                                                          monkeypatch):
+        fw = GRUCell.create(3, 4, rng)
+        bw = GRUCell.create(3, 4, rng)
+        table = table_of([vec(rng, 3) for _ in range(5)])
+        # Nested contexts, and one that ends as another does.
+        sequences = [(1,), (2, 3, 0), (2, 3, 0, 4, 1), (4, 1)]
+        alone = [bigru_encode(fw, bw, table, [seq], {})[0]
+                 for seq in sequences]
+        steps = []
+        gru = gru_step
+
+        def counting(cell, h, x):
+            steps.append((cell, h.shape[0]))
+            return gru(cell, h, x)
+
+        monkeypatch.setattr("imagepoet.layers.gru_step", counting)
+        together = bigru_encode(fw, bw, table, sequences, {})
+        for got, want in zip(together, alone):
+            assert np.max(np.abs(got.data - want.data)) < 1e-15
+        # Forward depths: (1,) (2,) (4,); (2, 3) (4, 1); then one prefix
+        # of (2, 3, 0, 4, 1) each.
+        assert [n for c, n in steps if c is fw] == [3, 2, 1, 1, 1]
+        # Backward, over the reversals: (1,) begins three of them and
+        # (1, 4) two, so depths 1 to 3 hold (1,) (0,); (1, 4) (0, 3);
+        # (1, 4, 0) (0, 3, 2).
+        assert [n for c, n in steps if c is bw] == [2, 2, 2, 1, 1]
+
     def test_empty_sequence_rejected(self, rng):
         fw = GRUCell.create(3, 2, rng)
         bw = GRUCell.create(3, 2, rng)
-        with pytest.raises(DomainError):
-            bigru_encode(fw, bw, Tensor(np.zeros((0, 3))))
+        table = table_of([vec(rng, 3)])
+        for sequences in ([()], [(0,), ()], []):
+            with pytest.raises(DomainError):
+                bigru_encode(fw, bw, table, sequences, {})
 
 
 class TestAttend:

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -7,13 +10,15 @@ from imagepoet import topic_memory as tmem
 from imagepoet.errors import ConfigError, DimensionError, VocabularyError
 from imagepoet.layers import attend, bigru_encode, gru_step
 from imagepoet.model import (LINE_START_ID, ModelConfig, decode_step,
-                             encode_context, generate_line, generate_poem,
+                             generate_line, generate_poem,
                              greedy_decode_reversed, init_params,
-                             output_probs, prepare_context, prepare_image)
+                             output_probs, prepare_context, prepare_contexts,
+                             prepare_image)
 from imagepoet.numerics import Tensor, grad_check
 from imagepoet.rng import SeededRng
 
 from conftest import toy_config
+from oracles import bigru_ref
 
 
 def features_for(config, rng):
@@ -73,45 +78,60 @@ class TestInitParams:
         assert len(names) == len(set(names))
 
 
+def encoded(model, *contexts, image=None):
+    """The context Bi-GRU matrices of contexts prepared in one call."""
+    if image is None:
+        image = prepare_image(model, np.zeros((model.config.visual_count,
+                                               model.config.visual_dim)), [])
+    return [ctx.text[0]
+            for ctx in prepare_contexts(model, [(image, c) for c in contexts])]
+
+
 class TestEncodeContext:
     def test_one_state_per_character(self, model, rng):
         ids = [rng.below(model.config.vocab_size) for _ in range(14)]
-        states, _ = encode_context(model, ids)
+        states, = encoded(model, ids)
         assert states.shape == (14, 2 * model.config.hidden_dim)
 
     def test_empty_context_is_single_marker(self, model):
-        states, _ = encode_context(model, [])
+        states, = encoded(model, [])
         assert states.shape[0] == 1
-        marker = model.embedding.lookup([mdl.POEM_START_ID])
-        expected, _ = bigru_encode(model.encoder_fw, model.encoder_bw, marker)
+        expected, = bigru_encode(model.encoder_fw, model.encoder_bw,
+                                 model.embedding, [(mdl.POEM_START_ID,)], {})
         assert np.array_equal(states.data[0], expected.data[0])
 
     def test_matches_bigru_over_embeddings(self, model):
         ids = [3, 7]
-        states, _ = encode_context(model, ids)
+        states, = encoded(model, ids)
         embs = model.embedding.lookup(ids)
-        expected, _ = bigru_encode(model.encoder_fw, model.encoder_bw, embs)
-        for got, want in zip(states.data, expected.data):
-            assert np.array_equal(got, want)
+        expected = bigru_ref(model.encoder_fw, model.encoder_bw, embs.data)
+        for got, want in zip(states.data, expected):
+            assert np.max(np.abs(got - want)) < 1e-15
 
     def test_out_of_vocab_rejected(self, model):
         with pytest.raises(VocabularyError):
-            encode_context(model, [model.config.vocab_size])
+            encoded(model, [model.config.vocab_size])
 
-    def test_returns_the_encoded_ids_and_forward_states(self, model):
-        states, (ids, forward) = encode_context(model, [])
-        assert ids == (mdl.POEM_START_ID,) and len(forward) == 1
+    def test_returns_the_encoded_ids_and_forward_states(self, model, rng):
+        # The image keeps the forward state of every prefix it encoded.
+        image = prepare_image(model, features_for(model.config, rng), [])
+        states, = encoded(model, [], image=image)
+        assert list(image.forward) == [(mdl.POEM_START_ID,)]
         h = model.config.hidden_dim
-        assert np.array_equal(forward[0].data, states.data[0, :h])
+        assert np.array_equal(image.forward[(mdl.POEM_START_ID,)].data,
+                              states.data[0, :h])
+        encoded(model, [5, 6], image=image)
+        assert list(image.forward) == [(mdl.POEM_START_ID,), (5,), (5, 6)]
 
     def test_extends_the_longest_shared_prefix(self, model, rng,
                                                monkeypatch):
         ids = [2 + rng.below(model.config.vocab_size - 2) for _ in range(12)]
         other = list(ids[:9])
         other[6] = ids[6] + 1 if ids[6] + 1 < model.config.vocab_size else 2
-        earlier = [encode_context(model, ids[:4])[1],
-                   encode_context(model, other)[1]]
-        fresh, _ = encode_context(model, ids)
+        image = prepare_image(model, features_for(model.config, rng), [])
+        encoded(model, ids[:4], other, image=image)
+        earlier = dict(image.forward)
+        fresh, = encoded(model, ids)
         steps = []
         gru = gru_step
 
@@ -120,11 +140,11 @@ class TestEncodeContext:
             return gru(cell, h, x)
 
         monkeypatch.setattr("imagepoet.layers.gru_step", counting)
-        extended, (_, forward) = encode_context(model, ids, earlier)
+        extended, = encoded(model, ids, image=image)
         # Six of the other context's states are shared; twelve backward.
         assert steps.count(model.encoder_fw) == 6
         assert steps.count(model.encoder_bw) == 12
-        assert forward[:6] == earlier[1][1][:6]
+        assert all(image.forward[p] is s for p, s in earlier.items())
         assert extended.data.tobytes() == fresh.data.tobytes()
 
 
@@ -298,33 +318,44 @@ class TestHoistedWork:
         keywords = [(3, 4), (9,)]
         stacks = []
         stack = nm.stack
+        depths = []
+        gru = gru_step
 
         def counting(parts):
             stacks.append(parts)
             return stack(parts)
 
+        def stepping(cell, h, x):
+            depths.append(cell)
+            return gru(cell, h, x)
+
         monkeypatch.setattr(nm, "stack", counting)
-        # Context Bi-GRU: forward and backward states; bank: keys, contents;
-        # scored steps: states, visual and text contexts, topic logits;
-        # the recurrence: the initial states, then one stack of the rows'
-        # decoder inputs per step.
+        monkeypatch.setattr("imagepoet.layers.gru_step", stepping)
+        # Beyond one stack of the parent states per depth that a Bi-GRU
+        # direction steps: context Bi-GRU: forward and backward states;
+        # bank: keys, contents; scored steps: states, visual and text
+        # contexts, topic logits; the recurrence: the initial states, then
+        # one stack of the rows' decoder inputs per step.
         counts = []
         for target in ((5,), (5, 6, 7, 8, 9)):
             scorer = init_params(toy_config(chars_per_line=len(target)),
                                  SeededRng(42))
             stacks.clear()
+            depths.clear()
             cross_entropy_loss(scorer, [TrainSample(
                 features=features, keywords=keywords, preceding=(1, 2, 3),
                 target=target)])
-            counts.append(len(stacks) - len(target))
+            counts.append(len(stacks) - len(target) - len(depths))
         assert counts == [4 + 4 + 1] * 2
         ctx = prepare_context(model, prepare_image(model, features, keywords),
                               [1, 2])
         stacks.clear()
         decode_step(model, ctx, ctx.state, LINE_START_ID)
         assert stacks == []
+        depths.clear()
         generate_poem(model, features, keywords)
-        assert len(stacks) == 2 + 2 * model.config.lines_per_poem
+        assert len(stacks) - len(depths) == (
+            2 + 2 * model.config.lines_per_poem)
 
     @pytest.mark.parametrize("length", [1, 5])
     def test_scoring_reads_the_generic_head_and_memory_once(
@@ -375,10 +406,10 @@ class TestHoistedWork:
             return linear(x, w, b)
 
         monkeypatch.setattr(nm, "linear", recording)
-        _, p_topic, _ = output_probs(model, ctx, features)
+        p_topic, _ = output_probs(model, ctx, features, step.p_generic)
         monkeypatch.undo()
         h = model.config.hidden_dim
-        assert rows == [h, model.config.vocab_size, h, len(ctx.topic_ids)]
+        assert rows == [h, len(ctx.topic_ids)]
         full = nm.take(model.head_topic.logits(features), ctx.topic_ids)
         want = nm.softmax(full).data
         assert np.max(np.abs(p_topic.data[list(ctx.topic_ids)] - want)) < 1e-15
@@ -442,18 +473,58 @@ class TestGeneration:
         monkeypatch.setattr(mdl, "prepare_image", preparing)
         poem = generate_poem(model, features_for(model.config, rng), [(3,)])
         assert len(images) == 1
-        assert len(images[0].forward) == model.config.lines_per_poem
         g, lines = model.config.chars_per_line, model.config.lines_per_poem
         # The marker context, then each new line once; the first line's
         # context extends the marker's state only if it begins with it.
         shared = int(poem[0][0] == mdl.POEM_START_ID)
         assert steps.count(model.encoder_fw) == 1 + (lines - 1) * g - shared
+        assert len(images[0].forward) == steps.count(model.encoder_fw)
         assert steps.count(model.encoder_bw) == 1 + sum(
             i * g for i in range(lines))
 
     def test_bad_feature_shape_rejected(self, model):
         with pytest.raises(DimensionError):
             generate_poem(model, np.zeros((2, 2)), [])
+
+
+def pinned_poem(config, seed, keywords, spread):
+    """The poem of a seeded model whose parameters are scaled by spread,
+    and the SHA-256 of its JSON."""
+    model = init_params(config, SeededRng(seed))
+    for _, p in model.parameters():
+        p.data *= spread
+    features = SeededRng(seed + 100).uniform_array(
+        config.visual_count * config.visual_dim, -1.0, 1.0).reshape(
+            config.visual_count, config.visual_dim)
+    poem = generate_poem(model, features, keywords)
+    return poem, hashlib.sha256(json.dumps(poem).encode()).hexdigest()
+
+
+class TestPinnedPoems:
+    """Poems fixed to the bit: a change to how contexts, keywords or heads
+    are computed may move scored losses in their last bits, but must not
+    move a greedy poem."""
+
+    # Parameters spread 20 times wider than at initialisation, so that the
+    # toy poems vary from line to line and depend on their contexts.
+    @pytest.mark.parametrize("seed, digest", [
+        (1, "7e72be1e7271c4f568182e41e206e948"
+            "a79f54c0be6c6e28f66e49c5fb226ede"),
+        (2, "847a7a12f7a14a3735f0a0665b77e81f"
+            "479d3c5519d8e4878cd33d3a5c7809b1"),
+        (3, "8558e5edb30e418e8e2881e0df63767b"
+            "f3dd00fbca96168273a6f56a7d8bf0c7"),
+    ])
+    def test_toy_poem(self, seed, digest):
+        poem, got = pinned_poem(toy_config(), seed,
+                                [(3, 4), (9,), (2, 11, 5)], 20.0)
+        assert got == digest, poem
+
+    def test_paper_poem(self):
+        poem, got = pinned_poem(ModelConfig(), 1,
+                                [(17, 250), (3000,), (42, 43, 44)], 1.0)
+        assert got == ("f0338d597def0c38298c60365f53815f"
+                       "a2bebe39bc87e5c91f0bee163eafa55a"), poem
 
 
 class TestModelGradients:

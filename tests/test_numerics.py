@@ -90,6 +90,29 @@ class TestSoftmax:
         with pytest.raises(DomainError):
             nm.softmax(Tensor(np.zeros(0)))
 
+    def test_head_sized_rows_equal_the_formula_bitwise(self):
+        # The generic head's distribution of a twelve-sample wave.
+        m = SeededRng(3).uniform_array(84 * 6000, -30.0, 30.0).reshape(
+            84, 6000)
+        e = np.exp(m - m.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        assert nm.softmax(Tensor(m)).data.tobytes() == want.tobytes()
+
+    def test_allocates_at_most_two_matrices(self):
+        m = SeededRng(4).uniform_array(84 * 6000, -30.0, 30.0).reshape(
+            84, 6000)
+        x = Tensor(m)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out = nm.softmax(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.data.shape == m.shape
+        assert peak - before <= 2 * m.nbytes, (peak - before) / m.nbytes
+
 
 class TestConcat:
     def test_basic(self):
@@ -197,7 +220,7 @@ class TestGradCheck:
         "matmul", "add", "sub", "mul", "scale", "add_rowvec", "tanh",
         "sigmoid", "log", "softmax", "concat", "stack", "pick", "take_row",
         "take_rows", "gather", "scatter", "softmax_rows", "scatter_rows",
-        "pick_per_row", "rows", "gru_step_rows",
+        "pick_per_row", "rows", "blocks", "gru_step_rows",
     ])
     def test_every_op_matches_central_differences(self, case, rng):
         probe = Tensor(arr(rng, 3, 4), requires_grad=True)
@@ -244,6 +267,10 @@ class TestGradCheck:
             "rows": lambda t: nm.sum_all(nm.tanh(nm.concat(
                 [row for i, row in enumerate(nm.rows(nm.tanh(t)))
                  if i != 1]))),
+            # The middle block is never read, so its adjoint is zero.
+            "blocks": lambda t: nm.sum_all(nm.tanh(nm.concat(
+                [b for i, b in enumerate(nm.blocks(nm.tanh(t), [1, 0, 2]))
+                 if i != 2]))),
             # Three states of width 4 step together, each reading its row.
             "gru_step_rows": lambda t: nm.sum_all(nm.tanh(gru_step(
                 cell, nm.tanh(t), nm.scale(t, 0.5)))),
@@ -284,6 +311,27 @@ class TestRowOps:
         assert emitted == [tuple]
         assert [record[0] for record in tape._records] == [tuple(parts)]
         assert all(p.needs_grad for p in parts)
+
+    def test_blocks_are_views_recorded_as_one_op(self, rng):
+        m = Tensor(arr(rng, 5, 3), requires_grad=True)
+        with Tape() as tape:
+            inner = nm.tanh(m)
+            parts = nm.blocks(inner, [2, 0, 3])
+            loss = nm.sum_all(nm.mul(parts[2], parts[2]))
+        assert [p.shape for p in parts] == [(2, 3), (0, 3), (3, 3)]
+        assert all(np.shares_memory(p.data, inner.data) for p in parts
+                   if p.size)
+        assert np.array_equal(parts[2].data, inner.data[2:])
+        assert len(tape._records) == 4
+        grads = tape.gradients(loss)
+        want = (1.0 - inner.data ** 2) * 2.0 * np.concatenate(
+            [np.zeros((2, 3)), inner.data[2:]])
+        assert np.array_equal(grads[m], want)
+
+    @pytest.mark.parametrize("sizes", [[2, 2], [3, 3], [6, -1], []])
+    def test_blocks_must_cover_the_rows(self, rng, sizes):
+        with pytest.raises(DimensionError):
+            nm.blocks(Tensor(arr(rng, 5, 3)), sizes)
 
     def test_rows_of_a_constant_record_nothing(self, rng):
         with Tape() as tape:

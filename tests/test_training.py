@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from imagepoet import layers
 from imagepoet import model as mdl
 from imagepoet import numerics as nm
 from imagepoet import topic_memory as tmem
@@ -11,6 +12,7 @@ from imagepoet import training
 from imagepoet.datapipe import split_pool
 from imagepoet.errors import (ConfigError, DomainError, NumericalError,
                               VocabularyError)
+from imagepoet.layers import gru_step
 from imagepoet.model import init_params
 from imagepoet.numerics import SWEEP_BLOCK, Tape, Tensor
 from imagepoet.rng import SeededRng
@@ -206,6 +208,29 @@ class TestCrossEntropy:
             cross_entropy_loss(model, [bad])
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("keywords", [(2.7,)]), ("keywords", [(3, True)]),
+        ("preceding", (2, 1.0)), ("target", (1.9, True)),
+        ("target", (4, 4, 4, 4, np.float64(4.0)))])
+    def test_an_id_that_is_not_an_integer_is_a_domain_error(
+            self, config, field, value):
+        fields = dict(features=np.zeros((config.visual_count,
+                                         config.visual_dim)),
+                      keywords=[(3,)], preceding=(2,), target=(4,) * 5)
+        fields[field] = value
+        with pytest.raises(DomainError, match=field):
+            TrainSample(**fields)
+
+    def test_numpy_integer_ids_are_accepted(self, config):
+        sample = TrainSample(
+            features=np.zeros((config.visual_count, config.visual_dim)),
+            keywords=[np.array([3, 4])], preceding=np.arange(2, 4),
+            target=tuple(np.int32(5) for _ in range(5)))
+        assert (sample.keywords, sample.preceding, sample.target) == (
+            [(3, 4)], (2, 3), (5,) * 5)
+        assert all(type(c) is int for c in sample.target)
+
+
 class TestSharedScoring:
     def test_shuffled_pool_matches_per_sample_sum_and_reference(self, model,
                                                                 rng):
@@ -318,6 +343,43 @@ class TestBatchedRecurrence:
         steps = record_decoder_steps(model, monkeypatch)
         evaluate_loss(model, pool)
         assert steps == [(12, model.config.hidden_dim)] * len(pool[0].target)
+
+    def test_a_wave_steps_each_encoder_depth_and_the_generic_head_once(
+            self, rng, monkeypatch):
+        # The pool shape of three poems: contexts of 0, 7, 14 and 21
+        # characters from each of three images, one wave.  Encoded one by
+        # one, the forward encoder would step 3 * 22 prefixes and the
+        # backward one 3 * 43 suffixes, and the generic head run twelve
+        # times.
+        config = toy_config(chars_per_line=7)
+        model = init_params(config, SeededRng(8))
+        pool = nested_pool(config, rng, 3, seed=5)
+        assert sorted(len(s.preceding) for s in pool) == [0, 0, 0, 7, 7, 7,
+                                                          14, 14, 14,
+                                                          21, 21, 21]
+        cells = []
+        heads = []
+        gru = gru_step
+        logits = layers.OutputHead.logits
+
+        def stepping(cell, h, x):
+            cells.append(cell)
+            return gru(cell, h, x)
+
+        def scoring(head, features, rows=None):
+            if head is model.head_generic:
+                heads.append(features.shape)
+            return logits(head, features, rows)
+
+        monkeypatch.setattr("imagepoet.layers.gru_step", stepping)
+        monkeypatch.setattr(layers.OutputHead, "logits", scoring)
+        got = evaluate_loss(model, pool)
+        assert cells.count(model.encoder_fw) == 21
+        assert cells.count(model.encoder_bw) == 21
+        head_in = 3 * config.hidden_dim + config.visual_dim
+        assert heads == [(12 * 7, head_in)]
+        want = batch_loss_ref(model, pool)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_a_larger_pool_is_scored_in_waves_of_whole_images(
             self, model, rng, monkeypatch):
