@@ -16,8 +16,10 @@ the writer makes for that parameter.  It also rejects a non-finite value
 and any byte after the last parameter.
 """
 
+import contextlib
 import io
 import json
+import os
 import struct
 import sys
 
@@ -135,11 +137,31 @@ def read_checkpoint(fh):
     return model
 
 
+def replace_file(path, parts):
+    """Write the bytes-like parts as the file at path, whole or not at all.
+
+    They go to a temporary file beside path, flushed to disk, which is
+    then renamed over path.  A write that raises leaves an existing file
+    at path as it was and removes the temporary file.
+    """
+    path = os.fspath(path)
+    temp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(temp, "wb") as fh:
+            fh.writelines(parts)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temp)
+        raise
+
+
 def save_checkpoint(model, path):
-    """Write a checkpoint file; an invalid model leaves path untouched."""
-    parts = _parts(model)
-    with open(path, "wb") as fh:
-        fh.writelines(parts)
+    """Write a checkpoint file through replace_file; an invalid model, or
+    a write that fails, leaves path untouched."""
+    replace_file(path, _parts(model))
 
 
 def load_checkpoint(path):
@@ -161,5 +183,5 @@ def model_from_bytes(data):
 
 
 __all__ = ["MAGIC", "VERSION", "write_checkpoint", "read_checkpoint",
-           "save_checkpoint", "load_checkpoint", "checkpoint_bytes",
-           "model_from_bytes"]
+           "replace_file", "save_checkpoint", "load_checkpoint",
+           "checkpoint_bytes", "model_from_bytes"]

@@ -10,7 +10,7 @@ import os
 import sys
 
 from . import datapipe, poetics, verify
-from .checkpoint import load_checkpoint
+from .checkpoint import load_checkpoint, replace_file
 from .errors import (CheckpointError, ConfigError, DataError, DimensionError,
                      DomainError, NumericalError, UsageError, VocabularyError)
 from .model import ModelConfig, check_ids, generate_poem, init_params
@@ -123,8 +123,7 @@ def cmd_train(args, stdout):
             stdout.write(line + "\n")
 
         result = train(model, train_pool, valid_pool, tconfig, log=log)
-    with open(args.out, "wb") as fh:
-        fh.write(result.best_checkpoint)
+    replace_file(args.out, [result.best_checkpoint])
     stdout.write("best epoch %d valid %.6f -> %s\n"
                  % (result.best_epoch, result.best_valid, args.out))
     return 0

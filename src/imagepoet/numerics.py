@@ -24,8 +24,12 @@ import numpy as np
 from .errors import ContractError, DimensionError, DomainError
 
 # Elements per block when a pass sweeps whole parameters (seeded draws,
-# the AdaDelta step): 256 KiB of float64, so each block's temporaries stay
-# in L2 between ufuncs instead of streaming parameter-sized arrays.
+# the AdaDelta step and the zero fill of its state): 256 KiB of float64,
+# so each block's temporaries stay in L2 between ufuncs instead of
+# streaming parameter-sized arrays.  The AdaDelta sweeps deal their blocks
+# to the calling thread and one worker thread (training._sweep), each
+# block with its own scratch and the same arithmetic, so the split changes
+# no bit; BLAS calls stay on the calling thread.
 SWEEP_BLOCK = 32768
 
 

@@ -23,11 +23,20 @@ Attention, the keyword memory read and the topic head stay per sample.
 Training batches group samples of equal preceding length, so no padding
 or masking is ever needed.  A batch is recorded on one tape per chunk of
 GRADIENT_CHUNK samples, always one wave, and each chunk's backward pass
-writes its gradients straight into .grad.
+writes its gradients straight into .grad, all on the calling thread.
+
+The AdaDelta step and the zero fill of its state are elementwise sweeps
+over blocks of numerics.SWEEP_BLOCK values.  Past two blocks they run on
+the calling thread and one worker thread, which numpy lets run at once
+by releasing the GIL inside each ufunc; each block's arithmetic is the
+same on either thread, so the split changes no bit.  Every BLAS call
+(the clip's norm among them) stays on the calling thread.
 """
 
 import dataclasses
+import functools
 import math
+import threading
 
 import numpy as np
 
@@ -249,11 +258,14 @@ def clip_gradients(params, max_norm):
     The norm is computed even when clipping is off (max_norm <= 0).  A
     non-finite norm raises NumericalError: scaling by it would zero every
     gradient, and unscaled its squares would freeze AdaDelta's E[g^2].
+    A parameter without a gradient buffer (one the batch never read) has
+    a zero gradient and is skipped.
     """
+    grads = [(name, p._grad) for name, p in params if p._grad is not None]
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for name, p in params:
-            g = p.grad.reshape(-1)
+        for name, grad in grads:
+            g = grad.reshape(-1)
             total += float(np.dot(g, g))
             if not math.isfinite(total):
                 raise NumericalError("gradient norm is not finite at "
@@ -262,22 +274,107 @@ def clip_gradients(params, max_norm):
     if max_norm <= 0 or norm <= max_norm:
         return 1.0
     factor = max_norm / norm
-    for _, p in params:
-        p.grad *= factor
+    for _, grad in grads:
+        grad *= factor
     return factor
 
 
+def _sweep(body, blocks, values, scratch):
+    """body(block, scratch[0]) for every block, in order, on this thread;
+    or, when the blocks hold more than 2 * SWEEP_BLOCK values in all,
+    split between this thread and one worker thread.
+
+    Split, the blocks go to the two threads alternately, so runs of cheap
+    blocks spread evenly between them; the worker gets scratch[1], which
+    the caller made, so the worker allocates no array data.  Each thread stops
+    at its first failing block, and the failure of the earliest block is
+    raised here, as the in-order sweep would raise it.  body must not
+    call the BLAS, so that no result depends on concurrent BLAS calls
+    (ROADMAP item 9).  Smaller sweeps start no thread: at toy sizes the
+    thread costs more than it saves.
+    """
+    if values <= 2 * nm.SWEEP_BLOCK:
+        for block in blocks:
+            body(block, scratch[0])
+        return
+    failures = []
+
+    def half(first):
+        for index in range(first, len(blocks), 2):
+            try:
+                body(blocks[index], scratch[first])
+            except Exception as exc:  # re-raised on the calling thread
+                failures.append((index, exc))
+                return
+
+    worker = threading.Thread(target=half, args=(1,))
+    worker.start()
+    try:
+        half(0)
+    finally:
+        worker.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+
+
+def _fill_zeros(block, scratch):
+    flat, start = block
+    flat[start:start + nm.SWEEP_BLOCK].fill(0.0)
+
+
 class AdaDeltaState:
-    """Running averages E[g^2] and E[dx^2] per parameter."""
+    """Running averages E[g^2] and E[dx^2] per parameter, and the step's
+    scratch: two block-sized arrays for each of its two threads."""
 
     def __init__(self, params, rho=0.95, eps=1e-6):
         self.rho = rho
         self.eps = eps
-        # zeros_like writes its zeros here.  np.zeros would leave the pages
-        # unmapped for the first step to fault in, reading each before
-        # writing it, which measured slower in total.
-        self.sq_grad = {name: np.zeros_like(p.data) for name, p in params}
-        self.sq_delta = {name: np.zeros_like(p.data) for name, p in params}
+        self.sq_grad = {name: np.empty_like(p.data) for name, p in params}
+        self.sq_delta = {name: np.empty_like(p.data) for name, p in params}
+        # Made once: block-sized arrays made at every step land in freed
+        # heap holes, which measured train-paper peak_rss_mb 25 MiB higher.
+        self.scratch = [(np.empty(nm.SWEEP_BLOCK), np.empty(nm.SWEEP_BLOCK))
+                        for _ in range(2)]
+        # Zeroed here, by both threads (_sweep): np.zeros would leave the
+        # pages unmapped for the first step to fault in, reading each
+        # before writing it, which measured slower in total.
+        arrays = [a.reshape(-1) for a in (*self.sq_grad.values(),
+                                          *self.sq_delta.values())]
+        _sweep(_fill_zeros,
+               [(flat, start) for flat in arrays
+                for start in range(0, flat.size, nm.SWEEP_BLOCK)],
+               sum(flat.size for flat in arrays), [None, None])
+
+
+def _step_block(block, scratch, rho, eps):
+    """One AdaDelta step over the SWEEP_BLOCK values from start of one
+    parameter's flat arrays: block is (name, g, E[g^2], E[dx^2], x,
+    start), g None for a zero gradient.  The thread that runs it slices
+    the block: made up front, every block's views were alive at once,
+    which measured train-paper peak_rss_mb 8 MiB higher."""
+    name, grad, sq_grad, sq_delta, data, start = block
+    part = slice(start, start + nm.SWEEP_BLOCK)
+    g = None if grad is None else grad[part]
+    sq_g, sq_d, x = sq_grad[part], sq_delta[part], data[part]
+    if g is not None:
+        lo, hi = g.min(), g.max()
+        if not -math.inf < lo <= hi < math.inf:  # NaN fails every test
+            raise NumericalError("non-finite gradient in parameter %r"
+                                 % name)
+    if g is None or lo == hi == 0.0:
+        sq_g *= rho
+        sq_d *= rho
+        return
+    a = scratch[0][:g.size]
+    step = scratch[1][:g.size]
+    sq_g *= rho
+    sq_g += np.multiply(np.multiply(1.0 - rho, g, out=a), g, out=a)
+    np.sqrt(np.add(sq_d, eps, out=step), out=step)
+    step /= np.sqrt(np.add(sq_g, eps, out=a), out=a)
+    step *= g
+    sq_d *= rho
+    sq_d += np.multiply(np.multiply(1.0 - rho, step, out=a), step, out=a)
+    x -= step
 
 
 def adadelta_update(state, params):
@@ -289,46 +386,31 @@ def adadelta_update(state, params):
         x       <- x + dx
 
     Each parameter is swept in blocks of SWEEP_BLOCK elements through two
-    block-sized scratch arrays, so the temporaries stay in cache; every
-    element sees the same operations in the same order as the whole-array
-    formula.  A block whose gradient is all zero (embedding and topic-head
-    rows a batch never read) only decays both averages by rho: for g = +0
+    block-sized scratch arrays of the state, so the temporaries stay in
+    cache.  A block computes the step s = -dx and subtracts it; negation
+    is exact, so every element gets the whole-array formula's bits.  A block whose
+    gradient is all zero (embedding and topic-head rows a batch never
+    read), and every block of a parameter without a gradient buffer (one
+    the batch never read), only decays both averages by rho: for g = +0
     that is the formula's exact result, and x is left as it is.
-    Parameters and accumulators are C-contiguous, so their flat reshapes
-    are views.
+    The blocks of all parameters are split between the calling thread
+    and one worker thread (_sweep); a block's arithmetic is the same on
+    either, so the split changes no bit.  A non-finite gradient raises
+    NumericalError naming the first parameter, in order, that holds one;
+    the step is then partly done.  Parameters and accumulators are
+    C-contiguous, so their flat reshapes are views.
     """
-    rho, eps = state.rho, state.eps
-    scratch = np.empty(nm.SWEEP_BLOCK)
-    step = np.empty(nm.SWEEP_BLOCK)
+    blocks = []
     for name, p in params:
-        grad = p.grad.reshape(-1)
-        sq_grad = state.sq_grad[name].reshape(-1)
-        sq_delta = state.sq_delta[name].reshape(-1)
-        data = p.data.reshape(-1)
-        for start in range(0, grad.size, nm.SWEEP_BLOCK):
-            stop = min(start + nm.SWEEP_BLOCK, grad.size)
-            g = grad[start:stop]
-            if not np.isfinite(g).all():
-                raise NumericalError("non-finite gradient in parameter %r"
-                                     % name)
-            sq_g = sq_grad[start:stop]
-            sq_d = sq_delta[start:stop]
-            if not g.any():
-                sq_g *= rho
-                sq_d *= rho
-                continue
-            a = scratch[:stop - start]
-            delta = step[:stop - start]
-            sq_g *= rho
-            sq_g += np.multiply(np.multiply(1.0 - rho, g, out=a), g, out=a)
-            np.negative(np.sqrt(np.add(sq_d, eps, out=delta), out=delta),
-                        out=delta)
-            delta /= np.sqrt(np.add(sq_g, eps, out=a), out=a)
-            delta *= g
-            sq_d *= rho
-            sq_d += np.multiply(np.multiply(1.0 - rho, delta, out=a), delta,
-                                out=a)
-            data[start:stop] += delta
+        # Not p.grad, which would allocate a buffer of zeros.
+        grad = None if p._grad is None else p._grad.reshape(-1)
+        sq_g = state.sq_grad[name].reshape(-1)
+        sq_d = state.sq_delta[name].reshape(-1)
+        x = p.data.reshape(-1)
+        blocks += [(name, grad, sq_g, sq_d, x, start)
+                   for start in range(0, x.size, nm.SWEEP_BLOCK)]
+    _sweep(functools.partial(_step_block, rho=state.rho, eps=state.eps),
+           blocks, sum(p.size for _, p in params), state.scratch)
 
 
 def _make_batches(pool, batch_size, rng):

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from imagepoet import checkpoint
 from imagepoet.checkpoint import (MAGIC, checkpoint_bytes, load_checkpoint,
                                   model_from_bytes, read_checkpoint,
                                   save_checkpoint)
@@ -113,6 +114,27 @@ def test_writer_rejects_an_invalid_config(model, tmp_path, field, value):
     with pytest.raises(ConfigError, match=field):
         save_checkpoint(model, path)
     assert path.read_bytes() == saved
+
+
+def test_a_write_that_fails_partway_keeps_the_old_file(model, tmp_path,
+                                                      monkeypatch):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(b"old checkpoint")
+    parts = checkpoint._parts
+
+    def failing(model):
+        whole = parts(model)
+        return whole[:3] + [None] + whole[3:]  # not bytes-like: raises
+
+    monkeypatch.setattr(checkpoint, "_parts", failing)
+    with pytest.raises(TypeError):
+        save_checkpoint(model, path)
+    assert path.read_bytes() == b"old checkpoint"
+    assert os.listdir(tmp_path) == ["model.ckpt"]
+    monkeypatch.undo()
+    save_checkpoint(model, path)
+    assert path.read_bytes() == checkpoint_bytes(model)
+    assert os.listdir(tmp_path) == ["model.ckpt"]
 
 
 def test_truncation_detected(model):

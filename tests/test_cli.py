@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -122,6 +123,24 @@ class TestTrain:
         a = train_once(corpus, tmp_path, name="a.ckpt", seed="11")
         b = train_once(corpus, tmp_path, name="b.ckpt", seed="11")
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    def test_a_failed_write_keeps_the_previous_checkpoint(
+            self, corpus, tmp_path, monkeypatch, capsys):
+        ckpt = train_once(corpus, tmp_path, seed="11")
+        before = open(ckpt, "rb").read()
+        files = sorted(os.listdir(tmp_path))
+
+        def full_disk(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", full_disk)
+        code, _ = run_cli("train", "--corpus", corpus["corpus"],
+                          "--lexicon", corpus["lexicon"], "--out", ckpt,
+                          "--seed", "12", *TRAIN_FLAGS)
+        assert code == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert open(ckpt, "rb").read() == before
+        assert sorted(os.listdir(tmp_path)) == files
 
     def test_lambda_zero_trains_the_unbiased_path(self, corpus, tmp_path):
         ckpt = train_once(corpus, tmp_path, name="nolambda.ckpt",

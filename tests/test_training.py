@@ -1,3 +1,4 @@
+import hashlib
 import math
 import weakref
 
@@ -542,6 +543,110 @@ class TestAdaDelta:
         with pytest.raises(NumericalError, match="'late'"):
             adadelta_update(state, params)
 
+    def test_a_split_step_equals_the_whole_array_formula(self,
+                                                         monkeypatch):
+        # Six blocks: "a" (blocks 0, 1) lands on both threads, "b" is a
+        # 3-value block 2, "c" blocks 3 to 5; blocks 1 and 4 hold zero
+        # gradients, one on each thread.
+        rho, eps = 0.95, 1e-6
+        rng = SeededRng(10)
+        sizes = {"a": SWEEP_BLOCK + 5, "b": 3, "c": 2 * SWEEP_BLOCK + 7}
+        zero = {"a": slice(SWEEP_BLOCK, None),
+                "c": slice(SWEEP_BLOCK, 2 * SWEEP_BLOCK)}
+        params = [(name, Tensor(rng.uniform_array(n, -1.0, 1.0),
+                                requires_grad=True))
+                  for name, n in sizes.items()]
+        threads = []
+
+        class Recording(training.threading.Thread):
+            def start(self):
+                threads.append(self)
+                super().start()
+
+        monkeypatch.setattr(training.threading, "Thread", Recording)
+        state = AdaDeltaState(params, rho=rho, eps=eps)
+        want = {name: (p.data.copy(), np.zeros(p.size), np.zeros(p.size))
+                for name, p in params}
+        for _ in range(2):
+            for name, p in params:
+                g = rng.uniform_array(p.size, -2.0, 2.0)
+                g[zero.get(name, slice(0))] = 0.0
+                p.grad = g.copy()
+                x, sq_g, sq_d = want[name]
+                sq_g = rho * sq_g + (1.0 - rho) * g * g
+                delta = -np.sqrt(sq_d + eps) / np.sqrt(sq_g + eps) * g
+                sq_d = rho * sq_d + (1.0 - rho) * delta * delta
+                want[name] = (x + delta, sq_g, sq_d)
+            adadelta_update(state, params)
+        assert len(threads) == 3  # the state's zero fill and two steps
+        assert not any(t.is_alive() for t in threads)
+        for name, p in params:
+            x, sq_g, sq_d = want[name]
+            assert state.sq_grad[name].tobytes() == sq_g.tobytes()
+            assert state.sq_delta[name].tobytes() == sq_d.tobytes()
+            assert p.data.tobytes() == x.tobytes()
+
+    def test_a_split_step_names_the_earliest_non_finite_parameter(self):
+        # "early" holds blocks 0 and 1, "late" blocks 2 and 3.  The worker
+        # meets the inf in block 1, the caller the NaN in block 2.
+        early = Tensor(np.zeros(2 * SWEEP_BLOCK), requires_grad=True)
+        late = Tensor(np.zeros(SWEEP_BLOCK + 1), requires_grad=True)
+        params = [("early", early), ("late", late)]
+        state = AdaDeltaState(params)
+        early.grad[SWEEP_BLOCK + 7] = float("inf")
+        late.grad[3] = float("nan")
+        with pytest.raises(NumericalError, match="'early'"):
+            adadelta_update(state, params)
+
+    def test_a_step_of_at_most_two_blocks_starts_no_thread(self, model, rng,
+                                                           monkeypatch):
+        x = Tensor(np.ones(2 * SWEEP_BLOCK), requires_grad=True)
+        x.grad = np.full(x.shape, 0.5)
+        x_state = AdaDeltaState([("x", x)])  # fills four blocks: split
+
+        class Refused(training.threading.Thread):
+            def start(self):
+                raise AssertionError("a toy step started a thread")
+
+        monkeypatch.setattr(training.threading, "Thread", Refused)
+        adadelta_update(x_state, [("x", x)])
+        assert not np.array_equal(x.data, np.ones(x.shape))
+        model.zero_grads()
+        accumulate_gradients(model, [make_sample(model.config, rng)])
+        params = model.parameters()
+        adadelta_update(AdaDeltaState(params), params)
+
+    def test_a_parameter_the_batch_never_read_gets_no_gradient_buffer(
+            self, rng):
+        # At lambda = 0 the topic head is never read: its step only decays
+        # both averages, as a zero gradient would, and allocates nothing.
+        config = toy_config(topic_weight=0.0)
+        model = init_params(config, SeededRng(42))
+        params = model.parameters()
+        state = AdaDeltaState(params)
+        for name, _ in params:
+            sq_g = state.sq_grad[name]
+            sq_g[...] = rng.uniform_array(sq_g.size, 0.0, 1.0).reshape(
+                sq_g.shape)
+            state.sq_delta[name][...] = sq_g / 3.0
+        topic = [(name, p) for name, p in params
+                 if name.startswith("head.topic.")]
+        before = {name: (p.data.copy(), state.sq_grad[name].copy(),
+                         state.sq_delta[name].copy())
+                  for name, p in topic}
+        model.zero_grads()
+        accumulate_gradients(model, make_pool(config, rng, 2))
+        clip_gradients(params, 1e-3)
+        adadelta_update(state, params)
+        for name, p in topic:
+            x, sq_g, sq_d = before[name]
+            assert p._grad is None
+            assert p.data.tobytes() == x.tobytes()
+            assert state.sq_grad[name].tobytes() == (state.rho
+                                                     * sq_g).tobytes()
+            assert state.sq_delta[name].tobytes() == (state.rho
+                                                      * sq_d).tobytes()
+
 
 class TestGradientAccumulation:
     def test_matches_per_sample_reduction(self, model, rng):
@@ -790,6 +895,19 @@ class TestTrainLoop:
         train(model, pool, pool, TrainConfig(batch_size=2, max_epochs=20,
                                              seed=2))
         assert evaluate_loss(model, pool) < before
+
+    def test_a_model_whose_step_is_split_trains_to_pinned_bytes(self, rng):
+        # 382,296 values: each AdaDelta step and state fill is split
+        # between two threads, which must not move a bit.
+        config = toy_config(vocab_size=1100, hidden_dim=64, memory_dim=64,
+                            visual_count=3, visual_dim=5)
+        pool = make_pool(config, rng, 4, preceding_len=0)
+        valid = make_pool(config, rng, 2, preceding_len=0)
+        model = init_params(config, SeededRng(33))
+        result = train(model, pool, valid,
+                       TrainConfig(batch_size=2, max_epochs=2, seed=5))
+        assert hashlib.sha256(result.best_checkpoint).hexdigest() == (
+            "d1a8905e50efa3d8a2335fdc37ea96405f4cbcf428e301f963a4e0cfbc29641d")
 
     def test_mixed_preceding_lengths_batch_cleanly(self, config, rng):
         pool = (make_pool(config, rng, 3, preceding_len=0)
