@@ -104,7 +104,7 @@ def read_checkpoint(fh):
     config_blob = _read_exact(fh, config_len)
     try:
         config = ModelConfig.from_dict(json.loads(config_blob))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise CheckpointVersionError("corrupted checkpoint config: %s" % exc)
     if fh.seekable():
         here = fh.tell()

@@ -165,7 +165,7 @@ def load_corpus(path, lines_per_poem=None, chars_per_line=None,
             continue
         try:
             record = json.loads(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise DataError("%s:%d: bad JSON: %s" % (path, number, exc))
         try:
             if "image_id" in record:

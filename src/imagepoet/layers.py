@@ -105,33 +105,30 @@ class GRUCell(ParamGroup):
 
 
 def gru_step(cell, h_prev, x):
-    """One GRU transition; h' = (1 - z) * h_prev + z * cand.
+    """One GRU transition of a (B, h) matrix of B states that step
+    together; h' = (1 - z) * h_prev + z * cand.
 
-    h_prev is one state, or a (B, h) matrix of B states that step
-    together: each gate's products are then one linear over the B rows,
-    and its bias is added to every row.  x is the matching input vector or
-    (B, input_dim) matrix, or the triple (W_z x, W_r x, W_h x) of its input
-    products when the caller computed them ahead, as gru_run does for
-    many steps at once.
+    Each gate's products are one linear over the B rows, and its bias is
+    added to every row.  x is the (B, input_dim) matrix of inputs, or the
+    triple (W_z x, W_r x, W_h x) of its input products when the caller
+    computed them ahead, as gru_run does for many steps at once.
     """
     precomputed = isinstance(x, tuple)
-    lead = h_prev.shape[:-1]
     shapes = [t.shape for t in x] if precomputed else [x.shape]
-    want = ([lead + (cell.hidden_dim,)] * 3 if precomputed
-            else [lead + (cell.input_dim,)])
-    if (h_prev.data.ndim not in (1, 2) or h_prev.shape[-1] != cell.hidden_dim
-            or shapes != want):
+    widths = [cell.hidden_dim] * 3 if precomputed else [cell.input_dim]
+    if (h_prev.shape[1:] != (cell.hidden_dim,)
+            or shapes != [(h_prev.shape[0], w) for w in widths]):
         raise DimensionError(
             "gru_step: state %s / input %s vs cell dims (%d, %d)"
             % (h_prev.shape, shapes, cell.hidden_dim, cell.input_dim))
-    bias = nm.add if h_prev.data.ndim == 1 else nm.add_rowvec
     wz_x, wr_x, wh_x = x if precomputed else (
         nm.linear(x, w) for w in (cell.w_z, cell.w_r, cell.w_h))
-    z = nm.sigmoid(bias(nm.add(wz_x, nm.linear(h_prev, cell.u_z)), cell.b_z))
-    r = nm.sigmoid(bias(nm.add(wr_x, nm.linear(h_prev, cell.u_r)), cell.b_r))
-    cand = nm.tanh(bias(nm.add(wh_x,
-                               nm.linear(nm.mul(r, h_prev), cell.u_h)),
-                        cell.b_h))
+    z = nm.sigmoid(nm.add_rowvec(nm.add(wz_x, nm.linear(h_prev, cell.u_z)),
+                                 cell.b_z))
+    r = nm.sigmoid(nm.add_rowvec(nm.add(wr_x, nm.linear(h_prev, cell.u_r)),
+                                 cell.b_r))
+    cand = nm.tanh(nm.add_rowvec(
+        nm.add(wh_x, nm.linear(nm.mul(r, h_prev), cell.u_h)), cell.b_h))
     keep = nm.sub(Tensor(np.ones(h_prev.shape)), z)
     return nm.add(nm.mul(keep, h_prev), nm.mul(z, cand))
 

@@ -15,13 +15,15 @@ Lines are decoded in reverse (rhyme-bearing character first) and flipped
 back before they are returned, mirroring the training-time inversion of
 target lines.
 
-A decode step is four parts: decoder_input (both attention streams),
-the decoder GRU, head_input (the keyword memory read) and the two heads
-(the generic head's softmax, then output_probs).  Teacher-forced scoring
-runs the same parts on many samples at once (training._loss_sums): one
-prepare_contexts call encodes all their contexts, the GRU steps their
-states as one matrix, and the generic head scores all their states in
-one call; attention and the topic head stay per row.
+A decode step is step_rows, which advances a (B, h) matrix of decoder
+states by one character, each row attending with its own state and
+context, then head_input (the keyword memory read) and the two heads
+(the generic head's softmax, then output_probs).  Greedy decoding steps
+one row (decode_step); teacher-forced scoring (training._loss_sums)
+steps many samples' rows at once: one prepare_contexts call encodes all
+their contexts, the GRU steps their states as one matrix, and the
+generic head scores all their states in one call; attention and the
+topic head stay per row.
 """
 
 import dataclasses
@@ -273,10 +275,10 @@ def prepare_context(model, image, preceding):
 
 @dataclasses.dataclass
 class Step:
-    """Everything one decoder step computed.
+    """Everything one decoder step of one state computed, as vectors.
 
-    address is None for an empty bank; p_topic is None with the topic
-    bias off, and p is then p_generic.
+    address is None for an empty bank, and topic_state is then state;
+    p_topic is None with the topic bias off, and p then equals p_generic.
     """
 
     state: Tensor
@@ -291,67 +293,74 @@ class Step:
     p: Tensor
 
 
-def decoder_input(model, ctx, s_prev, y_prev):
-    """The decoder GRU's input for one state, and both attention streams'
-    (context, weights) pairs.
+def step_rows(model, ctxs, matrix, queries, y_prev):
+    """One decoder step of B rows: (matrix, queries, text, visual).
 
-    Both streams are queried with the previous state; the input is the
-    previous character's embedding and both contexts.  Nothing here
-    depends on the output side (head_input and the heads), so a
-    teacher-forced pass runs the recurrence alone, the rows of several
-    samples stepping through one gru_step together, and scores its
-    states afterwards.
+    matrix is the (B, h) matrix of the rows' states and queries its rows;
+    row b decodes with ctxs[b] after the id y_prev[b].  Each row in turn
+    queries text, then visual attention with its state; its decoder input
+    is the previous id's embedding and both contexts.  One nm.stack, one
+    gru_step and one nm.rows step them all.  text and visual hold each
+    row's attention (context, weights) pair.  Rows that read one id add
+    into one embedding row, so this per-row order fixes gradient bits.
     """
-    text = attend(model.text_attention, s_prev, *ctx.text)
-    visual = attend(model.visual_attention, s_prev, *ctx.visual)
-    x = nm.concat([model.embedding.lookup(y_prev), text[0], visual[0]])
-    return x, text, visual
+    inputs, text, visual = [], [], []
+    for ctx, s_prev, y in zip(ctxs, queries, y_prev, strict=True):
+        text.append(attend(model.text_attention, s_prev, *ctx.text))
+        visual.append(attend(model.visual_attention, s_prev, *ctx.visual))
+        inputs.append(nm.concat([model.embedding.lookup(y), text[-1][0],
+                                 visual[-1][0]]))
+    matrix = gru_step(model.decoder, matrix, nm.stack(inputs))
+    return matrix, nm.rows(matrix), text, visual
 
 
-def head_input(model, ctx, state, visual_context, text_context):
-    """(features, topic_state, address) of decoder states.
+def head_input(model, ctx, states, visual_contexts, text_contexts):
+    """(features, topic_state, address) of a (T, h) matrix of decoder
+    states and the matching matrices of their contexts, one row each.
 
-    state is one state or a (T, h) matrix of them, and the contexts are
-    the matching vectors or matrices; a matrix is read in one pass and
-    each result has one row per state.  The state addresses the keyword
-    memory; an empty bank degrades to topic_state == state and no address
-    (the no-keywords variant).  features, the head input [topic_state;
-    visual_context; text_context], is built once for both output heads.
+    The states address the keyword memory; an empty bank degrades to
+    topic_state == states and no address (the no-keywords variant).
+    features, the head input [topic_state; visual_context; text_context],
+    is built once for both output heads.
     """
     z = None
-    o = state
+    o = states
     if ctx.bank.size:
-        z = tmem.address(ctx.bank, state)
-        o = tmem.fuse(tmem.read(ctx.bank, z), state)
-    features = nm.concat([o, visual_context, text_context],
-                         axis=state.data.ndim - 1)
+        z = tmem.address(ctx.bank, states)
+        o = tmem.fuse(tmem.read(ctx.bank, z), states)
+    features = nm.concat([o, visual_contexts, text_contexts], axis=1)
     return features, o, z
 
 
 def decode_step(model, ctx, s_prev, y_prev):
-    """One decoder step: the decoder GRU over decoder_input, then both
-    heads on its state."""
-    x, (h_hat, text_weights), (v_hat, visual_weights) = decoder_input(
-        model, ctx, s_prev, y_prev)
-    s_t = gru_step(model.decoder, s_prev, x)
-    features, o_t, z = head_input(model, ctx, s_t, v_hat, h_hat)
+    """One decoder step of one state: step_rows on a one-row matrix, then
+    the keyword memory and both heads on (1, .) matrices, returned as a
+    Step of their row-0 vectors."""
+    matrix, (s_t,), [(h_hat, text_weights)], [(v_hat, visual_weights)] = (
+        step_rows(model, [ctx], nm.stack([s_prev]), [s_prev], [y_prev]))
+    features, o_t, z = head_input(model, ctx, matrix, nm.stack([v_hat]),
+                                  nm.stack([h_hat]))
     p_generic = nm.softmax(model.head_generic.logits(features))
     p_topic, p = output_probs(model, ctx, features, p_generic)
-    return Step(state=s_t, topic_state=o_t, text_context=h_hat,
-                visual_context=v_hat, text_weights=text_weights,
-                visual_weights=visual_weights, address=z,
-                p_generic=p_generic, p_topic=p_topic, p=p)
+
+    def row(t):
+        return None if t is None else nm.take(t, 0)
+
+    return Step(state=s_t, topic_state=s_t if z is None else row(o_t),
+                text_context=h_hat, visual_context=v_hat,
+                text_weights=text_weights, visual_weights=visual_weights,
+                address=row(z), p_generic=row(p_generic),
+                p_topic=row(p_topic), p=row(p))
 
 
 def output_probs(model, ctx, features, p_generic):
-    """(p_topic, p) from the head input features of one context and their
-    generic distribution p_generic, the generic head's softmax.
+    """(p_topic, p) from the (T, .) matrix of head inputs of one context
+    and their generic distributions p_generic, the generic head's softmax.
 
-    features is one head input or a matrix of them, one per row.  p_topic
-    scores only the topic vocabulary's columns and is zero elsewhere;
-    p = (weight * p_topic + p_generic) / (1 + weight).  Zero weight or an
-    empty topic vocabulary turns the bias off: p_topic is None and p is
-    p_generic (see Step).
+    p_topic scores only the topic vocabulary's columns and is zero
+    elsewhere; p = (weight * p_topic + p_generic) / (1 + weight).  Zero
+    weight or an empty topic vocabulary turns the bias off: p_topic is
+    None and p is p_generic (see Step).
     """
     weight = model.config.topic_weight
     if weight == 0.0 or not ctx.topic_ids:
@@ -366,16 +375,14 @@ def output_probs(model, ctx, features, p_generic):
 def _topic_logits(model, ctx, features):
     """The topic head's logits of the topic vocabulary, one call per row.
 
-    Each row of a matrix of features is its own head call: the benchmark's
-    tracer self-test (bench/test_selftest.py) counts one topic-head call
-    per teacher-forced step.  The generic head, whose 6000-row output
-    layer costs most, scores all the rows of a scoring wave in one call
+    Each row of the features is its own head call: the benchmark's tracer
+    self-test (bench/test_selftest.py) counts one topic-head call per
+    scored step.  The generic head, whose 6000-row output layer costs
+    most, scores all the rows of a scoring wave in one call
     (training._loss_sums).
     """
-    head = model.head_topic
-    if features.data.ndim == 1:
-        return head.logits(features, rows=ctx.topic_ids)
-    return nm.stack([head.logits(nm.take(features, t), rows=ctx.topic_ids)
+    return nm.stack([model.head_topic.logits(nm.take(features, t),
+                                             rows=ctx.topic_ids)
                      for t in range(features.shape[0])])
 
 

@@ -241,20 +241,19 @@ def _require_same_shape(op, a, b):
 
 
 def matmul(a, b):
-    """Matrix/vector product: 2d@2d, 2d@1d, 1d@2d, or 1d@1d (dot).
+    """Matrix/vector product: 2d@2d, 2d@1d or 1d@2d.
 
     For products of activations and for keys @ key_proj, whose weight is
     stored transposed; other parameter matrices are applied by linear.
     """
     ad, bd = a.data, b.data
-    if ad.ndim == 0 or bd.ndim == 0 or ad.shape[-1] != bd.shape[0]:
+    if ({ad.ndim, bd.ndim} not in ({2}, {1, 2})
+            or ad.shape[-1] != bd.shape[0]):
         raise DimensionError("matmul: shapes %s and %s are incompatible"
                              % (ad.shape, bd.shape))
     out = ad @ bd
 
     def backward(g):
-        if ad.ndim == 1 and bd.ndim == 1:
-            return g * bd, g * ad
         # Only an operand that a gradient can flow through gets one.
         ga = gb = None
         if a.needs_grad:
@@ -481,23 +480,20 @@ def take(t, index):
 
 
 def scatter(values, indices, size):
-    """Zero except values placed at indices along the last axis.
-
-    A vector of values gives a length-size vector; a (T, k) matrix gives
-    (T, size), each row placed at the same k indices.
-    """
+    """The (T, size) matrix that is zero except each row of the (T, k)
+    values placed at the same k indices."""
     idx = np.asarray(indices, dtype=np.intp)
     vd = values.data
-    if vd.ndim not in (1, 2) or idx.shape != vd.shape[-1:]:
+    if vd.ndim != 2 or idx.shape != vd.shape[1:]:
         raise DimensionError("scatter: values %s vs %d indices"
                              % (vd.shape, idx.size))
     if idx.size and (idx.min() < 0 or idx.max() >= size):
         raise DimensionError("scatter: indices out of range for size %d" % size)
-    out = np.zeros(vd.shape[:-1] + (size,))
-    out[..., idx] = vd
+    out = np.zeros((len(vd), size))
+    out[:, idx] = vd
 
     def backward(g):
-        return (g[..., idx],)
+        return (g[:, idx],)
 
     return _emit(out, (values,), backward)
 

@@ -15,15 +15,18 @@ as one GEMV per sample:
 * one model.prepare_contexts call encodes all the wave's contexts, each
   Bi-GRU direction stepping the distinct prefixes of all of them depth
   by depth (layers.bigru_encode);
-* every target is one line of chars_per_line characters, so the decoder
-  GRU steps all the wave's rows as one (B, h) matrix of states;
+* every target is one line of chars_per_line characters, so one
+  model.step_rows call per character steps all the wave's rows as one
+  (B, h) matrix of states;
 * the generic head scores the (B * chars_per_line) head inputs of the
   whole wave in one call.
 Attention, the keyword memory read and the topic head stay per sample.
-Training batches group samples of equal preceding length, so no padding
-or masking is ever needed.  A batch is recorded on one tape per chunk of
-GRADIENT_CHUNK samples, always one wave, and each chunk's backward pass
-writes its gradients straight into .grad, all on the calling thread.
+No padding or masking is needed: targets share one length and contexts
+are stepped as a tree of prefixes (layers.gru_run), so the context
+length buckets of training batches save no work (ROADMAP item 11).  A
+batch is recorded on one tape per chunk of GRADIENT_CHUNK samples,
+always one wave, and each chunk's backward pass writes its gradients
+straight into .grad, all on the calling thread.
 
 The AdaDelta step and the zero fill of its state are elementwise sweeps
 over blocks of numerics.SWEEP_BLOCK values.  Past two blocks they run on
@@ -44,7 +47,6 @@ from . import model as mdl
 from . import numerics as nm
 from .checkpoint import checkpoint_bytes, model_from_bytes
 from .errors import ConfigError, DomainError, NumericalError
-from .layers import gru_step
 from .numerics import Tape
 from .rng import SeededRng
 
@@ -117,11 +119,9 @@ def _loss_sums(model, batch, wave):
     Each image is prepared once (model.prepare_image), and all the
     samples' contexts in one model.prepare_contexts call.  Every target
     is one line of chars_per_line characters, and each step's input is
-    the previous target character, so the recurrence runs alone, every
-    row of the wave stepping together: each row builds its decoder input
-    with its own context (model.decoder_input), the rows' inputs are
-    stacked, one gru_step advances the (B, h) matrix of states, and one
-    nm.rows record splits it into the next step's queries.  Each sample
+    the previous target character, so the recurrence runs alone, one
+    model.step_rows call per character advancing the (B, h) matrix of
+    the whole wave's states, each row with its own context.  Each sample
     then reads its keyword memory with all of its states as one matrix
     (model.head_input), the generic head scores the head inputs of the
     whole wave in one call, one nm.blocks record splits its distribution
@@ -147,17 +147,12 @@ def _loss_sums(model, batch, wave):
     y_prev = [mdl.LINE_START_ID] * len(rows)
     states, visual, text = ([[] for _ in rows] for _ in range(3))
     for t in range(g):
-        inputs = []
-        for b, ctx in enumerate(ctxs):
-            x, (h_hat, _), (v_hat, _) = mdl.decoder_input(
-                model, ctx, queries[b], y_prev[b])
-            inputs.append(x)
-            visual[b].append(v_hat)
-            text[b].append(h_hat)
-        matrix = gru_step(model.decoder, matrix, nm.stack(inputs))
-        queries = nm.rows(matrix)
+        matrix, queries, text_t, visual_t = mdl.step_rows(
+            model, ctxs, matrix, queries, y_prev)
         for b, s in enumerate(queries):
             states[b].append(s)
+            text[b].append(text_t[b][0])
+            visual[b].append(visual_t[b][0])
         y_prev = [target[t] for target in targets]
     features = [mdl.head_input(model, ctx, nm.stack(states[b]),
                                nm.stack(visual[b]), nm.stack(text[b]))[0]

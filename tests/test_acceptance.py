@@ -217,7 +217,7 @@ def test_criterion_6_oracle_equivalence():
         cell = GRUCell.create(3, 4, rng)
         h = rng.uniform_array(4, -1.0, 1.0)
         x = rng.uniform_array(3, -1.0, 1.0)
-        got = gru_step(cell, Tensor(h), Tensor(x)).data
+        got = gru_step(cell, Tensor(h[None]), Tensor(x[None])).data[0]
         worst["gru_step"] = max(worst["gru_step"],
                                 float(np.max(np.abs(got - gru_step_ref(cell, h, x)))))
 

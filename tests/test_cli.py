@@ -26,6 +26,20 @@ TRAIN_FLAGS = ["--vocab", "16", "--hidden", "4", "--lines", "2",
                "--valid-frac", "0.2"]
 
 
+# JSON nested past the parser's recursion limit.
+DEEP_JSON = "[" * 200000 + "]" * 200000
+
+
+def with_deep_corpus_line(corpus, tmp_path):
+    """The toy corpus with a DEEP_JSON line appended, and that line's
+    number."""
+    with open(corpus["corpus"], encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    path = tmp_path / "deep.jsonl"
+    path.write_text("\n".join(lines + [DEEP_JSON]) + "\n", encoding="utf-8")
+    return str(path), len(lines) + 1
+
+
 def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), stdout=out)
@@ -58,6 +72,16 @@ def lexicon_beyond_vocab(corpus, tmp_path):
 
 
 class TestTrain:
+    def test_deeply_nested_corpus_json_names_its_line(self, corpus, tmp_path,
+                                                      capsys):
+        deep, number = with_deep_corpus_line(corpus, tmp_path)
+        code, out = run_cli("train", "--corpus", deep,
+                            "--lexicon", corpus["lexicon"],
+                            "--out", str(tmp_path / "model.ckpt"),
+                            *TRAIN_FLAGS)
+        assert (code, out) == (2, "")
+        assert "%s:%d: bad JSON" % (deep, number) in capsys.readouterr().err
+
     def test_lexicon_id_outside_the_vocabulary_names_its_line(
             self, corpus, tmp_path, capsys):
         lexicon = lexicon_beyond_vocab(corpus, tmp_path)
@@ -180,6 +204,23 @@ class TestTrain:
 
 
 class TestGenerate:
+    def test_deeply_nested_config_json_is_a_corrupted_checkpoint(
+            self, corpus, tmp_path, capsys):
+        blob = checkpoint_bytes(init_params(toy_config(), SeededRng(2)))
+        at = len(MAGIC) + 4
+        (length,) = struct.unpack_from("<I", blob, at)
+        config = DEEP_JSON.encode()
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(blob[:at] + struct.pack("<I", len(config)) + config
+                         + blob[at + 4 + length:])
+        keywords = write_keyword_file(tmp_path, [(2,)])
+        code, out = run_cli("generate", "--checkpoint", str(ckpt),
+                            "--features", corpus["features"],
+                            "--keywords", keywords)
+        assert (code, out) == (2, "")
+        assert ("%s: corrupted checkpoint config" % ckpt
+                in capsys.readouterr().err)
+
     def test_emits_one_row_per_line(self, corpus, tmp_path):
         ckpt = train_once(corpus, tmp_path)
         keywords = write_keyword_file(tmp_path, [(2,), (3, 4)])
@@ -419,6 +460,15 @@ class TestGenerate:
 
 
 class TestEval:
+    def test_deeply_nested_corpus_json_names_its_line(self, corpus, tmp_path,
+                                                      capsys):
+        ckpt = train_once(corpus, tmp_path)
+        deep, number = with_deep_corpus_line(corpus, tmp_path)
+        code, out = run_cli("eval", "--checkpoint", ckpt, "--corpus", deep,
+                            "--lexicon", corpus["lexicon"])
+        assert (code, out) == (2, "")
+        assert "%s:%d: bad JSON" % (deep, number) in capsys.readouterr().err
+
     def test_mean_recall_matches_hand_scoring(self, corpus, tmp_path):
         ckpt = train_once(corpus, tmp_path)
         code, out = run_cli("eval", "--checkpoint", ckpt,

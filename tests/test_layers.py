@@ -40,28 +40,29 @@ class TestEmbedding:
 class TestGruStep:
     def test_zero_parameters_halve_the_state(self, rng):
         cell = GRUCell.create(3, 4)  # all-zero parameters
-        h = Tensor(vec(rng, 4))
-        x = Tensor(vec(rng, 3))
+        h = Tensor(vec(rng, 4)[None])
+        x = Tensor(vec(rng, 3)[None])
         out = gru_step(cell, h, x)
         assert np.max(np.abs(out.data - 0.5 * h.data)) < 1e-15
 
     def test_zero_state_zero_params_stay_zero(self, rng):
         cell = GRUCell.create(3, 4)
-        out = gru_step(cell, cell.zero_state(), Tensor(vec(rng, 3)))
-        assert np.array_equal(out.data, np.zeros(4))
+        out = gru_step(cell, nm.stack([cell.zero_state()]),
+                       Tensor(vec(rng, 3)[None]))
+        assert np.array_equal(out.data, np.zeros((1, 4)))
 
     def test_matches_scalar_loop_oracle(self, rng):
         for _ in range(20):
             cell = GRUCell.create(5, 4, rng)
             h, x = vec(rng, 4), vec(rng, 5)
-            out = gru_step(cell, Tensor(h), Tensor(x))
-            assert np.max(np.abs(out.data - gru_step_ref(cell, h, x))) < 1e-12
+            out = gru_step(cell, Tensor(h[None]), Tensor(x[None]))
+            assert np.max(np.abs(out.data[0] - gru_step_ref(cell, h, x))) < 1e-12
 
     def test_output_bounded(self, rng):
         cell = GRUCell.create(4, 4, rng)
-        h = Tensor(np.tanh(vec(rng, 4)))  # state in (-1, 1)
+        h = Tensor(np.tanh(vec(rng, 4))[None])  # state in (-1, 1)
         for _ in range(30):
-            h = gru_step(cell, h, Tensor(vec(rng, 4) * 10.0))
+            h = gru_step(cell, h, Tensor(vec(rng, 4)[None] * 10.0))
             assert np.all(np.abs(h.data) < 1.0)
 
     def test_shape_mismatch(self, rng):
@@ -84,7 +85,7 @@ class TestGruStep:
         got = gru_step(cell, Tensor(hs), inputs(xs)).data
         assert got.shape == (6, 4)
         for row, h, x in zip(got, hs, xs):
-            want = gru_step(cell, Tensor(h), inputs(x)).data
+            want = gru_step(cell, Tensor(h[None]), inputs(x[None])).data[0]
             assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("h_shape, x_shape", [
@@ -104,15 +105,15 @@ def table_of(rows):
 
 def single_pass(cell, xs):
     """The states of one GRU pass over the rows of xs: the input products
-    one linear per gate over the whole sequence, then one vector step per
-    row."""
-    gates = list(zip(*(nm.rows(nm.linear(xs, w))
+    one linear per gate over the whole sequence, then one one-row step
+    per row."""
+    gates = list(zip(*(nm.blocks(nm.linear(xs, w), [1] * xs.shape[0])
                        for w in (cell.w_z, cell.w_r, cell.w_h))))
-    h = cell.zero_state()
+    h = nm.stack([cell.zero_state()])
     states = []
     for inputs in gates:
         h = gru_step(cell, h, inputs)
-        states.append(h)
+        states.append(nm.take(h, 0))
     return states
 
 
@@ -122,11 +123,11 @@ class TestGruRun:
         xs = np.stack([vec(rng, 3) for _ in range(5)])
         states = {}
         gru_run(cell, table_of(xs), [tuple(range(5))], states)
-        h = cell.zero_state()
+        h = nm.stack([cell.zero_state()])
         for n, x in enumerate(xs, start=1):
-            h = gru_step(cell, h, Tensor(x))
+            h = gru_step(cell, h, Tensor(x[None]))
             got = states[tuple(range(n))]
-            assert np.max(np.abs(got.data - h.data)) < 1e-15
+            assert np.max(np.abs(got.data - h.data[0])) < 1e-15
 
     def test_reverse_pass_reads_the_last_row_first(self, rng):
         # The backward half of a Bi-GRU row j is the pass over the
@@ -239,8 +240,8 @@ class TestBigru:
         x = Tensor(vec(rng, 3))
         out, = bigru_encode(fw, bw, table_of([x.data]), [(0,)], {})
         expected = np.concatenate([
-            gru_step(fw, fw.zero_state(), x).data,
-            gru_step(bw, bw.zero_state(), x).data])
+            gru_step(fw, nm.stack([fw.zero_state()]), nm.stack([x])).data[0],
+            gru_step(bw, nm.stack([bw.zero_state()]), nm.stack([x])).data[0]])
         assert np.array_equal(out.data[0], expected)
 
     @pytest.mark.parametrize("length", [1, 2, 7, 14])
@@ -351,8 +352,8 @@ class TestAttend:
 class TestLayerGradients:
     def test_gru_cell_parameters_pass_grad_check(self, rng):
         cell = GRUCell.create(3, 4, rng)
-        h = Tensor(vec(rng, 4))
-        x = Tensor(vec(rng, 3))
+        h = Tensor(vec(rng, 4)[None])
+        x = Tensor(vec(rng, 3)[None])
 
         def loss():
             return nm.sum_all(nm.tanh(gru_step(cell, h, x)))

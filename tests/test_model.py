@@ -193,7 +193,8 @@ class TestDecodeStep:
         want_v, want_vw = attend(model.visual_attention, s_prev,
                                  ctx.visual[0])
         x = nm.concat([model.embedding.lookup(y_prev), want_h, want_v])
-        want_s = gru_step(model.decoder, s_prev, x)
+        want_s = nm.take(gru_step(model.decoder, nm.stack([s_prev]),
+                                  nm.stack([x])), 0)
         want_z = tmem.address(ctx.bank, want_s)
         want_o = tmem.fuse(tmem.read(ctx.bank, want_z), want_s)
         features = nm.concat([want_o, want_v, want_h])
@@ -335,7 +336,9 @@ class TestHoistedWork:
         # direction steps: context Bi-GRU: forward and backward states;
         # bank: keys, contents; scored steps: states, visual and text
         # contexts, topic logits; the recurrence: the initial states, then
-        # one stack of the rows' decoder inputs per step.
+        # one stack of the rows' decoder inputs per step.  A decode step
+        # stacks its one row's state, decoder input, visual and text
+        # contexts, and topic logits.
         counts = []
         for target in ((5,), (5, 6, 7, 8, 9)):
             scorer = init_params(toy_config(chars_per_line=len(target)),
@@ -351,11 +354,14 @@ class TestHoistedWork:
                               [1, 2])
         stacks.clear()
         decode_step(model, ctx, ctx.state, LINE_START_ID)
-        assert stacks == []
+        assert len(stacks) == 5
+        stacks.clear()
         depths.clear()
         generate_poem(model, features, keywords)
+        config = model.config
         assert len(stacks) - len(depths) == (
-            2 + 2 * model.config.lines_per_poem)
+            2 + 2 * config.lines_per_poem
+            + 5 * config.lines_per_poem * config.chars_per_line)
 
     @pytest.mark.parametrize("length", [1, 5])
     def test_scoring_reads_the_generic_head_and_memory_once(
@@ -396,8 +402,9 @@ class TestHoistedWork:
         ctx = prepare_context(model, image, [1])
         s = ctx.state
         step = decode_step(model, ctx, s, LINE_START_ID)
-        features = nm.concat([step.topic_state, step.visual_context,
-                              step.text_context])
+        vector = nm.concat([step.topic_state, step.visual_context,
+                            step.text_context])
+        features = nm.stack([vector])
         rows = []
         linear = nm.linear
 
@@ -406,13 +413,15 @@ class TestHoistedWork:
             return linear(x, w, b)
 
         monkeypatch.setattr(nm, "linear", recording)
-        p_topic, _ = output_probs(model, ctx, features, step.p_generic)
+        p_topic, _ = output_probs(model, ctx, features,
+                                  nm.stack([step.p_generic]))
         monkeypatch.undo()
         h = model.config.hidden_dim
         assert rows == [h, len(ctx.topic_ids)]
-        full = nm.take(model.head_topic.logits(features), ctx.topic_ids)
+        full = nm.take(model.head_topic.logits(vector), ctx.topic_ids)
         want = nm.softmax(full).data
-        assert np.max(np.abs(p_topic.data[list(ctx.topic_ids)] - want)) < 1e-15
+        assert np.max(np.abs(p_topic.data[0, list(ctx.topic_ids)]
+                             - want)) < 1e-15
 
 
 class TestGeneration:

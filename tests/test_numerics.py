@@ -205,8 +205,9 @@ class TestGradCheck:
 
     def test_linear_is_nearly_exact(self, rng):
         w = arr(rng, 5)
-        x = Tensor(arr(rng, 5), requires_grad=True)
-        err = grad_check(lambda t: nm.matmul(Tensor(w), t), x, h=1e-5)
+        x = Tensor(arr(rng, 5, 1), requires_grad=True)
+        err = grad_check(lambda t: nm.sum_all(nm.matmul(Tensor(w), t)), x,
+                         h=1e-5)
         assert err < 1e-10
 
     def test_nan_gradient_fails_the_check(self, rng):
@@ -219,7 +220,7 @@ class TestGradCheck:
     @pytest.mark.parametrize("case", [
         "matmul", "add", "sub", "mul", "scale", "add_rowvec", "tanh",
         "sigmoid", "log", "softmax", "concat", "stack", "pick", "take_row",
-        "take_rows", "gather", "scatter", "softmax_rows", "scatter_rows",
+        "take_rows", "gather", "softmax_rows", "scatter_rows",
         "pick_per_row", "rows", "blocks", "gru_step_rows",
     ])
     def test_every_op_matches_central_differences(self, case, rng):
@@ -255,8 +256,6 @@ class TestGradCheck:
                 nm.take(t, [2, 0, 2]), other_v))),
             "gather": lambda t: nm.sum_all(
                 nm.tanh(nm.take(vec(t), [0, 3, 3, 11]))),
-            "scatter": lambda t: nm.sum_all(nm.tanh(nm.scatter(
-                nm.take(vec(t), [2, 5]), [1, 8], 10))),
             "softmax_rows": lambda t: nm.sum_all(
                 nm.mul(nm.softmax(t), other_m)),
             "scatter_rows": lambda t: nm.sum_all(nm.tanh(nm.scatter(

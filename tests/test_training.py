@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -11,8 +12,8 @@ from imagepoet import numerics as nm
 from imagepoet import topic_memory as tmem
 from imagepoet import training
 from imagepoet.datapipe import split_pool
-from imagepoet.errors import (ConfigError, DomainError, NumericalError,
-                              VocabularyError)
+from imagepoet.errors import (ConfigError, DimensionError, DomainError,
+                              NumericalError, VocabularyError)
 from imagepoet.layers import gru_step
 from imagepoet.model import init_params
 from imagepoet.numerics import SWEEP_BLOCK, Tape, Tensor
@@ -81,15 +82,43 @@ def record_decoder_steps(model, monkeypatch):
     """The state shapes of the scorer's decoder gru_step calls from now
     on."""
     shapes = []
-    step = training.gru_step
+    step = mdl.gru_step
 
     def recording(cell, h, x):
         if cell is model.decoder:
             shapes.append(h.shape)
         return step(cell, h, x)
 
-    monkeypatch.setattr(training, "gru_step", recording)
+    monkeypatch.setattr(mdl, "gru_step", recording)
     return shapes
+
+
+def record_row_steps(model, monkeypatch):
+    """The row counts of model.step_rows calls from now on, and whether
+    each decoder gru_step call, from any module of the package, ran
+    inside one."""
+    rows, inside, decoder = [], [], []
+    step_rows, gru = mdl.step_rows, layers.gru_step
+
+    def stepping(model, ctxs, matrix, queries, y_prev):
+        rows.append(len(ctxs))
+        inside.append(True)
+        try:
+            return step_rows(model, ctxs, matrix, queries, y_prev)
+        finally:
+            inside.pop()
+
+    def gru_stepping(cell, h, x):
+        if cell is model.decoder:
+            decoder.append(bool(inside))
+        return gru(cell, h, x)
+
+    monkeypatch.setattr(mdl, "step_rows", stepping)
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "imagepoet"
+                and getattr(module, "gru_step", None) is gru):
+            monkeypatch.setattr(module, "gru_step", gru_stepping)
+    return rows, decoder
 
 
 def per_sample_grads(model, batch):
@@ -429,6 +458,68 @@ class TestBatchedRecurrence:
         assert grad.max_error < 1e-5, grad.worst_param
 
 
+class TestOneDecoderStep:
+    def test_a_generated_line_steps_one_row_per_character(self, model, rng,
+                                                          monkeypatch):
+        g = model.config.chars_per_line
+        sample = nested_pool(model.config, rng, 1, seed=3)[0]
+        image = mdl.prepare_image(model, sample.features, sample.keywords)
+        ctx = mdl.prepare_context(model, image, sample.preceding)
+        rows, decoder = record_row_steps(model, monkeypatch)
+        mdl.generate_line(model, ctx)
+        assert rows == [1] * g
+        assert decoder == [True] * g
+        rows.clear()
+        decoder.clear()
+        mdl.generate_poem(model, sample.features, sample.keywords)
+        assert rows == [1] * g * model.config.lines_per_poem
+        assert decoder == [True] * len(rows)
+
+    def test_scoring_twelve_samples_steps_twelve_rows_per_character(
+            self, model, rng, monkeypatch):
+        g = model.config.chars_per_line
+        pool = nested_pool(model.config, rng, 3, seed=5)
+        assert len(pool) == 12
+        rows, decoder = record_row_steps(model, monkeypatch)
+        evaluate_loss(model, pool)
+        assert rows == [12] * g
+        assert decoder == [True] * g
+        rows.clear()
+        decoder.clear()
+        accumulate_gradients(model, pool)
+        chunk = training.GRADIENT_CHUNK
+        assert rows == [chunk] * g * (12 // chunk)
+        assert decoder == [True] * len(rows)
+
+    def test_each_row_of_a_step_is_that_row_stepped_alone(self, model, rng):
+        pool = nested_pool(model.config, rng, 3, seed=7)
+        images = {}
+        lines = [(images.setdefault(id(s.features), mdl.prepare_image(
+            model, s.features, s.keywords)), s.preceding) for s in pool]
+        ctxs = mdl.prepare_contexts(model, lines)
+        queries = [ctx.state for ctx in ctxs]
+        # Rows that read one id, and rows that read others.
+        y_prev = [s.target[-1] if i % 3 else 4 for i, s in enumerate(pool)]
+        together = mdl.step_rows(model, ctxs, nm.stack(queries), queries,
+                                 y_prev)
+        assert together[0].shape == (12, model.config.hidden_dim)
+        for b, (ctx, s, y) in enumerate(zip(ctxs, queries, y_prev)):
+            matrix, (state,), text, visual = mdl.step_rows(
+                model, [ctx], nm.stack([s]), [s], [y])
+            assert matrix.shape == (1, model.config.hidden_dim)
+            pairs = [(together[0].data[b], matrix.data[0]),
+                     (together[1][b].data, state.data)]
+            pairs += [(got.data, want.data) for got, want in zip(
+                together[2][b] + together[3][b], text[0] + visual[0])]
+            for got, want in pairs:
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_a_vector_state_is_a_dimension_error(self, model):
+        x = Tensor(np.zeros(model.decoder.input_dim))
+        with pytest.raises(DimensionError, match="gru_step: state"):
+            gru_step(model.decoder, model.decoder.zero_state(), x)
+
+
 class TestAdaDelta:
     def test_zero_gradient_is_a_no_op(self):
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
@@ -725,6 +816,46 @@ class TestGradientAccumulation:
         for name, p in model.parameters():
             assert all(grads[p] is p.grad for grads in returned), name
             assert np.max(np.abs(want[name] * inv - p.grad)) < 1e-12, name
+
+    def test_rows_reading_one_id_keep_pinned_gradient_bits(self):
+        # Two images of four nested samples (0, 5, 10 and 15 preceding
+        # characters), in two chunks that each hold both images.  Every
+        # reversed target begins with the same two ids, so at each of the
+        # first three steps all rows read one embedding row.  Pinned at a
+        # per-row step order: batching a step's lookups, or running every
+        # row's text attention before any visual one, keeps the losses
+        # but moves gradient bits.
+        config = toy_config(vocab_size=12)
+        model = init_params(config, SeededRng(61))
+        for _, p in model.parameters():
+            p.data *= 5.0
+        rng = SeededRng(62)
+        g = config.chars_per_line
+        samples = []
+        for image in range(2):
+            grid = rng.uniform_array(config.visual_count * config.visual_dim,
+                                     -1.0, 1.0).reshape(config.visual_count,
+                                                        config.visual_dim)
+            keywords = [(3 + image, 5), (7,)]
+            lines = [tuple(2 + rng.below(config.vocab_size - 2)
+                           for _ in range(g - 2)) + (9, 4)
+                     for _ in range(config.lines_per_poem)]
+            samples.append([TrainSample(features=grid, keywords=keywords,
+                                        preceding=sum(lines[:j], ()),
+                                        target=lines[j])
+                            for j in range(config.lines_per_poem)])
+        batch = [samples[j % 2][(j * 3) % 4] for j in range(4)] + [
+            samples[j % 2][(j * 3 + 1) % 4] for j in range(4)]
+        assert sorted(len(s.preceding) for s in batch) == [0, 0, 5, 5, 10,
+                                                           10, 15, 15]
+        model.zero_grads()
+        loss = accumulate_gradients(model, batch)
+        digest = hashlib.sha256(repr(loss).encode())
+        for name, p in model.parameters():
+            digest.update(name.encode())
+            digest.update(p.grad.tobytes())
+        assert digest.hexdigest() == (
+            "1b810e5bf5046b40469844788322802d763fa7379ed127b37730637cf2aeea97")
 
     def test_bitwise_identical_across_thread_counts(self, model, rng):
         batch = make_pool(model.config, rng, 4)
