@@ -51,7 +51,8 @@ def build_parser():
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--batch", type=int, default=128)
     p.add_argument("--valid-frac", type=float, default=0.1,
-                   help="fraction of samples held out for validation")
+                   help="fraction of poems held out for validation, "
+                        "rounded up")
     p.add_argument("--cadence", type=int, default=1,
                    help="epochs between validation passes")
     p.add_argument("--clip", type=float, default=5.0,
@@ -106,8 +107,8 @@ def cmd_train(args, stdout):
     config.visual_count, config.visual_dim = samples[0].features.shape
     config.validate()
 
-    train_pool, valid_pool, _ = datapipe.split_pool(
-        samples, (1.0 - args.valid_frac, args.valid_frac, 0.0), args.seed)
+    train_pool, valid_pool = datapipe.split_pool(samples, args.valid_frac,
+                                                 args.seed)
     if not valid_pool:
         raise ConfigError("validation pool is empty; raise --valid-frac "
                           "or provide more samples")

@@ -18,6 +18,7 @@ concept; each match then yields one training sample per poem line.
 
 import dataclasses
 import json
+import math
 import os
 import struct
 
@@ -300,7 +301,8 @@ def build_samples(matches, images, poems, lexicon):
             samples.append(TrainSample(features=cache[image_id],
                                        keywords=keywords,
                                        preceding=preceding,
-                                       target=poem.lines[i]))
+                                       target=poem.lines[i],
+                                       poem=poem_id))
     return samples
 
 
@@ -317,26 +319,25 @@ def keyword_recall(poem_lines, concepts, lexicon):
     return hits / len(concepts)
 
 
-def split_pool(samples, fractions, seed):
-    """Deterministic (train, valid, test) partition.
+def split_pool(samples, valid_frac, seed):
+    """Deterministic (train, valid) partition that deals whole poems.
 
-    Validation and test sizes are floors of their fractions; the train
-    pool takes the remainder.
+    Every sample of one poem (TrainSample.poem; samples that name none
+    share the key None) goes to one pool, whatever images the poem was
+    matched with, so no validation target is also a training target or a
+    line of a training context.  The poems, in the
+    order they first appear, are shuffled by SeededRng(seed); the
+    validation pool takes valid_frac of them, rounded up, and the train
+    pool the rest.  Each pool lists its poems' samples poem by poem.
     """
-    if len(fractions) != 3:
-        raise ConfigError("fractions must be (train, valid, test)")
-    if not all(0.0 <= f <= 1.0 for f in fractions):
-        raise ConfigError("fractions must lie in [0, 1], got %r"
-                          % (fractions,))
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError("fractions must sum to 1, got %r" % (fractions,))
-    n = len(samples)
-    n_valid = int(n * fractions[1])
-    n_test = int(n * fractions[2])
-    n_train = n - n_valid - n_test
-    order = list(range(n))
+    if not 0.0 <= valid_frac <= 1.0:  # NaN fails too
+        raise ConfigError("valid_frac must lie in [0, 1], got %r"
+                          % (valid_frac,))
+    poems = {}
+    for sample in samples:
+        poems.setdefault(sample.poem, []).append(sample)
+    order = list(poems)
     SeededRng(seed).shuffle(order)
-    train = [samples[i] for i in order[:n_train]]
-    valid = [samples[i] for i in order[n_train:n_train + n_valid]]
-    test = [samples[i] for i in order[n_train + n_valid:]]
-    return train, valid, test
+    n_valid = math.ceil(len(order) * valid_frac)
+    return ([s for key in order[n_valid:] for s in poems[key]],
+            [s for key in order[:n_valid] for s in poems[key]])

@@ -12,7 +12,8 @@ Conventions pinned here (and relied on by the oracles in the test suite):
   projection is stored transposed, shape (key_dim, proj_dim), so the key
   matrix projects in one matmul, and U k does not depend on the query: a
   decoder projects its keys once (project_keys) and reuses them at every
-  step.
+  step.  W q does not depend on the keys either, so attend takes it
+  projected: a caller holding many queries projects them in one GEMM.
 """
 
 import collections
@@ -217,13 +218,13 @@ def project_keys(params, keys):
 def attend(params, query, keys, projected=None):
     """Attention context and weights for a query over the rows of keys.
 
+    query is the projected query W q, linear(q, params.query_proj).
     projected, when given, is the keys' projection from project_keys.
     """
     if projected is None:
         projected = nm.matmul(keys, params.key_proj)
-    scores = nm.matmul(
-        nm.tanh(nm.add_rowvec(projected, nm.linear(query, params.query_proj))),
-        params.score)
+    scores = nm.matmul(nm.tanh(nm.add_rowvec(projected, query)),
+                       params.score)
     weights = nm.softmax(scores)
     context = nm.matmul(weights, keys)
     return context, weights
@@ -241,13 +242,15 @@ class OutputHead(ParamGroup):
                    param(rng, output_dim, hidden_dim),
                    param(rng, output_dim))
 
-    def logits(self, features, rows=None):
-        """Logits of every output, or of the outputs listed in rows only.
+    def hidden(self, features):
+        """The hidden layer tanh(W1 f + b1) of one head input or of each
+        row of a (T, input_dim) matrix of them."""
+        return nm.tanh(nm.linear(features, self.w_hidden, self.b_hidden))
 
-        features is one head input or a (T, input_dim) matrix of them,
-        which gets one row of logits each.
-        """
-        hidden = nm.tanh(nm.linear(features, self.w_hidden, self.b_hidden))
+    def logits(self, hidden, rows=None):
+        """Logits of every output, or of the outputs listed in rows only,
+        from one hidden vector or a (T, hidden_dim) matrix of them, which
+        gets one row of logits each."""
         if rows is None:
             return nm.linear(hidden, self.w_out, self.b_out)
         return nm.linear(hidden, nm.take(self.w_out, rows),

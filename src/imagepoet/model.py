@@ -17,13 +17,24 @@ target lines.
 
 A decode step is step_rows, which advances a (B, h) matrix of decoder
 states by one character, each row attending with its own state and
-context, then head_input (the keyword memory read) and the two heads
-(the generic head's softmax, then output_probs).  Greedy decoding steps
-one row (decode_step); teacher-forced scoring (training._loss_sums)
-steps many samples' rows at once: one prepare_contexts call encodes all
-their contexts, the GRU steps their states as one matrix, and the
-generic head scores all their states in one call; attention and the
-topic head stay per row.
+context, then head_input (the keyword memory read) and head_probs (both
+heads and their mixture).  Greedy decoding steps one row (decode_step);
+teacher-forced scoring (training._loss_sums) steps many samples' rows at
+once.  Either way a weight that every row multiplies is read once for
+all of them, as one GEMM:
+* prepare_contexts maps the stacked means of all its contexts to their
+  initial states with one state-map linear, and projects the text keys
+  of all of them with one matmul over their concatenation;
+* step_rows projects every row's query with one linear per attention
+  stream, and steps the rows' states with one decoder gru_step;
+* head_probs runs each head's hidden layer once over all the rows, and
+  the generic head's output layer too.
+What stays per row: each row's attention over its own keys (attend),
+its embedding lookup, and the topic head's output layer over its own
+topic vocabulary.  The benchmark's tracer self-test
+(bench/test_selftest.py) counts one attend call per stream and one
+topic-head logits call per decode or scored step, and rows that read one
+embedding row add into it in row order, which fixes gradient bits.
 """
 
 import dataclasses
@@ -252,20 +263,19 @@ def prepare_contexts(model, lines):
         model.encoder_fw, model.encoder_bw, model.embedding,
         [tuple(int(c) for c in preceding) or (POEM_START_ID,)
          for _, preceding in lines], forward)
-    ctxs = []
-    for (image, _), h in zip(lines, encoded):
-        # The initial state, tanh of a learned map of the mean context, is
-        # recorded before the key projection, so the backward pass adds
-        # the mean's adjoint into h last.
-        mean = nm.matmul(Tensor(np.full(h.shape[0], 1.0 / h.shape[0])), h)
-        state = nm.tanh(nm.linear(mean, model.state_map.w, model.state_map.b))
-        ctxs.append(GenerationContext(
-            visual=image.visual,
-            bank=image.bank,
-            topic_ids=image.topic_ids,
-            state=state,
-            text=project_keys(model.text_attention, h)))
-    return ctxs
+    sizes = [h.shape[0] for h in encoded]
+    # Each initial state is tanh of a learned map of its context's mean;
+    # the means are stacked, so the map reads its weight once for all.
+    means = nm.stack([nm.matmul(Tensor(np.full(n, 1.0 / n)), h)
+                      for n, h in zip(sizes, encoded)])
+    states = nm.rows(nm.tanh(nm.linear(means, model.state_map.w,
+                                       model.state_map.b)))
+    _, projected = project_keys(model.text_attention, nm.concat(encoded))
+    return [GenerationContext(visual=image.visual, bank=image.bank,
+                              topic_ids=image.topic_ids, state=state,
+                              text=(h, keys))
+            for (image, _), h, state, keys in zip(
+                lines, encoded, states, nm.blocks(projected, sizes))]
 
 
 def prepare_context(model, image, preceding):
@@ -293,21 +303,26 @@ class Step:
     p: Tensor
 
 
-def step_rows(model, ctxs, matrix, queries, y_prev):
-    """One decoder step of B rows: (matrix, queries, text, visual).
+def step_rows(model, ctxs, matrix, y_prev):
+    """One decoder step of B rows: (matrix, states, text, visual).
 
-    matrix is the (B, h) matrix of the rows' states and queries its rows;
-    row b decodes with ctxs[b] after the id y_prev[b].  Each row in turn
-    queries text, then visual attention with its state; its decoder input
-    is the previous id's embedding and both contexts.  One nm.stack, one
-    gru_step and one nm.rows step them all.  text and visual hold each
-    row's attention (context, weights) pair.  Rows that read one id add
-    into one embedding row, so this per-row order fixes gradient bits.
+    matrix is the (B, h) matrix of the rows' states; row b decodes with
+    ctxs[b] after the id y_prev[b].  Each attention stream projects all
+    the rows' queries with one linear, split into rows by one nm.rows.
+    Each row in turn then attends over its text, then its visual keys;
+    its decoder input is the previous id's embedding and both contexts.
+    One nm.stack, one gru_step and one nm.rows step them all, and states
+    is the new matrix's rows.  text and visual hold each row's attention
+    (context, weights) pair.  Rows that read one id add into one
+    embedding row, so this per-row order fixes gradient bits.
     """
+    streams = (model.text_attention, model.visual_attention)
+    text_q, visual_q = (nm.rows(nm.linear(matrix, params.query_proj))
+                        for params in streams)
     inputs, text, visual = [], [], []
-    for ctx, s_prev, y in zip(ctxs, queries, y_prev, strict=True):
-        text.append(attend(model.text_attention, s_prev, *ctx.text))
-        visual.append(attend(model.visual_attention, s_prev, *ctx.visual))
+    for ctx, tq, vq, y in zip(ctxs, text_q, visual_q, y_prev, strict=True):
+        text.append(attend(model.text_attention, tq, *ctx.text))
+        visual.append(attend(model.visual_attention, vq, *ctx.visual))
         inputs.append(nm.concat([model.embedding.lookup(y), text[-1][0],
                                  visual[-1][0]]))
     matrix = gru_step(model.decoder, matrix, nm.stack(inputs))
@@ -337,11 +352,10 @@ def decode_step(model, ctx, s_prev, y_prev):
     the keyword memory and both heads on (1, .) matrices, returned as a
     Step of their row-0 vectors."""
     matrix, (s_t,), [(h_hat, text_weights)], [(v_hat, visual_weights)] = (
-        step_rows(model, [ctx], nm.stack([s_prev]), [s_prev], [y_prev]))
+        step_rows(model, [ctx], nm.stack([s_prev]), [y_prev]))
     features, o_t, z = head_input(model, ctx, matrix, nm.stack([v_hat]),
                                   nm.stack([h_hat]))
-    p_generic = nm.softmax(model.head_generic.logits(features))
-    p_topic, p = output_probs(model, ctx, features, p_generic)
+    [(p_generic, p_topic, p)] = head_probs(model, [ctx], [features])
 
     def row(t):
         return None if t is None else nm.take(t, 0)
@@ -353,37 +367,69 @@ def decode_step(model, ctx, s_prev, y_prev):
                 p_topic=row(p_topic), p=row(p))
 
 
-def output_probs(model, ctx, features, p_generic):
-    """(p_topic, p) from the (T, .) matrix of head inputs of one context
-    and their generic distributions p_generic, the generic head's softmax.
+def _topic_on(model, ctx):
+    """Whether the topic bias applies to ctx: a nonzero weight and a
+    nonempty topic vocabulary."""
+    return model.config.topic_weight != 0.0 and bool(ctx.topic_ids)
+
+
+def head_probs(model, ctxs, features):
+    """Yield (p_generic, p_topic, p) of each context's (T, .) matrix of
+    head inputs in turn, features[i] for ctxs[i].
+
+    The rows of all the contexts are joined, so each head's hidden layer
+    reads its weight once for all of them, as does the generic head's
+    output layer; one nm.blocks record per head hands each context its
+    rows.  The topic head's hidden layer runs only when the topic bias
+    applies to some context (output_probs).  Each context's mixture is
+    made when it is asked for, so a caller that lets one go before the
+    next holds one context's (T, vocab) arrays at a time.
+    """
+    sizes = [f.shape[0] for f in features]
+    joined = nm.concat(features)
+    head = model.head_generic
+    generic = nm.blocks(nm.softmax(head.logits(head.hidden(joined))), sizes)
+    topic = [None] * len(ctxs)
+    if any(_topic_on(model, ctx) for ctx in ctxs):
+        topic = nm.blocks(model.head_topic.hidden(joined), sizes)
+    for ctx, hidden, p_generic in zip(ctxs, topic, generic):
+        yield (p_generic,) + output_probs(model, ctx, hidden, p_generic)
+
+
+def output_probs(model, ctx, topic_hidden, p_generic):
+    """(p_topic, p) from the (T, .) matrix of the topic head's hidden rows
+    for one context and their generic distributions p_generic, the
+    generic head's softmax.
 
     p_topic scores only the topic vocabulary's columns and is zero
     elsewhere; p = (weight * p_topic + p_generic) / (1 + weight).  Zero
     weight or an empty topic vocabulary turns the bias off: p_topic is
-    None and p is p_generic (see Step).
+    None, p is p_generic and topic_hidden is not read (see Step).
     """
-    weight = model.config.topic_weight
-    if weight == 0.0 or not ctx.topic_ids:
+    if not _topic_on(model, ctx):
         return None, p_generic
-    restricted = nm.softmax(_topic_logits(model, ctx, features))
+    weight = model.config.topic_weight
+    restricted = nm.softmax(_topic_logits(model, ctx, topic_hidden))
     p_topic = nm.scatter(restricted, ctx.topic_ids, model.config.vocab_size)
     p = nm.scale(nm.add(nm.scale(p_topic, weight), p_generic),
                  1.0 / (1.0 + weight))
     return p_topic, p
 
 
-def _topic_logits(model, ctx, features):
-    """The topic head's logits of the topic vocabulary, one call per row.
+def _topic_logits(model, ctx, hidden):
+    """The topic head's logits of the topic vocabulary, one output-layer
+    call per row of its hidden layer.
 
-    Each row of the features is its own head call: the benchmark's tracer
-    self-test (bench/test_selftest.py) counts one topic-head call per
-    scored step.  The generic head, whose 6000-row output layer costs
-    most, scores all the rows of a scoring wave in one call
-    (training._loss_sums).
+    The hidden layer, whose weight every row shares, ran once for the
+    rows of all contexts (head_probs).  The output layer reads only the
+    rows of ctx's topic vocabulary, a different set per image, and stays
+    one call per row: the benchmark's tracer self-test
+    (bench/test_selftest.py) counts one topic-head logits call per
+    decode or scored step.
     """
-    return nm.stack([model.head_topic.logits(nm.take(features, t),
+    return nm.stack([model.head_topic.logits(nm.take(hidden, t),
                                              rows=ctx.topic_ids)
-                     for t in range(features.shape[0])])
+                     for t in range(hidden.shape[0])])
 
 
 def greedy_decode_reversed(model, ctx):

@@ -10,17 +10,28 @@ of whole images, at most WAVE_SAMPLES samples each unless one image
 holds more; the samples of one image (the same grid array and keywords)
 share one model.ImageContext, so its keyword bank and visual projection
 are built once.  Within a wave everything that reads one weight matrix
-for each sample reads it once for the whole wave, as a GEMM rather than
-as one GEMV per sample:
+for each sample or row reads it once for the whole wave, as a GEMM
+rather than as one GEMV per sample or row:
 * one model.prepare_contexts call encodes all the wave's contexts, each
   Bi-GRU direction stepping the distinct prefixes of all of them depth
-  by depth (layers.bigru_encode);
+  by depth (layers.bigru_encode), maps their means to initial states
+  with one state-map linear and projects their text keys in one matmul;
 * every target is one line of chars_per_line characters, so one
   model.step_rows call per character steps all the wave's rows as one
-  (B, h) matrix of states;
-* the generic head scores the (B * chars_per_line) head inputs of the
-  whole wave in one call.
-Attention, the keyword memory read and the topic head stay per sample.
+  (B, h) matrix of states, and projects their attention queries with
+  one linear per stream;
+* both heads' hidden layers, and the generic head's output layer, read
+  the (B * chars_per_line) head inputs of the whole wave in one call
+  each (model.head_probs).
+What stays per row or per sample, and why: each row's attention over
+its own keys, and the topic head's output layer over its image's topic
+vocabulary, are one call per row, the counts the benchmark's tracer
+self-test pins (bench/test_selftest.py); each row's embedding lookup,
+whose row order fixes gradient bits; and each sample's keyword memory
+read, over its own bank.  A GEMM of many rows may round the adjoints
+differently from one product per row, so gradients may differ from the
+per-row products' in their last bits; the losses keep theirs
+(tests/test_training.py::TestSharedWeights pins two).
 No padding or masking is needed: targets share one length and contexts
 are stepped as a tree of prefixes (layers.gru_run), so the context
 length buckets of training batches save no work (ROADMAP item 11).  A
@@ -75,12 +86,18 @@ def _ids(values, field):
 
 @dataclasses.dataclass
 class TrainSample:
-    """One supervised instance: feature grid, keywords, context, target."""
+    """One supervised instance: feature grid, keywords, context, target.
+
+    poem names the poem whose line the target is (the corpus poem id that
+    datapipe.build_samples gives it); datapipe.split_pool keeps the
+    samples of one poem in one pool.
+    """
 
     features: np.ndarray
     keywords: list
     preceding: tuple
     target: tuple
+    poem: object = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -123,10 +140,10 @@ def _loss_sums(model, batch, wave):
     model.step_rows call per character advancing the (B, h) matrix of
     the whole wave's states, each row with its own context.  Each sample
     then reads its keyword memory with all of its states as one matrix
-    (model.head_input), the generic head scores the head inputs of the
-    whole wave in one call, one nm.blocks record splits its distribution
-    back into samples, and each sample's topic head and mixture follow
-    (model.output_probs).
+    (model.head_input), and model.head_probs scores the head inputs of
+    the whole wave: each head's hidden layer in one call, the generic
+    head's output layer too, then each sample's topic output layer and
+    mixture (model.output_probs).
     """
     g = model.config.chars_per_line
     rows = [i for group in wave for i in group]
@@ -142,14 +159,13 @@ def _loss_sums(model, batch, wave):
         image = mdl.prepare_image(model, first.features, first.keywords)
         lines += [(image, batch[i].preceding) for i in group]
     ctxs = mdl.prepare_contexts(model, lines)
-    queries = [ctx.state for ctx in ctxs]
-    matrix = nm.stack(queries)
+    matrix = nm.stack([ctx.state for ctx in ctxs])
     y_prev = [mdl.LINE_START_ID] * len(rows)
     states, visual, text = ([[] for _ in rows] for _ in range(3))
     for t in range(g):
-        matrix, queries, text_t, visual_t = mdl.step_rows(
-            model, ctxs, matrix, queries, y_prev)
-        for b, s in enumerate(queries):
+        matrix, step_states, text_t, visual_t = mdl.step_rows(
+            model, ctxs, matrix, y_prev)
+        for b, s in enumerate(step_states):
             states[b].append(s)
             text[b].append(text_t[b][0])
             visual[b].append(visual_t[b][0])
@@ -157,13 +173,9 @@ def _loss_sums(model, batch, wave):
     features = [mdl.head_input(model, ctx, nm.stack(states[b]),
                                nm.stack(visual[b]), nm.stack(text[b]))[0]
                 for b, ctx in enumerate(ctxs)]
-    generic = nm.blocks(
-        nm.softmax(model.head_generic.logits(nm.concat(features))),
-        [g] * len(rows))
     sums = {}
-    for i, ctx, f, p_generic, target in zip(rows, ctxs, features, generic,
-                                             targets):
-        p = mdl.output_probs(model, ctx, f, p_generic)[-1]
+    for i, (_, _, p), target in zip(
+            rows, mdl.head_probs(model, ctxs, features), targets):
         picked = nm.pick(p, target)
         bad = np.flatnonzero(~(picked.data > 0.0))  # also catches NaN
         if bad.size:

@@ -106,8 +106,9 @@ def test_criterion_3_ablation_identities():
     for _ in range(steps):
         step = decode_step(model, ctx, s, LINE_START_ID)
         s = step.state
-        p_g = nm.softmax(model.head_generic.logits(nm.concat(
-            [step.topic_state, step.visual_context, step.text_context])))
+        p_g = nm.softmax(model.head_generic.logits(model.head_generic.hidden(
+            nm.concat([step.topic_state, step.visual_context,
+                       step.text_context]))))
         worst = max(worst, float(np.max(np.abs(step.p.data - p_g.data))))
     model.config.topic_weight = 0.5
     assert worst <= 1e-15
@@ -237,7 +238,9 @@ def test_criterion_6_oracle_equivalence():
         query = rng.uniform_array(4, -1.0, 1.0)
         keys = [rng.uniform_array(3, -1.0, 1.0)
                 for _ in range(1 + rng.below(5))]
-        ctx_got, w_got = attend(params, Tensor(query), Tensor(keys))
+        ctx_got, w_got = attend(params, nm.linear(Tensor(query),
+                                                  params.query_proj),
+                                Tensor(keys))
         ctx_ref, w_ref = attend_ref(params, query, keys)
         err = max(float(np.max(np.abs(w_got.data - w_ref))),
                   float(np.max(np.abs(ctx_got.data - ctx_ref))))

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -11,6 +12,9 @@ from imagepoet.datapipe import (ConceptLexicon, ImageRecord, PoemRecord,
                                 write_feature_file)
 from imagepoet.errors import (ConfigError, DataError, DomainError,
                               VocabularyError)
+from imagepoet.training import TrainSample
+
+from corpus_helpers import write_toy_corpus
 
 LEXICON = ConceptLexicon({
     "water": {(1, 2), (3,)},
@@ -168,39 +172,78 @@ class TestKeywordRecall:
             last = now
 
 
+def poem_samples(sizes):
+    """sizes[p] samples of poem "p<p>", poem by poem."""
+    return [TrainSample(features=np.zeros((1, 1)), keywords=[], preceding=(),
+                        target=(2 + j,), poem="p%d" % p)
+            for p, size in enumerate(sizes) for j in range(size)]
+
+
+def ids(samples):
+    return [id(s) for s in samples]
+
+
 class TestSplitPool:
     def test_everything_to_train(self):
-        samples = list(range(10))
-        train, valid, test = split_pool(samples, (1.0, 0.0, 0.0), seed=1)
-        assert sorted(train) == samples and valid == [] and test == []
+        samples = poem_samples([2] * 5)
+        train, valid = split_pool(samples, 0.0, seed=1)
+        assert sorted(ids(train)) == sorted(ids(samples)) and valid == []
 
     def test_same_seed_same_split(self):
-        samples = list(range(50))
-        a = split_pool(samples, (0.8, 0.1, 0.1), seed=9)
-        b = split_pool(samples, (0.8, 0.1, 0.1), seed=9)
-        assert a == b
-        c = split_pool(samples, (0.8, 0.1, 0.1), seed=10)
-        assert a != c
+        samples = poem_samples([1, 2, 3] * 17)
+        a = split_pool(samples, 0.2, seed=9)
+        b = split_pool(samples, 0.2, seed=9)
+        assert list(map(ids, a)) == list(map(ids, b))
+        c = split_pool(samples, 0.2, seed=10)
+        assert list(map(ids, a)) != list(map(ids, c))
 
     def test_rounding_rule(self):
-        samples = list(range(103))
-        train, valid, test = split_pool(samples, (0.8, 0.1, 0.1), seed=3)
-        assert (len(train), len(valid), len(test)) == (83, 10, 10)
+        # valid_frac of the poems, rounded up: a positive fraction holds
+        # out at least one poem.
+        for sizes, frac, held in (([1] * 103, 0.1, 11), ([3] * 103, 0.1, 11),
+                                  ([2, 2], 0.2, 1), ([2, 2], 0.0, 0)):
+            _, valid = split_pool(poem_samples(sizes), frac, seed=3)
+            assert len({s.poem for s in valid}) == held
 
     def test_disjoint_and_exhaustive(self):
-        samples = list(range(37))
-        train, valid, test = split_pool(samples, (0.5, 0.25, 0.25), seed=4)
-        assert sorted(train + valid + test) == samples
+        samples = poem_samples([1 + p % 4 for p in range(37)])
+        train, valid = split_pool(samples, 0.25, seed=4)
+        assert sorted(ids(train + valid)) == sorted(ids(samples))
+        assert not {s.poem for s in train} & {s.poem for s in valid}
+        for pool in (train, valid):
+            poems = [s.poem for s in pool]
+            # Each poem's samples together, in their order.
+            assert len(list(itertools.groupby(poems))) == len(set(poems))
+            for p in set(poems):
+                assert [s.target for s in pool if s.poem == p] == [
+                    s.target for s in samples if s.poem == p]
+
+    def test_a_poem_matched_with_many_images_stays_in_one_pool(self,
+                                                               tmp_path):
+        # Each poem matches several images, so a split of samples put one
+        # poem's lines in both pools.
+        corpus = write_toy_corpus(tmp_path, seed=5, n_images=8, n_poems=20,
+                                  lines=4, chars=5, n_labels=12)
+        images, poems = load_corpus(corpus["corpus"])
+        lexicon = load_concept_lexicon(corpus["lexicon"])
+        samples = build_samples(match_pairs(images, poems, lexicon), images,
+                                poems, lexicon)
+        train, valid = split_pool(samples, 0.1, seed=1)
+        assert train and valid
+        assert not {s.poem for s in train} & {s.poem for s in valid}
+        seen = {s.target for s in train} | {
+            s.preceding[i:i + 5] for s in train
+            for i in range(0, len(s.preceding), 5)}
+        assert not [s.target for s in valid if s.target in seen]
 
     def test_bad_fractions(self):
-        with pytest.raises(ConfigError):
-            split_pool([1], (0.5, 0.2, 0.2), seed=1)
-        with pytest.raises(ConfigError):
-            split_pool([1], (1.5, -0.25, -0.25), seed=1)
+        for frac in (1.5, -0.25):
+            with pytest.raises(ConfigError):
+                split_pool(poem_samples([1]), frac, seed=1)
 
     def test_non_finite_fraction_rejected(self):
         with pytest.raises(ConfigError, match="nan"):
-            split_pool([1], (float("nan"), float("nan"), 0.0), seed=1)
+            split_pool(poem_samples([1]), float("nan"), seed=1)
 
 
 class TestFeatureFiles:

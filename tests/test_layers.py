@@ -302,15 +302,18 @@ class TestAttend:
     def test_single_key(self, rng):
         params = AttentionParams.create(4, 3, 4, rng)
         key = vec(rng, 3)
-        context, weights = attend(params, Tensor(vec(rng, 4)), Tensor([key]))
+        context, weights = attend(
+            params, nm.linear(Tensor(vec(rng, 4)), params.query_proj),
+            Tensor([key]))
         assert np.array_equal(weights.data, [1.0])
         assert np.array_equal(context.data, key)
 
     def test_identical_keys_share_weight(self, rng):
         params = AttentionParams.create(4, 3, 4, rng)
         key = vec(rng, 3)
-        context, weights = attend(params, Tensor(vec(rng, 4)),
-                                  Tensor([key, key.copy()]))
+        context, weights = attend(
+            params, nm.linear(Tensor(vec(rng, 4)), params.query_proj),
+            Tensor([key, key.copy()]))
         assert np.max(np.abs(weights.data - 0.5)) < 1e-15
         assert np.max(np.abs(context.data - key)) < 1e-15
 
@@ -319,7 +322,9 @@ class TestAttend:
             params = AttentionParams.create(4, 3, 5, rng)
             query = vec(rng, 4)
             keys = [vec(rng, 3) for _ in range(4)]
-            context, weights = attend(params, Tensor(query), Tensor(keys))
+            context, weights = attend(
+                params, nm.linear(Tensor(query), params.query_proj),
+                Tensor(keys))
             ref_ctx, ref_w = attend_ref(params, query, keys)
             assert np.max(np.abs(weights.data - ref_w)) < 1e-12
             assert np.max(np.abs(context.data - ref_ctx)) < 1e-12
@@ -328,14 +333,15 @@ class TestAttend:
         for _ in range(50):
             params = AttentionParams.create(4, 3, 4, rng)
             n = 1 + rng.below(6)
-            _, weights = attend(params, Tensor(vec(rng, 4)),
-                                Tensor([vec(rng, 3) for _ in range(n)]))
+            _, weights = attend(
+                params, nm.linear(Tensor(vec(rng, 4)), params.query_proj),
+                Tensor([vec(rng, 3) for _ in range(n)]))
             assert np.all(weights.data >= 0.0)
             assert abs(weights.data.sum() - 1.0) < 1e-12
 
     def test_permutation_equivariance(self, rng):
         params = AttentionParams.create(4, 3, 4, rng)
-        query = Tensor(vec(rng, 4))
+        query = nm.linear(Tensor(vec(rng, 4)), params.query_proj)
         keys = np.array([vec(rng, 3) for _ in range(5)])
         context, weights = attend(params, query, Tensor(keys))
         perm = [3, 0, 4, 1, 2]
@@ -346,7 +352,8 @@ class TestAttend:
     def test_zero_keys_rejected(self, rng):
         params = AttentionParams.create(4, 3, 4, rng)
         with pytest.raises(DomainError):
-            attend(params, Tensor(vec(rng, 4)), Tensor(np.zeros((0, 3))))
+            attend(params, nm.linear(Tensor(vec(rng, 4)), params.query_proj),
+                   Tensor(np.zeros((0, 3))))
 
 
 class TestLayerGradients:
@@ -368,7 +375,8 @@ class TestLayerGradients:
         keys = Tensor([vec(rng, 3) for _ in range(3)])
 
         def loss():
-            context, _ = attend(params, query, keys)
+            context, _ = attend(params, nm.linear(query, params.query_proj),
+                                keys)
             return nm.sum_all(nm.mul(context, context))
 
         for name, p in params.parameters():
@@ -380,7 +388,7 @@ class TestLayerGradients:
         features = Tensor(vec(rng, 5))
 
         def loss():
-            return nm.sum_all(nm.softmax(head.logits(features)))
+            return nm.sum_all(nm.softmax(head.logits(head.hidden(features))))
 
         for name, p in head.parameters():
             err = grad_check(lambda _: loss(), p, h=1e-5)

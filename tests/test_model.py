@@ -189,20 +189,26 @@ class TestDecodeStep:
         y_prev = 7
         step = decode_step(model, ctx, s_prev, y_prev)
 
-        want_h, want_hw = attend(model.text_attention, s_prev, ctx.text[0])
-        want_v, want_vw = attend(model.visual_attention, s_prev,
-                                 ctx.visual[0])
+        want_h, want_hw = attend(
+            model.text_attention,
+            nm.linear(s_prev, model.text_attention.query_proj), ctx.text[0])
+        want_v, want_vw = attend(
+            model.visual_attention,
+            nm.linear(s_prev, model.visual_attention.query_proj),
+            ctx.visual[0])
         x = nm.concat([model.embedding.lookup(y_prev), want_h, want_v])
         want_s = nm.take(gru_step(model.decoder, nm.stack([s_prev]),
                                   nm.stack([x])), 0)
         want_z = tmem.address(ctx.bank, want_s)
         want_o = tmem.fuse(tmem.read(ctx.bank, want_z), want_s)
         features = nm.concat([want_o, want_v, want_h])
-        want_g = nm.softmax(model.head_generic.logits(features)).data
+        want_g = nm.softmax(model.head_generic.logits(
+            model.head_generic.hidden(features))).data
         topic = list(ctx.topic_ids)
         want_t = np.zeros(model.config.vocab_size)
         want_t[topic] = nm.softmax(Tensor(
-            model.head_topic.logits(features).data[topic])).data
+            model.head_topic.logits(model.head_topic.hidden(
+                features)).data[topic])).data
         lam = model.config.topic_weight
         want_p = (lam * want_t + want_g) * (1.0 / (1.0 + lam))
 
@@ -227,8 +233,9 @@ class TestOutputProbs:
         ctx = prepare_context(model, image, [1])
         s = ctx.state
         step = decode_step(model, ctx, s, LINE_START_ID)
-        p_g = nm.softmax(model.head_generic.logits(nm.concat(
-            [step.topic_state, step.visual_context, step.text_context])))
+        p_g = nm.softmax(model.head_generic.logits(model.head_generic.hidden(
+            nm.concat([step.topic_state, step.visual_context,
+                       step.text_context]))))
         assert np.max(np.abs(step.p.data - p_g.data)) < 1e-15
         assert step.p_topic is None
 
@@ -237,8 +244,9 @@ class TestOutputProbs:
         ctx = prepare_context(model, image, [1])
         s = ctx.state
         step = decode_step(model, ctx, s, LINE_START_ID)
-        p_g = nm.softmax(model.head_generic.logits(nm.concat(
-            [step.topic_state, step.visual_context, step.text_context])))
+        p_g = nm.softmax(model.head_generic.logits(model.head_generic.hidden(
+            nm.concat([step.topic_state, step.visual_context,
+                       step.text_context]))))
         assert np.array_equal(step.p.data, p_g.data)
         assert step.p_topic is None
 
@@ -333,10 +341,11 @@ class TestHoistedWork:
         monkeypatch.setattr(nm, "stack", counting)
         monkeypatch.setattr("imagepoet.layers.gru_step", stepping)
         # Beyond one stack of the parent states per depth that a Bi-GRU
-        # direction steps: context Bi-GRU: forward and backward states;
-        # bank: keys, contents; scored steps: states, visual and text
-        # contexts, topic logits; the recurrence: the initial states, then
-        # one stack of the rows' decoder inputs per step.  A decode step
+        # direction steps: context Bi-GRU: forward and backward states,
+        # then the contexts' means; bank: keys, contents; scored steps:
+        # states, visual and text contexts, topic logits; the recurrence:
+        # the initial states, then one stack of the rows' decoder inputs
+        # per step.  A decode step
         # stacks its one row's state, decoder input, visual and text
         # contexts, and topic logits.
         counts = []
@@ -349,7 +358,7 @@ class TestHoistedWork:
                 features=features, keywords=keywords, preceding=(1, 2, 3),
                 target=target)])
             counts.append(len(stacks) - len(target) - len(depths))
-        assert counts == [4 + 4 + 1] * 2
+        assert counts == [5 + 4 + 1] * 2
         ctx = prepare_context(model, prepare_image(model, features, keywords),
                               [1, 2])
         stacks.clear()
@@ -360,7 +369,7 @@ class TestHoistedWork:
         generate_poem(model, features, keywords)
         config = model.config
         assert len(stacks) - len(depths) == (
-            2 + 2 * config.lines_per_poem
+            2 + 3 * config.lines_per_poem
             + 5 * config.lines_per_poem * config.chars_per_line)
 
     @pytest.mark.parametrize("length", [1, 5])
@@ -413,12 +422,14 @@ class TestHoistedWork:
             return linear(x, w, b)
 
         monkeypatch.setattr(nm, "linear", recording)
-        p_topic, _ = output_probs(model, ctx, features,
+        p_topic, _ = output_probs(model, ctx,
+                                  model.head_topic.hidden(features),
                                   nm.stack([step.p_generic]))
         monkeypatch.undo()
         h = model.config.hidden_dim
         assert rows == [h, len(ctx.topic_ids)]
-        full = nm.take(model.head_topic.logits(vector), ctx.topic_ids)
+        full = nm.take(model.head_topic.logits(
+            model.head_topic.hidden(vector)), ctx.topic_ids)
         want = nm.softmax(full).data
         assert np.max(np.abs(p_topic.data[0, list(ctx.topic_ids)]
                              - want)) < 1e-15

@@ -46,8 +46,8 @@ def make_pool(config, rng, n, **kw):
 
 def nested_pool(config, rng, images, seed):
     """The samples of one poem per image, as build_samples makes them (one
-    grid array per image, every line's true preceding lines), shuffled as
-    split_pool shuffles them."""
+    grid array per image, every line's true preceding lines), shuffled by
+    SeededRng(seed)."""
     samples = []
     g = config.chars_per_line
     for i in range(images):
@@ -62,7 +62,9 @@ def nested_pool(config, rng, images, seed):
                                 preceding=sum(lines[:j], ()),
                                 target=lines[j])
                     for j in range(config.lines_per_poem)]
-    return split_pool(samples, (1.0, 0.0, 0.0), seed)[0]
+    order = list(range(len(samples)))
+    SeededRng(seed).shuffle(order)
+    return [samples[i] for i in order]
 
 
 def record_images(monkeypatch):
@@ -100,11 +102,11 @@ def record_row_steps(model, monkeypatch):
     rows, inside, decoder = [], [], []
     step_rows, gru = mdl.step_rows, layers.gru_step
 
-    def stepping(model, ctxs, matrix, queries, y_prev):
+    def stepping(model, ctxs, matrix, y_prev):
         rows.append(len(ctxs))
         inside.append(True)
         try:
-            return step_rows(model, ctxs, matrix, queries, y_prev)
+            return step_rows(model, ctxs, matrix, y_prev)
         finally:
             inside.pop()
 
@@ -396,18 +398,17 @@ class TestBatchedRecurrence:
             cells.append(cell)
             return gru(cell, h, x)
 
-        def scoring(head, features, rows=None):
+        def scoring(head, hidden, rows=None):
             if head is model.head_generic:
-                heads.append(features.shape)
-            return logits(head, features, rows)
+                heads.append(hidden.shape)
+            return logits(head, hidden, rows)
 
         monkeypatch.setattr("imagepoet.layers.gru_step", stepping)
         monkeypatch.setattr(layers.OutputHead, "logits", scoring)
         got = evaluate_loss(model, pool)
         assert cells.count(model.encoder_fw) == 21
         assert cells.count(model.encoder_bw) == 21
-        head_in = 3 * config.hidden_dim + config.visual_dim
-        assert heads == [(12 * 7, head_in)]
+        assert heads == [(12 * 7, config.hidden_dim)]
         want = batch_loss_ref(model, pool)
         assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -458,6 +459,60 @@ class TestBatchedRecurrence:
         assert grad.max_error < 1e-5, grad.worst_param
 
 
+class TestSharedWeights:
+    """A weight that every row of a wave multiplies is read once per wave,
+    or once per step of its recurrence, as a GEMM over the rows."""
+
+    def test_a_wave_reads_each_shared_weight_once(self, rng, monkeypatch):
+        config = toy_config(chars_per_line=7)
+        model = init_params(config, SeededRng(42))
+        pool = nested_pool(config, rng, 3, seed=5)
+        assert len(pool) == 12
+        names = {id(p): name for name, p in model.parameters()}
+        reads = []
+        linear, matmul = nm.linear, nm.matmul
+
+        def reading_linear(x, w, b=None):
+            reads.append((names.get(id(w)), x.shape))
+            return linear(x, w, b)
+
+        def reading_matmul(a, b):
+            reads.append((names.get(id(b)), a.shape))
+            return matmul(a, b)
+
+        monkeypatch.setattr(nm, "linear", reading_linear)
+        monkeypatch.setattr(nm, "matmul", reading_matmul)
+        evaluate_loss(model, pool)
+
+        def rows(name):
+            return [shape[0] if len(shape) == 2 else 1
+                    for read, shape in reads if read == name]
+
+        g = config.chars_per_line
+        assert rows("head.topic.w_hidden") == [12 * g]
+        assert rows("head.generic.w_hidden") == [12 * g]
+        assert rows("attention.text.query_proj") == [12] * g
+        assert rows("attention.visual.query_proj") == [12] * g
+        assert rows("init_state.w") == [12]
+        assert len(rows("attention.text.key_proj")) == 1
+
+    # Written against per-row products of these weights: reading them
+    # once per wave keeps every loss to the bit.  A change that moves
+    # them says so.
+    @pytest.mark.parametrize("images, want", [
+        (3, "6.110046981078186"),
+        (1, "6.101646171129236"),
+    ])
+    def test_wave_losses_are_pinned(self, images, want):
+        config = toy_config(vocab_size=300, hidden_dim=32, memory_dim=32,
+                            visual_count=10, visual_dim=24,
+                            chars_per_line=7)
+        model = init_params(config, SeededRng(71))
+        pool = nested_pool(config, SeededRng(72), images, seed=73)
+        assert len(pool) == 4 * images
+        assert repr(evaluate_loss(model, pool)) == want
+
+
 class TestOneDecoderStep:
     def test_a_generated_line_steps_one_row_per_character(self, model, rng,
                                                           monkeypatch):
@@ -500,12 +555,11 @@ class TestOneDecoderStep:
         queries = [ctx.state for ctx in ctxs]
         # Rows that read one id, and rows that read others.
         y_prev = [s.target[-1] if i % 3 else 4 for i, s in enumerate(pool)]
-        together = mdl.step_rows(model, ctxs, nm.stack(queries), queries,
-                                 y_prev)
+        together = mdl.step_rows(model, ctxs, nm.stack(queries), y_prev)
         assert together[0].shape == (12, model.config.hidden_dim)
         for b, (ctx, s, y) in enumerate(zip(ctxs, queries, y_prev)):
             matrix, (state,), text, visual = mdl.step_rows(
-                model, [ctx], nm.stack([s]), [s], [y])
+                model, [ctx], nm.stack([s]), [y])
             assert matrix.shape == (1, model.config.hidden_dim)
             pairs = [(together[0].data[b], matrix.data[0]),
                      (together[1][b].data, state.data)]
@@ -821,10 +875,11 @@ class TestGradientAccumulation:
         # Two images of four nested samples (0, 5, 10 and 15 preceding
         # characters), in two chunks that each hold both images.  Every
         # reversed target begins with the same two ids, so at each of the
-        # first three steps all rows read one embedding row.  Pinned at a
-        # per-row step order: batching a step's lookups, or running every
-        # row's text attention before any visual one, keeps the losses
-        # but moves gradient bits.
+        # first three steps all rows read one embedding row.  Pinned with
+        # each step's embedding lookups made row by row, in row order, and
+        # each shared weight (attention queries, head hidden layers, the
+        # state map) read once per step or wave: batching a step's
+        # lookups keeps the losses but moves gradient bits.
         config = toy_config(vocab_size=12)
         model = init_params(config, SeededRng(61))
         for _, p in model.parameters():
@@ -855,7 +910,7 @@ class TestGradientAccumulation:
             digest.update(name.encode())
             digest.update(p.grad.tobytes())
         assert digest.hexdigest() == (
-            "1b810e5bf5046b40469844788322802d763fa7379ed127b37730637cf2aeea97")
+            "7a4ac73d232a9699bff37f1ccac6839759f28c56c68675503b2dc36dc36bf475")
 
     def test_bitwise_identical_across_thread_counts(self, model, rng):
         batch = make_pool(model.config, rng, 4)
@@ -1038,7 +1093,7 @@ class TestTrainLoop:
         result = train(model, pool, valid,
                        TrainConfig(batch_size=2, max_epochs=2, seed=5))
         assert hashlib.sha256(result.best_checkpoint).hexdigest() == (
-            "d1a8905e50efa3d8a2335fdc37ea96405f4cbcf428e301f963a4e0cfbc29641d")
+            "5be999c1882c819d6e35ac7c4b339edc65b31350455c98b4551dfd198af1bf87")
 
     def test_mixed_preceding_lengths_batch_cleanly(self, config, rng):
         pool = (make_pool(config, rng, 3, preceding_len=0)
