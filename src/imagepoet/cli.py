@@ -94,6 +94,12 @@ def cmd_train(args, stdout):
                          topic_weight=args.topic_weight,
                          lines_per_poem=args.lines,
                          chars_per_line=args.chars).validate()
+    # Checked before the corpus is read and every epoch run: the
+    # checkpoint is written beside --out only after the last epoch.
+    out_dir = os.path.dirname(args.out) or os.curdir
+    if not os.path.isdir(out_dir):
+        raise ConfigError("--out %s: directory %s does not exist"
+                          % (args.out, out_dir))
     images, poems = datapipe.load_corpus(args.corpus,
                                          lines_per_poem=args.lines,
                                          chars_per_line=args.chars,

@@ -4,14 +4,16 @@ Target lines are reversed before scoring so the model learns to emit the
 rhyme-bearing final character first; generation undoes the reversal.
 Teacher forcing feeds each step the previous target character, so the
 decoder recurrence runs over whole targets first and the states are
-scored afterwards.  One scorer, _batch_loss_sum, serves evaluation,
-cross_entropy_loss and every gradient chunk.  It scores a batch in waves
-of whole images, at most WAVE_SAMPLES samples each unless one image
-holds more; the samples of one image (the same grid array and keywords)
-share one model.ImageContext, so its keyword bank and visual projection
-are built once.  Within a wave everything that reads one weight matrix
-for each sample or row reads it once for the whole wave, as a GEMM
-rather than as one GEMV per sample or row:
+scored afterwards.  The scorer's wave is the one unit of work: _waves
+orders a batch's samples image by image and cuts them into runs of at
+most WAVE_SAMPLES, and evaluation, cross_entropy_loss and
+accumulate_gradients all score those runs (_wave_loss_sum).  The samples
+of one image (the same grid array and keywords) in a wave share one
+model.ImageContext, so its keyword bank and visual projection are built
+once per wave; an image of more samples than a wave spans several.
+Within a wave everything that reads one weight matrix for each sample or
+row reads it once for the whole wave, as a GEMM rather than as one GEMV
+per sample or row:
 * one model.prepare_contexts call encodes all the wave's contexts, each
   Bi-GRU direction stepping the distinct prefixes of all of them depth
   by depth (layers.bigru_encode), maps their means to initial states
@@ -33,11 +35,11 @@ differently from one product per row, so gradients may differ from the
 per-row products' in their last bits; the losses keep theirs
 (tests/test_training.py::TestSharedWeights pins two).
 No padding or masking is needed: targets share one length and contexts
-are stepped as a tree of prefixes (layers.gru_run), so the context
-length buckets of training batches save no work (ROADMAP item 11).  A
-batch is recorded on one tape per chunk of GRADIENT_CHUNK samples,
-always one wave, and each chunk's backward pass writes its gradients
-straight into .grad, all on the calling thread.
+are stepped as a tree of prefixes (layers.gru_run), so a batch mixes
+context lengths freely.  accumulate_gradients records each wave on one
+tape and runs its backward pass, which writes its gradients straight
+into .grad on the calling thread, before it records the next wave; so
+no tape holds more than WAVE_SAMPLES samples, whatever the batch size.
 
 The AdaDelta step and the zero fill of its state are elementwise sweeps
 over blocks of numerics.SWEEP_BLOCK values.  Past two blocks they run on
@@ -49,6 +51,7 @@ same on either thread, so the split changes no bit.  Every BLAS call
 
 import dataclasses
 import functools
+import itertools
 import math
 import threading
 
@@ -61,14 +64,11 @@ from .errors import ConfigError, DomainError, NumericalError
 from .numerics import Tape
 from .rng import SeededRng
 
-# Samples per tape in accumulate_gradients.  A tape holds its samples'
-# records until its backward pass, about 22 MiB per paper-scale sample,
-# so this bounds that memory whatever the batch size.
-GRADIENT_CHUNK = 4
-
-# Samples whose recurrences _batch_loss_sum runs as one, unless one image
-# holds more.  One GEMM of B rows beats B GEMVs from about B = 3; the
-# wave's contexts are alive together, so this bounds that memory.
+# Samples per wave (_waves).  One GEMM of B rows beats B GEMVs from about
+# B = 3.  A wave's contexts are alive together, and accumulate_gradients
+# holds one wave's records on its tape until its backward pass, about
+# 22 MiB per paper-scale sample, so this bounds that memory whatever the
+# batch size.
 WAVE_SAMPLES = 16
 
 
@@ -129,39 +129,59 @@ class TrainConfig:
         return self
 
 
-def _loss_sums(model, batch, wave):
-    """{index: teacher-forced -log p summed over the reversed target} of
-    the samples of a wave's image groups.
+def _image_key(sample):
+    """Samples holding the same grid array and equal keywords are one
+    image: build_samples gives every line of an image the same array."""
+    return id(sample.features), tuple(sample.keywords)
 
-    Each image is prepared once (model.prepare_image), and all the
-    samples' contexts in one model.prepare_contexts call.  Every target
-    is one line of chars_per_line characters, and each step's input is
-    the previous target character, so the recurrence runs alone, one
-    model.step_rows call per character advancing the (B, h) matrix of
-    the whole wave's states, each row with its own context.  Each sample
-    then reads its keyword memory with all of its states as one matrix
-    (model.head_input), and model.head_probs scores the head inputs of
-    the whole wave: each head's hidden layer in one call, the generic
-    head's output layer too, then each sample's topic output layer and
-    mixture (model.output_probs).
+
+def _waves(batch):
+    """The batch's sample indices image by image, images in order of first
+    appearance and each image's samples in batch order, cut into runs of
+    at most WAVE_SAMPLES.  An empty batch is a DomainError."""
+    if not batch:
+        raise DomainError("cannot score an empty batch")
+    images = {}
+    for i, sample in enumerate(batch):
+        images.setdefault(_image_key(sample), []).append(i)
+    order = [i for group in images.values() for i in group]
+    return [order[start:start + WAVE_SAMPLES]
+            for start in range(0, len(order), WAVE_SAMPLES)]
+
+
+def _wave_loss_sum(model, batch, wave):
+    """Teacher-forced -log p summed over the reversed targets of the
+    samples batch[i], i in wave (one run of _waves), added in batch order.
+
+    Each image of the wave is prepared once (model.prepare_image), and
+    all the samples' contexts in one model.prepare_contexts call.  Every
+    target is one line of chars_per_line characters, and each step's
+    input is the previous target character, so the recurrence runs
+    alone, one model.step_rows call per character advancing the (B, h)
+    matrix of the whole wave's states, each row with its own context.
+    Each sample then reads its keyword memory with all of its states as
+    one matrix (model.head_input), and model.head_probs scores the head
+    inputs of the whole wave: each head's hidden layer in one call, the
+    generic head's output layer too, then each sample's topic output
+    layer and mixture (model.output_probs).
     """
     g = model.config.chars_per_line
-    rows = [i for group in wave for i in group]
     targets = [mdl.check_ids(batch[i].target, model.config.vocab_size,
-                             "target")[::-1] for i in rows]
+                             "target")[::-1] for i in wave]
     for target in targets:
         if len(target) != g:
             raise DomainError("target has %d characters, but a line has "
                               "chars_per_line = %d" % (len(target), g))
     lines = []
-    for group in wave:
-        first = batch[group[0]]
+    for _, run in itertools.groupby(wave, lambda i: _image_key(batch[i])):
+        run = list(run)
+        first = batch[run[0]]
         image = mdl.prepare_image(model, first.features, first.keywords)
-        lines += [(image, batch[i].preceding) for i in group]
+        lines += [(image, batch[i].preceding) for i in run]
     ctxs = mdl.prepare_contexts(model, lines)
     matrix = nm.stack([ctx.state for ctx in ctxs])
-    y_prev = [mdl.LINE_START_ID] * len(rows)
-    states, visual, text = ([[] for _ in rows] for _ in range(3))
+    y_prev = [mdl.LINE_START_ID] * len(wave)
+    states, visual, text = ([[] for _ in wave] for _ in range(3))
     for t in range(g):
         matrix, step_states, text_t, visual_t = mdl.step_rows(
             model, ctxs, matrix, y_prev)
@@ -175,54 +195,24 @@ def _loss_sums(model, batch, wave):
                 for b, ctx in enumerate(ctxs)]
     sums = {}
     for i, (_, _, p), target in zip(
-            rows, mdl.head_probs(model, ctxs, features), targets):
+            wave, mdl.head_probs(model, ctxs, features), targets):
         picked = nm.pick(p, target)
         bad = np.flatnonzero(~(picked.data > 0.0))  # also catches NaN
         if bad.size:
             raise NumericalError("probability of target character %d "
                                  "underflowed to 0" % target[bad[0]])
         sums[i] = nm.scale(nm.sum_all(nm.log(picked)), -1.0)
-    return sums
-
-
-def _waves(groups):
-    """The image groups in runs of at most WAVE_SAMPLES samples, each run
-    holding at least one whole group."""
-    wave, size = [], 0
-    for group in groups:
-        if wave and size + len(group) > WAVE_SAMPLES:
-            yield wave
-            wave, size = [], 0
-        wave.append(group)
-        size += len(group)
-    if wave:
-        yield wave
+    return functools.reduce(nm.add, (sums[i] for i in sorted(wave)))
 
 
 def _batch_loss_sum(model, batch):
-    """Summed -log p over a batch's target characters.
-
-    Samples holding the same grid array and equal keywords are one image:
-    build_samples gives every line of an image the same array.  Images
-    are scored in waves of whole images, up to WAVE_SAMPLES samples each
-    (_waves), and each wave's contexts are let go before the next is
-    prepared (_loss_sums).  The per-sample loss sums are added in
-    batch order.  Nothing outlives the call, so no shared tensor crosses a
-    tape.
-    """
-    if not batch:
-        raise DomainError("cannot score an empty batch")
-    images = {}
-    for i, sample in enumerate(batch):
-        images.setdefault((id(sample.features), tuple(sample.keywords)),
-                          []).append(i)
-    sums = {}
-    for wave in _waves(images.values()):
-        sums.update(_loss_sums(model, batch, wave))
-    total = sums[0]
-    for i in range(1, len(batch)):
-        total = nm.add(total, sums[i])
-    return total
+    """Summed -log p over a batch's target characters: the loss sums of
+    its waves (_waves), added in order.  Each wave's contexts are let go
+    before the next is prepared, and nothing outlives the call, so no
+    shared tensor crosses a tape.  A batch of one wave sums its samples
+    in batch order."""
+    return functools.reduce(nm.add, (_wave_loss_sum(model, batch, wave)
+                                     for wave in _waves(batch)))
 
 
 def cross_entropy_loss(model, batch):
@@ -237,22 +227,21 @@ def evaluate_loss(model, pool):
 
 
 def accumulate_gradients(model, batch, worker_threads=1):
-    """Backward passes over the batch, one per chunk, added into .grad.
+    """Backward passes over the batch, one per wave, added into .grad.
 
-    Returns the batch's mean per-character loss.  Each chunk of up to
-    GRADIENT_CHUNK samples is recorded on one tape, and its loss sum
-    scaled by 1/chars of the whole batch seeds its backward pass.  A
-    parameter holding no gradient buffer adopts the first pass's array,
-    and later passes add into it.  A batch within one chunk is one tape,
-    as cross_entropy_loss records it.  worker_threads is ignored.
+    Returns the batch's mean per-character loss.  Each wave of _waves is
+    recorded on one tape, and its loss sum scaled by 1/chars of the whole
+    batch seeds its backward pass, which runs before the next wave is
+    recorded.  A parameter holding no gradient buffer adopts the first
+    pass's array, and later passes add into it.  A batch of one wave is
+    one tape, as cross_entropy_loss records it.  worker_threads is
+    ignored.
     """
     chars = len(batch) * model.config.chars_per_line
     total = 0.0
-    # An empty batch still reaches the scorer, which rejects it.
-    for start in range(0, len(batch) or 1, GRADIENT_CHUNK):
+    for wave in _waves(batch):
         with Tape() as tape:
-            loss_sum = _batch_loss_sum(
-                model, batch[start:start + GRADIENT_CHUNK])
+            loss_sum = _wave_loss_sum(model, batch, wave)
             loss = nm.scale(loss_sum, 1.0 / chars)
         tape.backward(loss)
         total += loss_sum.item()
@@ -421,23 +410,12 @@ def adadelta_update(state, params):
 
 
 def _make_batches(pool, batch_size, rng):
-    """Shuffled batches whose samples share one preceding length."""
+    """The pool in a seeded shuffle, cut into batches of batch_size
+    samples; the last holds the rest."""
     order = list(range(len(pool)))
     rng.shuffle(order)
-    buckets = {}
-    batches = []
-    for idx in order:
-        sample = pool[idx]
-        key = len(sample.preceding)
-        bucket = buckets.setdefault(key, [])
-        bucket.append(sample)
-        if len(bucket) == batch_size:
-            batches.append(bucket)
-            buckets[key] = []
-    for key in sorted(buckets):
-        if buckets[key]:
-            batches.append(buckets[key])
-    return batches
+    return [[pool[i] for i in order[start:start + batch_size]]
+            for start in range(0, len(order), batch_size)]
 
 
 @dataclasses.dataclass

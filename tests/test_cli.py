@@ -166,6 +166,19 @@ class TestTrain:
         assert open(ckpt, "rb").read() == before
         assert sorted(os.listdir(tmp_path)) == files
 
+    def test_a_missing_out_directory_fails_before_training(
+            self, corpus, tmp_path, capsys):
+        # With --log elsewhere nothing else reads the directory: every
+        # epoch would run, and then the checkpoint write would fail.
+        out = str(tmp_path / "nodir" / "m.ckpt")
+        log = tmp_path / "train.log"
+        code, stdout = run_cli("train", "--corpus", corpus["corpus"],
+                               "--lexicon", corpus["lexicon"], "--out", out,
+                               "--log", str(log), *TRAIN_FLAGS)
+        assert (code, stdout) == (2, "")
+        assert "--out %s:" % out in capsys.readouterr().err
+        assert not log.exists()
+
     def test_lambda_zero_trains_the_unbiased_path(self, corpus, tmp_path):
         ckpt = train_once(corpus, tmp_path, name="nolambda.ckpt",
                           extra=("--lambda", "0.0"))

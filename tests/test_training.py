@@ -316,6 +316,24 @@ class TestSharedScoring:
         assert len(arrays) == 4
         assert sorted(map(id, grids)) == sorted(arrays)
 
+    def test_a_batch_is_scored_image_by_image(self, model, rng, monkeypatch):
+        # [A0, B0, C0, D0, A5]: image A's second line comes after three
+        # other images, yet joins A's first in the batch's one wave, which
+        # prepares A's grid once.
+        g = model.config.chars_per_line
+        images = {}
+        for s in nested_pool(model.config, rng, 4, seed=12):
+            images.setdefault(id(s.features), {})[len(s.preceding)] = s
+        a, b, c, d = images.values()
+        batch = [a[0], b[0], c[0], d[0], a[g]]
+        alone = sum(cross_entropy_loss(model, [s]).item()
+                    for s in batch) / len(batch)
+        grids = record_images(monkeypatch)
+        model.zero_grads()
+        loss = accumulate_gradients(model, batch)
+        assert list(map(id, grids)) == [id(s.features) for s in batch[:4]]
+        assert abs(loss - alone) <= 1e-12 * abs(alone)
+
     def test_equal_grids_with_other_keywords_are_not_shared(self, model,
                                                             rng):
         sample = make_sample(model.config, rng)
@@ -326,13 +344,15 @@ class TestSharedScoring:
         both = cross_entropy_loss(model, [sample, other]).item()
         assert abs(both - sum(alone) / 2) <= 1e-12 * abs(both)
 
-    def test_chunked_gradients_match_per_sample_tapes(self, rng):
-        # Two images of three nested contexts each: six samples, so the
-        # default chunk of four splits them.
+    def test_chunked_gradients_match_per_sample_tapes(self, rng,
+                                                      monkeypatch):
+        # Two images of three nested contexts each: six samples, so waves
+        # of four split them, and the second image straddles both tapes.
+        monkeypatch.setattr(training, "WAVE_SAMPLES", 4)
         config = toy_config(lines_per_poem=3)
         model = init_params(config, SeededRng(8))
         batch = nested_pool(config, rng, 2, seed=6)
-        assert len(batch) > training.GRADIENT_CHUNK
+        assert len(batch) > training.WAVE_SAMPLES
         want = per_sample_grads(model, batch)
         inv = 1.0 / sum(len(s.target) for s in batch)
         model.zero_grads()
@@ -421,22 +441,23 @@ class TestBatchedRecurrence:
         waves = evaluate_loss(model, pool)
         g, h = model.config.chars_per_line, model.config.hidden_dim
         assert steps == [(16, h)] * g + [(4, h)] * g
-        # An image larger than a wave is a wave of its own.
+        # An image larger than a wave spans two: the 20 samples image by
+        # image, in runs of at most three.
         steps.clear()
         monkeypatch.setattr(training, "WAVE_SAMPLES", 3)
         alone = evaluate_loss(model, pool)
-        assert steps == [(4, h)] * g * 5
+        assert steps == [(3, h)] * g * 6 + [(2, h)] * g
         assert abs(alone - waves) <= 1e-12 * abs(waves)
         want = batch_loss_ref(model, pool)
         assert abs(waves - want) <= 1e-12 * abs(want)
 
     def test_a_mixed_chunk_has_the_per_sample_gradients(self, rng):
-        # Two images of two lines, two context lengths: one chunk, one
-        # wave.
+        # Two images of two lines, two context lengths: one wave, one
+        # tape.
         config = toy_config(lines_per_poem=2)
         model = init_params(config, SeededRng(8))
         batch = nested_pool(config, rng, 2, seed=6)
-        assert len(batch) == training.GRADIENT_CHUNK
+        assert len(batch) <= training.WAVE_SAMPLES
         want = per_sample_grads(model, batch)
         inv = 1.0 / (len(batch) * config.chars_per_line)
         model.zero_grads()
@@ -542,8 +563,7 @@ class TestOneDecoderStep:
         rows.clear()
         decoder.clear()
         accumulate_gradients(model, pool)
-        chunk = training.GRADIENT_CHUNK
-        assert rows == [chunk] * g * (12 // chunk)
+        assert rows == [12] * g
         assert decoder == [True] * len(rows)
 
     def test_each_row_of_a_step_is_that_row_stepped_alone(self, model, rng):
@@ -814,6 +834,57 @@ class TestGradientAccumulation:
         for name, p in model.parameters():
             assert np.max(np.abs(want[name] * inv - p.grad)) < 1e-12, name
 
+    def test_a_pool_of_one_wave_is_one_tape(self, model, rng, monkeypatch):
+        # Three images of four samples: twelve rows, one wave, one
+        # backward pass.
+        pool = nested_pool(model.config, rng, 3, seed=5)
+        assert len(pool) == 12
+        passes = []
+        gradients = Tape.gradients
+
+        def counting(tape, loss, **kwargs):
+            passes.append(loss)
+            return gradients(tape, loss, **kwargs)
+
+        monkeypatch.setattr(Tape, "gradients", counting)
+        rows, _ = record_row_steps(model, monkeypatch)
+        model.zero_grads()
+        accumulate_gradients(model, pool)
+        assert len(passes) == 1
+        assert rows == [12] * model.config.chars_per_line
+
+    def test_an_image_larger_than_a_wave_straddles_two_tapes(
+            self, model, rng, monkeypatch):
+        # Two images of four samples in waves of three: A A A | A B B | B B.
+        monkeypatch.setattr(training, "WAVE_SAMPLES", 3)
+        g = model.config.chars_per_line
+        batch = nested_pool(model.config, rng, 2, seed=9)
+        a, b = dict.fromkeys(id(s.features) for s in batch)
+        want = per_sample_grads(model, batch)
+        alone = sum(cross_entropy_loss(model, [s]).item()
+                    for s in batch) / len(batch)
+        rows, _ = record_row_steps(model, monkeypatch)
+        grids = record_images(monkeypatch)
+        tapes = []
+        gradients = Tape.gradients
+
+        def splitting(tape, loss, **kwargs):
+            tapes.append((rows[:], list(map(id, grids))))
+            rows.clear()
+            grids.clear()
+            return gradients(tape, loss, **kwargs)
+
+        monkeypatch.setattr(Tape, "gradients", splitting)
+        model.zero_grads()
+        loss = accumulate_gradients(model, batch)
+        assert tapes == [([3] * g, [a]), ([3] * g, [a, b]), ([2] * g, [b])]
+        assert abs(loss - alone) <= 1e-12 * abs(alone)
+        inv = 1.0 / (len(batch) * g)
+        scale = max(np.max(np.abs(w)) for w in want.values()) * inv
+        for name, p in model.parameters():
+            assert (np.max(np.abs(want[p] * inv - p.grad))
+                    <= 1e-12 * scale), name
+
     def test_grad_is_the_array_the_batch_tape_returned(self, model, rng,
                                                          monkeypatch):
         returned = []
@@ -835,9 +906,9 @@ class TestGradientAccumulation:
 
     def test_chunked_batch_matches_per_sample_reduction(self, model, rng,
                                                         monkeypatch):
-        # Five samples in chunks of two: three tapes of 2, 2 and 1 samples,
+        # Five samples in waves of two: three tapes of 2, 2 and 1 samples,
         # each pass adding into the arrays the first one returned.
-        monkeypatch.setattr(training, "GRADIENT_CHUNK", 2)
+        monkeypatch.setattr(training, "WAVE_SAMPLES", 2)
         batch = make_pool(model.config, rng, 5)
         want = {name: np.zeros(p.shape) for name, p in model.parameters()}
         chars = 0
@@ -873,9 +944,9 @@ class TestGradientAccumulation:
 
     def test_rows_reading_one_id_keep_pinned_gradient_bits(self):
         # Two images of four nested samples (0, 5, 10 and 15 preceding
-        # characters), in two chunks that each hold both images.  Every
-        # reversed target begins with the same two ids, so at each of the
-        # first three steps all rows read one embedding row.  Pinned with
+        # characters), interleaved, on one tape.  Every reversed target
+        # begins with the same two ids, so at each of the first three
+        # steps all rows read one embedding row.  Pinned with
         # each step's embedding lookups made row by row, in row order, and
         # each shared weight (attention queries, head hidden layers, the
         # state map) read once per step or wave: batching a step's
@@ -910,7 +981,7 @@ class TestGradientAccumulation:
             digest.update(name.encode())
             digest.update(p.grad.tobytes())
         assert digest.hexdigest() == (
-            "7a4ac73d232a9699bff37f1ccac6839759f28c56c68675503b2dc36dc36bf475")
+            "89ddaffa19d02b87afe97078b8b11753a9b292c1210d4c9cc2dd8923abc9d013")
 
     def test_bitwise_identical_across_thread_counts(self, model, rng):
         batch = make_pool(model.config, rng, 4)
@@ -958,17 +1029,22 @@ class TestGradientAccumulation:
 
 
 class TestMakeBatches:
-    def test_batches_share_one_context_length(self, config, rng):
+    def test_batches_are_the_seeded_shuffle_in_slices(self, config, rng):
         pool = (make_pool(config, rng, 7, preceding_len=0)
                 + make_pool(config, rng, 5, preceding_len=5)
                 + make_pool(config, rng, 3, preceding_len=10))
-        batches = training._make_batches(pool, 3, SeededRng(4))
+        batches = training._make_batches(pool, 4, SeededRng(4))
+        order = list(range(len(pool)))
+        SeededRng(4).shuffle(order)
+        assert [[id(s) for s in batch] for batch in batches] == [
+            [id(pool[i]) for i in order[start:start + 4]]
+            for start in (0, 4, 8, 12)]
         placed = sorted(id(s) for batch in batches for s in batch)
         assert placed == sorted(id(s) for s in pool)
-        for batch in batches:
-            assert 1 <= len(batch) <= 3
-            assert len({len(s.preceding) for s in batch}) == 1
-        again = training._make_batches(pool, 3, SeededRng(4))
+        # Context lengths no longer sort samples into batches.
+        assert any(len({len(s.preceding) for s in batch}) > 1
+                   for batch in batches)
+        again = training._make_batches(pool, 4, SeededRng(4))
         assert ([[id(s) for s in batch] for batch in again]
                 == [[id(s) for s in batch] for batch in batches])
 
