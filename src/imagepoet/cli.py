@@ -100,6 +100,8 @@ def cmd_train(args, stdout):
     if not os.path.isdir(out_dir):
         raise ConfigError("--out %s: directory %s does not exist"
                           % (args.out, out_dir))
+    if os.path.isdir(args.out):
+        raise ConfigError("--out %s: is a directory" % args.out)
     images, poems = datapipe.load_corpus(args.corpus,
                                          lines_per_poem=args.lines,
                                          chars_per_line=args.chars,

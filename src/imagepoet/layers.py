@@ -243,14 +243,14 @@ class OutputHead(ParamGroup):
                    param(rng, output_dim))
 
     def hidden(self, features):
-        """The hidden layer tanh(W1 f + b1) of one head input or of each
-        row of a (T, input_dim) matrix of them."""
+        """The hidden layer tanh(W1 f + b1) of each row of a
+        (T, input_dim) matrix of head inputs."""
         return nm.tanh(nm.linear(features, self.w_hidden, self.b_hidden))
 
     def logits(self, hidden, rows=None):
         """Logits of every output, or of the outputs listed in rows only,
-        from one hidden vector or a (T, hidden_dim) matrix of them, which
-        gets one row of logits each."""
+        one row of them for each row of a (T, hidden_dim) matrix of
+        hidden layers."""
         if rows is None:
             return nm.linear(hidden, self.w_out, self.b_out)
         return nm.linear(hidden, nm.take(self.w_out, rows),

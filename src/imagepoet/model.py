@@ -418,22 +418,27 @@ def output_probs(model, ctx, topic_hidden, p_generic):
 
 def _topic_logits(model, ctx, hidden):
     """The topic head's logits of the topic vocabulary, one output-layer
-    call per row of its hidden layer.
+    call per (1, h) row block of its hidden layer.
 
     The hidden layer, whose weight every row shares, ran once for the
     rows of all contexts (head_probs).  The output layer reads only the
     rows of ctx's topic vocabulary, a different set per image, and stays
     one call per row: the benchmark's tracer self-test
     (bench/test_selftest.py) counts one topic-head logits call per
-    decode or scored step.
+    decode or scored step.  One nm.blocks record splits the rows and one
+    nm.concat joins their logits.
     """
-    return nm.stack([model.head_topic.logits(nm.take(hidden, t),
-                                             rows=ctx.topic_ids)
-                     for t in range(hidden.shape[0])])
+    return nm.concat([model.head_topic.logits(row, rows=ctx.topic_ids)
+                      for row in nm.blocks(hidden, [1] * hidden.shape[0])])
 
 
-def greedy_decode_reversed(model, ctx):
-    """Greedy character ids in emission order (reversed reading order)."""
+def generate_line(model, ctx):
+    """One line of greedy character ids in natural reading order.
+
+    Each decode step is fed the argmax id of the step before it.  The
+    line is emitted last character first (reversed reading order) and
+    flipped back.
+    """
     s = ctx.state
     y_prev = LINE_START_ID
     emitted = []
@@ -442,12 +447,7 @@ def greedy_decode_reversed(model, ctx):
         s = step.state
         y_prev = int(np.argmax(step.p.data))
         emitted.append(y_prev)
-    return emitted
-
-
-def generate_line(model, ctx):
-    """One line in natural reading order."""
-    return list(reversed(greedy_decode_reversed(model, ctx)))
+    return emitted[::-1]
 
 
 def generate_poem(model, features, keywords):

@@ -10,8 +10,9 @@ its inputs needs a gradient, so work on constants (feature grids, say)
 never reaches the tape.
 
 Every parameter matrix but the attention key projections is applied by
-linear, the one op whose adjoint for a leaf weight is deferred to the
-end of the backward sweep (OuterGrad).
+linear, always to a matrix of rows (one row is a (1, n) matrix); it is
+the one op whose adjoint for a leaf weight is deferred to the end of
+the backward sweep (OuterGrad).
 
 In the backward pass a leaf (requires_grad) sums its contributions into
 one buffer of its own; any other adjoint is a fresh sum.  Tape.backward
@@ -205,18 +206,18 @@ class RowGrad:
 class OuterGrad:
     """Adjoint u.T @ v of a leaf matrix: the sum of outer(u[i], v[i]).
 
-    u and v hold one row per term, so a rank-1 pair is one term.  Only
-    linear returns one, with a term per input row, and only a leaf
-    receives one.  Tape.gradients sums all of a leaf's OuterGrads at the
-    end of its sweep, so a weight reused at every step costs one GEMM,
-    not one weight-sized outer product and add per step.
+    u and v are matrices with one row per term.  Only linear returns one,
+    with a term per input row, and only a leaf receives one.
+    Tape.gradients sums all of a leaf's OuterGrads at the end of its
+    sweep, so a weight reused at every step costs one GEMM, not one
+    weight-sized outer product and add per step.
     """
 
     __slots__ = ("u", "v")
 
     def __init__(self, u, v):
-        self.u = np.atleast_2d(u)
-        self.v = np.atleast_2d(v)
+        self.u = u
+        self.v = v
 
 
 def _emit(data, inputs, backward_fn):
@@ -267,14 +268,15 @@ def matmul(a, b):
 
 
 def linear(x, w, b=None):
-    """x @ w.T, plus b when given, for one row x or a (T, n) matrix of rows.
+    """x @ w.T, plus b when given, for a (T, n) matrix x of rows.
 
     w is (m, n) and b length m.  A matrix of rows reads w once where T
     separate rows would read it T times; a leaf w gets one OuterGrad
-    carrying every row.
+    carrying every row.  One row is a (1, n) matrix, whose product BLAS
+    rounds as it rounds a vector's.
     """
     xd, wd = x.data, w.data
-    if (xd.ndim not in (1, 2) or wd.ndim != 2 or xd.shape[-1] != wd.shape[1]
+    if (xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[1]
             or (b is not None and b.data.shape != wd.shape[:1])):
         bias = None if b is None else b.data.shape
         raise DimensionError("linear: input %s, weight %s and bias %s are "
@@ -290,11 +292,8 @@ def linear(x, w, b=None):
         gx = g @ wd if x.needs_grad else None
         gw = None
         if w.needs_grad:
-            gw = (OuterGrad(g, xd) if w.requires_grad else
-                  np.outer(g, xd) if xd.ndim == 1 else g.T @ xd)
-        gb = None
-        if b is not None and b.needs_grad:
-            gb = g if g.ndim == 1 else g.sum(axis=0)
+            gw = OuterGrad(g, xd) if w.requires_grad else g.T @ xd
+        gb = g.sum(axis=0) if b is not None and b.needs_grad else None
         return gx, gw, gb
 
     return _emit(out, (x, w) if b is None else (x, w, b), backward)

@@ -6,7 +6,7 @@ characters, concatenated) and a content vector (the mean of its character
 embeddings).  Both are stacked once, when the bank is built.  Addressing
 softmaxes the key matrix times the decoder state; the read is the
 resulting convex combination of content rows, added onto the state to
-make it topic-aware.
+make it topic-aware.  Both take matrices, one row per decoder state.
 """
 
 import numpy as np
@@ -68,9 +68,10 @@ def encode_keywords(embedding, cell_fw, cell_bw, keywords):
 
 
 def address(bank, state):
-    """Keyword importance distribution: softmax of state-key dot products.
+    """Keyword importance distributions: the softmax of each row of a
+    (T, h) matrix of states dotted with every key.
 
-    A (T, h) matrix of states gets one distribution per row.
+    One state is a (1, h) matrix; a vector is a DimensionError (linear).
     """
     if bank.size == 0:
         raise DomainError("address on an empty memory bank")
@@ -78,8 +79,9 @@ def address(bank, state):
 
 
 def read(bank, weights):
-    """Weighted sum of the content rows, per row of a matrix of weights."""
-    if weights.data.ndim not in (1, 2) or weights.shape[-1] != bank.size:
+    """Weighted sum of the content rows, per row of a (T, size) matrix of
+    weights."""
+    if weights.data.ndim != 2 or weights.shape[1] != bank.size:
         raise DimensionError("read: weights %s for a bank of %d"
                              % (weights.shape, bank.size))
     return nm.matmul(weights, bank.contents)

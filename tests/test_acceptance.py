@@ -107,9 +107,9 @@ def test_criterion_3_ablation_identities():
         step = decode_step(model, ctx, s, LINE_START_ID)
         s = step.state
         p_g = nm.softmax(model.head_generic.logits(model.head_generic.hidden(
-            nm.concat([step.topic_state, step.visual_context,
-                       step.text_context]))))
-        worst = max(worst, float(np.max(np.abs(step.p.data - p_g.data))))
+            nm.stack([nm.concat([step.topic_state, step.visual_context,
+                                 step.text_context])]))))
+        worst = max(worst, float(np.max(np.abs(step.p.data - p_g.data[0]))))
     model.config.topic_weight = 0.5
     assert worst <= 1e-15
     report("PASS criterion 3: zeroed memory keeps o_t == s_t bitwise; "
@@ -238,9 +238,10 @@ def test_criterion_6_oracle_equivalence():
         query = rng.uniform_array(4, -1.0, 1.0)
         keys = [rng.uniform_array(3, -1.0, 1.0)
                 for _ in range(1 + rng.below(5))]
-        ctx_got, w_got = attend(params, nm.linear(Tensor(query),
-                                                  params.query_proj),
-                                Tensor(keys))
+        ctx_got, w_got = attend(
+            params, nm.rows(nm.linear(Tensor(query[None]),
+                                      params.query_proj))[0],
+            Tensor(keys))
         ctx_ref, w_ref = attend_ref(params, query, keys)
         err = max(float(np.max(np.abs(w_got.data - w_ref))),
                   float(np.max(np.abs(ctx_got.data - ctx_ref))))
@@ -252,10 +253,11 @@ def test_criterion_6_oracle_equivalence():
         contents = [rng.uniform_array(4, -1.0, 1.0) for _ in range(n)]
         bank = tmem.MemoryBank(Tensor(keys), Tensor(contents))
         state = rng.uniform_array(4, -1.0, 1.0)
-        z = tmem.address(bank, Tensor(state))
+        z = tmem.address(bank, Tensor(state[None]))
         d = tmem.read(bank, z)
-        err = max(float(np.max(np.abs(z.data - address_ref(keys, state)))),
-                  float(np.max(np.abs(d.data - read_ref(contents, z.data)))))
+        err = max(float(np.max(np.abs(z.data[0] - address_ref(keys, state)))),
+                  float(np.max(np.abs(d.data[0]
+                                      - read_ref(contents, z.data[0])))))
         worst["address/read"] = max(worst["address/read"], err)
 
     model = init_params(ACCEPT_CONFIG, SeededRng(176))

@@ -179,6 +179,21 @@ class TestTrain:
         assert "--out %s:" % out in capsys.readouterr().err
         assert not log.exists()
 
+    def test_an_out_directory_fails_before_training(self, corpus, tmp_path,
+                                                    capsys):
+        # The checkpoint would be written over the directory itself,
+        # after every epoch had run.
+        out = tmp_path / "models"
+        out.mkdir()
+        log = tmp_path / "train.log"
+        code, stdout = run_cli("train", "--corpus", corpus["corpus"],
+                               "--lexicon", corpus["lexicon"],
+                               "--out", str(out), "--log", str(log),
+                               *TRAIN_FLAGS)
+        assert (code, stdout) == (2, "")
+        assert "--out %s:" % out in capsys.readouterr().err
+        assert not log.exists()
+
     def test_lambda_zero_trains_the_unbiased_path(self, corpus, tmp_path):
         ckpt = train_once(corpus, tmp_path, name="nolambda.ckpt",
                           extra=("--lambda", "0.0"))

@@ -298,12 +298,18 @@ class TestBigru:
                 bigru_encode(fw, bw, table, sequences, {})
 
 
+def projected_query(params, query):
+    """W q of a query vector, projected as a one-row matrix and read back
+    as the vector attend takes."""
+    return nm.rows(nm.linear(Tensor(query[None]), params.query_proj))[0]
+
+
 class TestAttend:
     def test_single_key(self, rng):
         params = AttentionParams.create(4, 3, 4, rng)
         key = vec(rng, 3)
         context, weights = attend(
-            params, nm.linear(Tensor(vec(rng, 4)), params.query_proj),
+            params, projected_query(params, vec(rng, 4)),
             Tensor([key]))
         assert np.array_equal(weights.data, [1.0])
         assert np.array_equal(context.data, key)
@@ -312,7 +318,7 @@ class TestAttend:
         params = AttentionParams.create(4, 3, 4, rng)
         key = vec(rng, 3)
         context, weights = attend(
-            params, nm.linear(Tensor(vec(rng, 4)), params.query_proj),
+            params, projected_query(params, vec(rng, 4)),
             Tensor([key, key.copy()]))
         assert np.max(np.abs(weights.data - 0.5)) < 1e-15
         assert np.max(np.abs(context.data - key)) < 1e-15
@@ -323,7 +329,7 @@ class TestAttend:
             query = vec(rng, 4)
             keys = [vec(rng, 3) for _ in range(4)]
             context, weights = attend(
-                params, nm.linear(Tensor(query), params.query_proj),
+                params, projected_query(params, query),
                 Tensor(keys))
             ref_ctx, ref_w = attend_ref(params, query, keys)
             assert np.max(np.abs(weights.data - ref_w)) < 1e-12
@@ -334,14 +340,14 @@ class TestAttend:
             params = AttentionParams.create(4, 3, 4, rng)
             n = 1 + rng.below(6)
             _, weights = attend(
-                params, nm.linear(Tensor(vec(rng, 4)), params.query_proj),
+                params, projected_query(params, vec(rng, 4)),
                 Tensor([vec(rng, 3) for _ in range(n)]))
             assert np.all(weights.data >= 0.0)
             assert abs(weights.data.sum() - 1.0) < 1e-12
 
     def test_permutation_equivariance(self, rng):
         params = AttentionParams.create(4, 3, 4, rng)
-        query = nm.linear(Tensor(vec(rng, 4)), params.query_proj)
+        query = projected_query(params, vec(rng, 4))
         keys = np.array([vec(rng, 3) for _ in range(5)])
         context, weights = attend(params, query, Tensor(keys))
         perm = [3, 0, 4, 1, 2]
@@ -352,7 +358,7 @@ class TestAttend:
     def test_zero_keys_rejected(self, rng):
         params = AttentionParams.create(4, 3, 4, rng)
         with pytest.raises(DomainError):
-            attend(params, nm.linear(Tensor(vec(rng, 4)), params.query_proj),
+            attend(params, projected_query(params, vec(rng, 4)),
                    Tensor(np.zeros((0, 3))))
 
 
@@ -371,12 +377,11 @@ class TestLayerGradients:
 
     def test_attention_parameters_pass_grad_check(self, rng):
         params = AttentionParams.create(4, 3, 4, rng)
-        query = Tensor(vec(rng, 4))
+        query = vec(rng, 4)
         keys = Tensor([vec(rng, 3) for _ in range(3)])
 
         def loss():
-            context, _ = attend(params, nm.linear(query, params.query_proj),
-                                keys)
+            context, _ = attend(params, projected_query(params, query), keys)
             return nm.sum_all(nm.mul(context, context))
 
         for name, p in params.parameters():
@@ -385,7 +390,7 @@ class TestLayerGradients:
 
     def test_output_head_parameters_pass_grad_check(self, rng):
         head = OutputHead.create(5, 4, 6, rng)
-        features = Tensor(vec(rng, 5))
+        features = Tensor(vec(rng, 5)[None])
 
         def loss():
             return nm.sum_all(nm.softmax(head.logits(head.hidden(features))))

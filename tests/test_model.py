@@ -10,8 +10,7 @@ from imagepoet import topic_memory as tmem
 from imagepoet.errors import ConfigError, DimensionError, VocabularyError
 from imagepoet.layers import attend, bigru_encode, gru_step
 from imagepoet.model import (LINE_START_ID, ModelConfig, decode_step,
-                             generate_line, generate_poem,
-                             greedy_decode_reversed, init_params,
+                             generate_line, generate_poem, init_params,
                              output_probs, prepare_context, prepare_contexts,
                              prepare_image)
 from imagepoet.numerics import Tensor, grad_check
@@ -189,26 +188,28 @@ class TestDecodeStep:
         y_prev = 7
         step = decode_step(model, ctx, s_prev, y_prev)
 
+        s_row = nm.stack([s_prev])
         want_h, want_hw = attend(
             model.text_attention,
-            nm.linear(s_prev, model.text_attention.query_proj), ctx.text[0])
+            nm.rows(nm.linear(s_row, model.text_attention.query_proj))[0],
+            ctx.text[0])
         want_v, want_vw = attend(
             model.visual_attention,
-            nm.linear(s_prev, model.visual_attention.query_proj),
+            nm.rows(nm.linear(s_row, model.visual_attention.query_proj))[0],
             ctx.visual[0])
         x = nm.concat([model.embedding.lookup(y_prev), want_h, want_v])
-        want_s = nm.take(gru_step(model.decoder, nm.stack([s_prev]),
-                                  nm.stack([x])), 0)
+        want_s = gru_step(model.decoder, s_row, nm.stack([x]))
         want_z = tmem.address(ctx.bank, want_s)
         want_o = tmem.fuse(tmem.read(ctx.bank, want_z), want_s)
-        features = nm.concat([want_o, want_v, want_h])
+        features = nm.concat([want_o, nm.stack([want_v]), nm.stack([want_h])],
+                             axis=1)
         want_g = nm.softmax(model.head_generic.logits(
-            model.head_generic.hidden(features))).data
+            model.head_generic.hidden(features))).data[0]
         topic = list(ctx.topic_ids)
         want_t = np.zeros(model.config.vocab_size)
         want_t[topic] = nm.softmax(Tensor(
             model.head_topic.logits(model.head_topic.hidden(
-                features)).data[topic])).data
+                features)).data[0, topic])).data
         lam = model.config.topic_weight
         want_p = (lam * want_t + want_g) * (1.0 / (1.0 + lam))
 
@@ -216,9 +217,9 @@ class TestDecodeStep:
                           (step.visual_context, want_v.data),
                           (step.text_weights, want_hw.data),
                           (step.visual_weights, want_vw.data),
-                          (step.state, want_s.data),
-                          (step.address, want_z.data),
-                          (step.topic_state, want_o.data),
+                          (step.state, want_s.data[0]),
+                          (step.address, want_z.data[0]),
+                          (step.topic_state, want_o.data[0]),
                           (step.p_generic, want_g),
                           (step.p_topic, want_t),
                           (step.p, want_p)):
@@ -234,9 +235,9 @@ class TestOutputProbs:
         s = ctx.state
         step = decode_step(model, ctx, s, LINE_START_ID)
         p_g = nm.softmax(model.head_generic.logits(model.head_generic.hidden(
-            nm.concat([step.topic_state, step.visual_context,
-                       step.text_context]))))
-        assert np.max(np.abs(step.p.data - p_g.data)) < 1e-15
+            nm.stack([nm.concat([step.topic_state, step.visual_context,
+                                 step.text_context])]))))
+        assert np.max(np.abs(step.p.data - p_g.data[0])) < 1e-15
         assert step.p_topic is None
 
     def test_no_keywords_disable_the_bias(self, model, rng):
@@ -245,9 +246,9 @@ class TestOutputProbs:
         s = ctx.state
         step = decode_step(model, ctx, s, LINE_START_ID)
         p_g = nm.softmax(model.head_generic.logits(model.head_generic.hidden(
-            nm.concat([step.topic_state, step.visual_context,
-                       step.text_context]))))
-        assert np.array_equal(step.p.data, p_g.data)
+            nm.stack([nm.concat([step.topic_state, step.visual_context,
+                                 step.text_context])]))))
+        assert np.array_equal(step.p.data, p_g.data[0])
         assert step.p_topic is None
 
     def test_probability_vector_and_offtopic_scaling(self, model, rng):
@@ -343,11 +344,10 @@ class TestHoistedWork:
         # Beyond one stack of the parent states per depth that a Bi-GRU
         # direction steps: context Bi-GRU: forward and backward states,
         # then the contexts' means; bank: keys, contents; scored steps:
-        # states, visual and text contexts, topic logits; the recurrence:
-        # the initial states, then one stack of the rows' decoder inputs
-        # per step.  A decode step
-        # stacks its one row's state, decoder input, visual and text
-        # contexts, and topic logits.
+        # states, visual and text contexts; the recurrence: the initial
+        # states, then one stack of the rows' decoder inputs per step.  A
+        # decode step stacks its one row's state, decoder input, visual
+        # and text contexts.  The topic logits' rows are joined by concat.
         counts = []
         for target in ((5,), (5, 6, 7, 8, 9)):
             scorer = init_params(toy_config(chars_per_line=len(target)),
@@ -358,19 +358,19 @@ class TestHoistedWork:
                 features=features, keywords=keywords, preceding=(1, 2, 3),
                 target=target)])
             counts.append(len(stacks) - len(target) - len(depths))
-        assert counts == [5 + 4 + 1] * 2
+        assert counts == [5 + 3 + 1] * 2
         ctx = prepare_context(model, prepare_image(model, features, keywords),
                               [1, 2])
         stacks.clear()
         decode_step(model, ctx, ctx.state, LINE_START_ID)
-        assert len(stacks) == 5
+        assert len(stacks) == 4
         stacks.clear()
         depths.clear()
         generate_poem(model, features, keywords)
         config = model.config
         assert len(stacks) - len(depths) == (
             2 + 3 * config.lines_per_poem
-            + 5 * config.lines_per_poem * config.chars_per_line)
+            + 4 * config.lines_per_poem * config.chars_per_line)
 
     @pytest.mark.parametrize("length", [1, 5])
     def test_scoring_reads_the_generic_head_and_memory_once(
@@ -428,9 +428,8 @@ class TestHoistedWork:
         monkeypatch.undo()
         h = model.config.hidden_dim
         assert rows == [h, len(ctx.topic_ids)]
-        full = nm.take(model.head_topic.logits(
-            model.head_topic.hidden(vector)), ctx.topic_ids)
-        want = nm.softmax(full).data
+        full = model.head_topic.logits(model.head_topic.hidden(features))
+        want = nm.softmax(Tensor(full.data[0, list(ctx.topic_ids)])).data
         assert np.max(np.abs(p_topic.data[0, list(ctx.topic_ids)]
                              - want)) < 1e-15
 
@@ -439,9 +438,12 @@ class TestGeneration:
     def test_line_is_reversed_emission(self, model, rng):
         image = prepare_image(model, features_for(model.config, rng), [(3,)])
         ctx = prepare_context(model, image, [])
-        emitted = greedy_decode_reversed(model, ctx)
-        line = generate_line(model, ctx)
-        assert line == list(reversed(emitted))
+        s, y_prev, emitted = ctx.state, LINE_START_ID, []
+        for _ in range(model.config.chars_per_line):
+            step = decode_step(model, ctx, s, y_prev)
+            s, y_prev = step.state, int(np.argmax(step.p.data))
+            emitted.append(y_prev)
+        assert generate_line(model, ctx) == emitted[::-1]
 
     @pytest.mark.parametrize("chars", [5, 7])
     def test_line_length(self, chars, rng):

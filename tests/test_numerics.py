@@ -361,15 +361,15 @@ class TestRowOps:
             nm.pick(Tensor(np.zeros((3, 4))), columns)
 
 
-LINEAR_CASES = [(rank, wrt, bias) for rank in (1, 2)
+LINEAR_CASES = [(rows, wrt, bias) for rows in (1, 2)
                 for wrt in ("x", "leaf_w", "nonleaf_w", "b")
                 for bias in (False, True) if wrt != "b" or bias]
 
 
 class TestLinear:
-    @pytest.mark.parametrize("rank, wrt, bias", LINEAR_CASES)
-    def test_matches_central_differences(self, rank, wrt, bias, rng):
-        shapes = {"x": (5, 4) if rank == 2 else (4,), "w": (3, 4), "b": (3,)}
+    @pytest.mark.parametrize("rows, wrt, bias", LINEAR_CASES)
+    def test_matches_central_differences(self, rows, wrt, bias, rng):
+        shapes = {"x": (rows, 4), "w": (3, 4), "b": (3,)}
         given = {name: Tensor(arr(rng, *shape))
                  for name, shape in shapes.items()}
         probe_name = "w" if wrt.endswith("_w") else wrt
@@ -388,11 +388,13 @@ class TestLinear:
 
     def test_one_row_equals_the_matrix_vector_product_bitwise(self, rng):
         w, x, b = arr(rng, 7, 5), arr(rng, 5), arr(rng, 7)
-        out = nm.linear(Tensor(x), Tensor(w), Tensor(b)).data
-        assert out.tobytes() == (w @ x + b).tobytes()
+        out = nm.linear(Tensor(x[None]), Tensor(w), Tensor(b)).data
+        assert out.shape == (1, 7)
+        assert out[0].tobytes() == (w @ x + b).tobytes()
 
     @pytest.mark.parametrize("x_shape, b_shape", [
-        ((3,), None), ((2, 3), None), ((4,), (2,)), ((2, 2, 4), None)])
+        ((3,), None), ((2, 3), None), ((4,), (2,)), ((2, 2, 4), None),
+        ((4,), (3,))])
     def test_bad_shapes_rejected(self, x_shape, b_shape):
         b = None if b_shape is None else Tensor(np.zeros(b_shape))
         with pytest.raises(DimensionError):
@@ -403,7 +405,7 @@ class TestLinear:
         x_row, x_mat, bias = arr(rng, 4), arr(rng, 6, 4), arr(rng, 5)
 
         def f(w):
-            h = nm.tanh(nm.linear(Tensor(x_row), w, Tensor(bias)))
+            h = nm.tanh(nm.linear(Tensor(x_row[None]), w, Tensor(bias)))
             m = nm.tanh(nm.linear(Tensor(x_mat), w))
             return nm.add(nm.sum_all(h), nm.sum_all(m))
 
@@ -596,11 +598,11 @@ class TestDeferredOuterProducts:
         u = Tensor(arr(rng, 6, 4), requires_grad=True)
         v = Tensor(arr(rng, 6, 3), requires_grad=True)
         with Tape() as tape:
-            h = Tensor(np.zeros(6))
+            h = Tensor(np.zeros((1, 6)))
             for _ in range(5):
-                x = Tensor(arr(rng, 4))
+                x = Tensor(arr(rng, 1, 4))
                 pre = nm.add(nm.linear(h, w), nm.linear(x, u))
-                h = nm.tanh(nm.add(pre, nm.linear(Tensor(arr(rng, 3)), v)))
+                h = nm.tanh(nm.add(pre, nm.linear(Tensor(arr(rng, 1, 3)), v)))
             loss = nm.sum_all(h)
         shapes = []
         outer = np.outer

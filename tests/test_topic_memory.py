@@ -72,14 +72,14 @@ class TestEncodeKeywords:
 class TestAddress:
     def test_single_entry(self, rng):
         bank = MemoryBank(Tensor([vec(rng, 4)]), Tensor([vec(rng, 4)]))
-        z = address(bank, Tensor(vec(rng, 4)))
-        assert np.array_equal(z.data, [1.0])
+        z = address(bank, Tensor(vec(rng, 4)[None]))
+        assert np.array_equal(z.data, [[1.0]])
 
     def test_identical_keys_split_evenly(self, rng):
         q = vec(rng, 4)
         bank = MemoryBank(Tensor([q, q.copy()]),
                           Tensor([vec(rng, 4), vec(rng, 4)]))
-        z = address(bank, Tensor(vec(rng, 4)))
+        z = address(bank, Tensor(vec(rng, 4)[None]))
         assert np.max(np.abs(z.data - 0.5)) < 1e-15
 
     def test_matches_explicit_dot_products(self, rng):
@@ -88,35 +88,40 @@ class TestAddress:
             bank = MemoryBank(Tensor(keys),
                               Tensor([vec(rng, 4) for _ in range(5)]))
             state = vec(rng, 4)
-            z = address(bank, Tensor(state))
-            assert np.max(np.abs(z.data - address_ref(keys, state))) < 1e-12
+            z = address(bank, Tensor(state[None]))
+            assert np.max(np.abs(z.data[0] - address_ref(keys, state))) < 1e-12
 
     def test_is_probability_vector(self, rng):
         for n in (1, 2, 5, 9):
             bank = MemoryBank(Tensor([vec(rng, 4) for _ in range(n)]),
                               Tensor([vec(rng, 4) for _ in range(n)]))
-            z = address(bank, Tensor(vec(rng, 4) * 10))
+            z = address(bank, Tensor(vec(rng, 4)[None] * 10))
             assert np.all(z.data >= 0.0)
             assert abs(z.data.sum() - 1.0) < 1e-12
 
     def test_empty_bank_signals(self, rng):
         with pytest.raises(DomainError):
-            address(MemoryBank.empty(), Tensor(vec(rng, 4)))
+            address(MemoryBank.empty(), Tensor(vec(rng, 4)[None]))
+
+    def test_vector_state_rejected(self, rng):
+        bank = MemoryBank(Tensor([vec(rng, 4)]), Tensor([vec(rng, 4)]))
+        with pytest.raises(DimensionError):
+            address(bank, Tensor(vec(rng, 4)))
 
 
 class TestRead:
     def test_single_entry(self, rng):
         m = vec(rng, 4)
         bank = MemoryBank(Tensor([vec(rng, 4)]), Tensor([m]))
-        out = read(bank, Tensor([1.0]))
-        assert np.array_equal(out.data, m)
+        out = read(bank, Tensor([[1.0]]))
+        assert np.array_equal(out.data, [m])
 
     def test_one_hot_selects_one_memory(self, rng):
         contents = [vec(rng, 4) for _ in range(3)]
         bank = MemoryBank(Tensor([vec(rng, 4) for _ in range(3)]),
                           Tensor(contents))
-        out = read(bank, Tensor([0.0, 1.0, 0.0]))
-        assert np.array_equal(out.data, contents[1])
+        out = read(bank, Tensor([[0.0, 1.0, 0.0]]))
+        assert np.array_equal(out.data, [contents[1]])
 
     def test_matches_explicit_weighted_sum(self, rng):
         contents = [vec(rng, 4) for _ in range(4)]
@@ -124,23 +129,28 @@ class TestRead:
                           Tensor(contents))
         z = np.abs(vec(rng, 4))
         z = z / z.sum()
-        out = read(bank, Tensor(z))
-        assert np.max(np.abs(out.data - read_ref(contents, z))) < 1e-12
+        out = read(bank, Tensor(z[None]))
+        assert np.max(np.abs(out.data[0] - read_ref(contents, z))) < 1e-12
 
     def test_convex_hull_for_scalar_memories(self, rng):
         for _ in range(30):
             contents = [vec(rng, 1) for _ in range(4)]
             bank = MemoryBank(Tensor([vec(rng, 3) for _ in range(4)]),
                               Tensor(contents))
-            z = address(bank, Tensor(vec(rng, 3)))
+            z = address(bank, Tensor(vec(rng, 3)[None]))
             # widths differ on purpose: address over 3-wide keys, scalar reads
             out = read(bank, z)
             values = [float(m[0]) for m in contents]
-            got = float(out.data[0])
+            got = float(out.data[0, 0])
             assert min(values) - 1e-12 <= got <= max(values) + 1e-12
 
     def test_length_mismatch(self, rng):
         bank = MemoryBank(Tensor([vec(rng, 4)]), Tensor([vec(rng, 4)]))
+        with pytest.raises(DimensionError):
+            read(bank, Tensor([[0.5, 0.5]]))
+
+    def test_vector_weights_rejected(self):
+        bank = MemoryBank(Tensor(np.eye(2)), Tensor(np.eye(2)))
         with pytest.raises(DimensionError):
             read(bank, Tensor([0.5, 0.5]))
 
@@ -176,8 +186,8 @@ class TestBankProperties:
         for perm in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
             bank = encode_keywords(embedding, fw, bw,
                                    [keywords[i] for i in perm])
-            z = address(bank, Tensor(state))
-            o = fuse(read(bank, z), Tensor(state))
+            z = address(bank, Tensor(state[None]))
+            o = fuse(read(bank, z), Tensor(state[None]))
             outputs.append(o.data)
         for other in outputs[1:]:
             assert np.max(np.abs(other - outputs[0])) < 1e-12
@@ -185,7 +195,7 @@ class TestBankProperties:
     def test_zeroed_bank_makes_fuse_an_identity(self, parts, rng):
         embedding, fw, bw = parts
         bank = encode_keywords(embedding, fw, bw, [(1, 2), (5,)]).zeroed()
-        state = Tensor(vec(rng, 6))
+        state = Tensor(vec(rng, 6)[None])
         z = address(bank, state)
         assert np.max(np.abs(z.data - 0.5)) < 1e-15   # zero keys: uniform
         o = fuse(read(bank, z), state)

@@ -432,6 +432,47 @@ class TestBatchedRecurrence:
         want = batch_loss_ref(model, pool)
         assert abs(got - want) <= 1e-12 * abs(want)
 
+    def test_the_topic_head_reads_each_row_as_a_one_row_block(
+            self, model, rng, monkeypatch):
+        # Each sample's topic hidden rows are split by one nm.blocks
+        # record into (1, h) blocks, one topic-head logits call each, and
+        # nm.take reads parameters only.
+        pool = nested_pool(model.config, rng, 3, seed=5)
+        params = {id(p) for _, p in model.parameters()}
+        taken, split, hidden, heads = [], [], [], []
+        take, blocks = nm.take, nm.blocks
+        output_probs = mdl.output_probs
+        logits = layers.OutputHead.logits
+
+        def taking(t, index):
+            taken.append(id(t) in params)
+            return take(t, index)
+
+        def splitting(m, sizes):
+            split.append((m, list(sizes)))
+            return blocks(m, sizes)
+
+        def probs(model, ctx, topic_hidden, p_generic):
+            hidden.append(topic_hidden)
+            return output_probs(model, ctx, topic_hidden, p_generic)
+
+        def scoring(head, rows_in, rows=None):
+            if head is model.head_topic:
+                heads.append(rows_in.shape)
+            return logits(head, rows_in, rows)
+
+        monkeypatch.setattr(nm, "take", taking)
+        monkeypatch.setattr(nm, "blocks", splitting)
+        monkeypatch.setattr(mdl, "output_probs", probs)
+        monkeypatch.setattr(layers.OutputHead, "logits", scoring)
+        evaluate_loss(model, pool)
+        g, h = model.config.chars_per_line, model.config.hidden_dim
+        assert taken and all(taken)
+        assert len(hidden) == len(pool)
+        assert [sizes for m, sizes in split
+                if any(m is t for t in hidden)] == [[1] * g] * len(pool)
+        assert heads == [(1, h)] * (len(pool) * g)
+
     def test_a_larger_pool_is_scored_in_waves_of_whole_images(
             self, model, rng, monkeypatch):
         # Five images of four samples: four images fill the first wave.
