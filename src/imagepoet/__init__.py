@@ -20,9 +20,8 @@ from .training import (AdaDeltaState, TrainConfig, TrainResult, TrainSample,
                        adadelta_update, cross_entropy_loss, train)
 from .checkpoint import (checkpoint_bytes, load_checkpoint, model_from_bytes,
                          save_checkpoint)
-from .poetics import (FormReport, PoeticLexicon, Violation, reverse_line,
-                      validate_form, validate_rhyme, validate_structure,
-                      validate_tones)
+from .poetics import (FormReport, PoeticLexicon, Violation, validate_form,
+                      validate_rhyme, validate_structure, validate_tones)
 from .datapipe import (ConceptLexicon, ImageRecord, PoemRecord,
                        build_samples, extract_concepts, keyword_recall,
                        load_corpus, load_feature_file, match_pairs,

@@ -87,13 +87,17 @@ def build_parser():
 
 
 def cmd_train(args, stdout):
-    # Validated before the corpus is checked against its sizes, so a bad
-    # size flag is reported as itself; the grids set the visual dims below.
+    # Every flag is validated before any file is read, so a bad flag is
+    # reported as itself; the grids set the visual dims below.
     config = ModelConfig(vocab_size=args.vocab, hidden_dim=args.hidden,
                          memory_dim=args.hidden,
                          topic_weight=args.topic_weight,
                          lines_per_poem=args.lines,
                          chars_per_line=args.chars).validate()
+    tconfig = TrainConfig(batch_size=args.batch, max_epochs=args.epochs,
+                          validate_every=args.cadence, clip_norm=args.clip,
+                          seed=args.seed).validate()
+    datapipe.check_valid_frac(args.valid_frac)
     # Checked before the corpus is read and every epoch run: the
     # checkpoint is written beside --out only after the last epoch.
     out_dir = os.path.dirname(args.out) or os.curdir
@@ -120,9 +124,6 @@ def cmd_train(args, stdout):
     if not valid_pool:
         raise ConfigError("validation pool is empty; raise --valid-frac "
                           "or provide more samples")
-    tconfig = TrainConfig(batch_size=args.batch, max_epochs=args.epochs,
-                          validate_every=args.cadence, clip_norm=args.clip,
-                          seed=args.seed)
     model = init_params(config, SeededRng(args.seed))
 
     log_path = args.log if args.log is not None else args.out + ".log"
@@ -145,11 +146,13 @@ def _load_keyword_file(path, vocab_size):
 
 
 def _load_model(args):
-    """The checkpoint's model, with --lambda applied when given."""
+    """The checkpoint's model, with --lambda applied when given; a bad
+    --lambda is reported before the checkpoint is read."""
+    if args.topic_weight is not None:
+        ModelConfig(topic_weight=args.topic_weight).validate()
     model = load_checkpoint(args.checkpoint)
     if args.topic_weight is not None:
         model.config.topic_weight = args.topic_weight
-        model.config.validate()
     return model
 
 

@@ -319,6 +319,13 @@ def keyword_recall(poem_lines, concepts, lexicon):
     return hits / len(concepts)
 
 
+def check_valid_frac(valid_frac):
+    """Raise ConfigError unless valid_frac lies in [0, 1] (split_pool)."""
+    if not 0.0 <= valid_frac <= 1.0:  # NaN fails too
+        raise ConfigError("valid_frac must lie in [0, 1], got %r"
+                          % (valid_frac,))
+
+
 def split_pool(samples, valid_frac, seed):
     """Deterministic (train, valid) partition that deals whole poems.
 
@@ -330,9 +337,7 @@ def split_pool(samples, valid_frac, seed):
     validation pool takes valid_frac of them, rounded up, and the train
     pool the rest.  Each pool lists its poems' samples poem by poem.
     """
-    if not 0.0 <= valid_frac <= 1.0:  # NaN fails too
-        raise ConfigError("valid_frac must lie in [0, 1], got %r"
-                          % (valid_frac,))
+    check_valid_frac(valid_frac)
     poems = {}
     for sample in samples:
         poems.setdefault(sample.poem, []).append(sample)

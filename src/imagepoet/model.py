@@ -4,7 +4,7 @@ A poem is produced line by line from one image: its keyword memory and
 visual feature rows are prepared once (prepare_image) and shared by
 every line.  For each line the preceding lines are encoded with a
 Bi-GRU, whose forward pass reads the forward states of the previous
-lines' contexts from the image and steps the new line only
+lines' contexts from a map its caller holds and steps the new line only
 (prepare_contexts), then characters are decoded greedily: at each step
 the previous state queries attention over both the encoded context and
 the visual feature rows, a GRU updates the state, the keyword memory
@@ -189,16 +189,12 @@ class ImageContext:
     bank is the keyword memory of the image's keywords, and topic_ids the
     sorted ids of every character in them.  visual is the (key matrix,
     projection) pair of project_keys for its feature grid; a projection of
-    None leaves attend to project the keys at each decode step.  forward
-    maps each id prefix of the contexts prepared from this image so far
-    to its forward encoder state (layers.bigru_encode), which a later
-    context that begins with the same ids reads instead of stepping.
+    None leaves attend to project the keys at each decode step.
     """
 
     bank: tmem.MemoryBank
     topic_ids: tuple
     visual: tuple
-    forward: dict
 
 
 @dataclasses.dataclass
@@ -240,25 +236,22 @@ def prepare_image(model, features, keywords, project=True):
             tuple(sorted({int(c) for kw in keywords for c in kw})),
             config.vocab_size, "keyword"),
         visual=(project_keys(model.visual_attention, keys) if project
-                else (keys, None)),
-        forward={})
+                else (keys, None)))
 
 
-def prepare_contexts(model, lines):
+def prepare_contexts(model, lines, forward):
     """Encode everything each of many lines needs, one GenerationContext
     per (image, preceding ids) pair of lines.
 
     All the contexts are encoded by one bigru_encode call, so a prefix
     that several share is stepped once.  An empty context encodes the
     single poem-start marker instead, so the first line still has
-    something to attend over.  The call reads and extends the forward
-    states of every image in lines; afterwards the images share one map,
-    since a forward state depends on the ids alone.
+    something to attend over.  forward maps id prefixes to forward
+    encoder states, whatever image they were read for, since a forward
+    state depends on the ids alone; the call reads and extends it
+    (layers.bigru_encode), so a caller that hands one map to several
+    calls steps each shared prefix once.
     """
-    forward = {}
-    for image, _ in lines:
-        forward.update(image.forward)
-        image.forward = forward
     encoded = bigru_encode(
         model.encoder_fw, model.encoder_bw, model.embedding,
         [tuple(int(c) for c in preceding) or (POEM_START_ID,)
@@ -278,9 +271,9 @@ def prepare_contexts(model, lines):
                 lines, encoded, states, nm.blocks(projected, sizes))]
 
 
-def prepare_context(model, image, preceding):
+def prepare_context(model, image, preceding, forward):
     """The GenerationContext of one line (prepare_contexts)."""
-    return prepare_contexts(model, [(image, preceding)])[0]
+    return prepare_contexts(model, [(image, preceding)], forward)[0]
 
 
 @dataclasses.dataclass
@@ -453,17 +446,19 @@ def generate_line(model, ctx):
 def generate_poem(model, features, keywords):
     """Full poem; each line is conditioned on all previously generated ones.
 
-    The poem's lines share one image (prepare_image).  Each line's context
-    is the previous line's context plus that line, so its forward encoder
-    pass reads the previous context's forward states from the image and
+    The poem's lines share one image (prepare_image) and one map of
+    forward encoder states (prepare_contexts).  Each line's context is
+    the previous line's context plus that line, so its forward encoder
+    pass reads the previous context's forward states from the map and
     steps the new line only.  The visual keys are still projected at every
     decode step, the figure the benchmark's tracer self-test pins (ROADMAP
     open item 1).
     """
     image = prepare_image(model, features, keywords, project=False)
+    forward = {}
     lines = []
     for _ in range(model.config.lines_per_poem):
         preceding = [c for line in lines for c in line]
-        lines.append(generate_line(model,
-                                   prepare_context(model, image, preceding)))
+        lines.append(generate_line(
+            model, prepare_context(model, image, preceding, forward)))
     return lines

@@ -106,12 +106,6 @@ class Tape:
         _tapes.pop()
         return False
 
-    def record(self, output, inputs, backward_fn):
-        """Append a record.  output is one tensor, or a tuple of tensors
-        whose adjoints backward_fn receives as one list (None for each
-        that received none)."""
-        self._records.append((output, inputs, backward_fn))
-
     def gradients(self, loss, accumulate=False):
         """Adjoints of loss w.r.t. every reachable requires_grad tensor.
 
@@ -224,14 +218,15 @@ def _emit(data, inputs, backward_fn):
     """The tensor of one array, or the tuple of tensors of a tuple of
     arrays, recorded as one op when an input needs a gradient.
 
-    For a tuple, backward_fn receives the outputs' adjoints as one list
-    (see Tape.record).  Every op of this module creates its outputs here.
+    For a tuple, backward_fn receives the outputs' adjoints as one list,
+    None for each that received none.  Every op of this module creates
+    its outputs here.
     """
     outs = tuple(map(Tensor, data)) if type(data) is tuple else Tensor(data)
     if _tapes and any(t.needs_grad for t in inputs):
         for out in outs if type(outs) is tuple else (outs,):
             out.needs_grad = True
-        _tapes[-1].record(outs, inputs, backward_fn)
+        _tapes[-1]._records.append((outs, inputs, backward_fn))
     return outs
 
 

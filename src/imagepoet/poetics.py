@@ -155,11 +155,6 @@ def validate_form(poem, pattern, lexicon, lines_per_poem, chars_per_line,
                       tonal + rhyming)
 
 
-def reverse_line(chars):
-    """Exact reversal; involutive."""
-    return list(reversed(list(chars)))
-
-
 def text_lines(path):
     """(line number, line) for each line of a UTF-8 text file, split as
     text mode splits them.  A byte sequence that is not UTF-8 is a

@@ -59,7 +59,7 @@ import numpy as np
 
 from . import model as mdl
 from . import numerics as nm
-from .checkpoint import checkpoint_bytes, model_from_bytes
+from .checkpoint import checkpoint_bytes
 from .errors import ConfigError, DomainError, NumericalError
 from .numerics import Tape
 from .rng import SeededRng
@@ -154,7 +154,8 @@ def _wave_loss_sum(model, batch, wave):
     samples batch[i], i in wave (one run of _waves), added in batch order.
 
     Each image of the wave is prepared once (model.prepare_image), and
-    all the samples' contexts in one model.prepare_contexts call.  Every
+    all the samples' contexts in one model.prepare_contexts call with a
+    fresh map of forward states, so nothing is shared across waves.  Every
     target is one line of chars_per_line characters, and each step's
     input is the previous target character, so the recurrence runs
     alone, one model.step_rows call per character advancing the (B, h)
@@ -178,7 +179,7 @@ def _wave_loss_sum(model, batch, wave):
         first = batch[run[0]]
         image = mdl.prepare_image(model, first.features, first.keywords)
         lines += [(image, batch[i].preceding) for i in run]
-    ctxs = mdl.prepare_contexts(model, lines)
+    ctxs = mdl.prepare_contexts(model, lines, {})
     matrix = nm.stack([ctx.state for ctx in ctxs])
     y_prev = [mdl.LINE_START_ID] * len(wave)
     states, visual, text = ([[] for _ in wave] for _ in range(3))
@@ -424,9 +425,6 @@ class TrainResult:
     best_epoch: int
     best_valid: float
     best_checkpoint: bytes
-
-    def load_model(self):
-        return model_from_bytes(self.best_checkpoint)
 
 
 def train(model, train_pool, valid_pool, config, log=None):

@@ -78,7 +78,7 @@ def test_criterion_3_ablation_identities():
     # (a) zeroed memory vectors: the topic-aware state equals the state,
     # bitwise, at every step.
     ctx = prepare_context(model, prepare_image(model, features, keywords),
-                          [1, 2])
+                          [1, 2], {})
     ctx.bank = ctx.bank.zeroed()
     s = ctx.state
     y = LINE_START_ID
@@ -90,7 +90,7 @@ def test_criterion_3_ablation_identities():
 
     # (b) zeroed visual features: the visual context is exactly zero.
     image = prepare_image(model, np.zeros_like(features), keywords)
-    ctx = prepare_context(model, image, [1, 2])
+    ctx = prepare_context(model, image, [1, 2], {})
     s = ctx.state
     for _ in range(steps):
         step = decode_step(model, ctx, s, LINE_START_ID)
@@ -100,7 +100,7 @@ def test_criterion_3_ablation_identities():
     # (c) zero topic weight: the mixture is the generic distribution.
     model.config.topic_weight = 0.0
     ctx = prepare_context(model, prepare_image(model, features, keywords),
-                          [1, 2])
+                          [1, 2], {})
     s = ctx.state
     worst = 0.0
     for _ in range(steps):
@@ -144,7 +144,7 @@ def test_criterion_4_overfit_memorization():
     reproduced = 0
     for sample in samples:
         image = prepare_image(model, sample.features, sample.keywords)
-        ctx = prepare_context(model, image, sample.preceding)
+        ctx = prepare_context(model, image, sample.preceding, {})
         if tuple(generate_line(model, ctx)) == sample.target:
             reproduced += 1
     assert elapsed < 600.0
@@ -337,7 +337,7 @@ def test_criterion_9_paper_scale_shapes():
 
     features = rng.uniform_array(196 * 512, -1.0, 1.0).reshape(196, 512)
     image = prepare_image(model, features, [(3, 4), (5, 6, 7)])
-    ctx = prepare_context(model, image, [2] * 7)
+    ctx = prepare_context(model, image, [2] * 7, {})
     s = ctx.state
     step = decode_step(model, ctx, s, LINE_START_ID)
     assert step.state.shape == (512,) and step.topic_state.shape == (512,)

@@ -230,6 +230,24 @@ class TestTrain:
         assert code == 2
         assert "nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--batch", "0", "batch_size"),
+        ("--epochs", "0", "max_epochs"),
+        ("--cadence", "0", "validate_every"),
+        ("--clip", "nan", "clip_norm"),
+        ("--valid-frac", "2", "valid_frac"),
+    ])
+    def test_a_bad_flag_fails_before_any_file_is_read(self, tmp_path, capsys,
+                                                      flag, value, field):
+        # Neither file exists, so reading either first would report that.
+        code, stdout = run_cli("train",
+                               "--corpus", str(tmp_path / "nope.jsonl"),
+                               "--lexicon", str(tmp_path / "nope.tsv"),
+                               "--out", str(tmp_path / "x.ckpt"),
+                               *TRAIN_FLAGS, flag, value)
+        assert (code, stdout) == (2, "")
+        assert field in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_deeply_nested_config_json_is_a_corrupted_checkpoint(
@@ -488,6 +506,18 @@ class TestGenerate:
 
 
 class TestEval:
+    @pytest.mark.parametrize("command, files", [
+        ("generate", ("--features", "nope.vfgr", "--keywords", "nope.txt")),
+        ("eval", ("--corpus", "nope.jsonl", "--lexicon", "nope.tsv")),
+    ])
+    def test_a_bad_lambda_fails_before_the_checkpoint_is_read(
+            self, tmp_path, capsys, command, files):
+        code, stdout = run_cli(command,
+                               "--checkpoint", str(tmp_path / "nope.ckpt"),
+                               *files, "--lambda", "2")
+        assert (code, stdout) == (2, "")
+        assert "topic_weight" in capsys.readouterr().err
+
     def test_deeply_nested_corpus_json_names_its_line(self, corpus, tmp_path,
                                                       capsys):
         ckpt = train_once(corpus, tmp_path)

@@ -77,13 +77,14 @@ class TestInitParams:
         assert len(names) == len(set(names))
 
 
-def encoded(model, *contexts, image=None):
-    """The context Bi-GRU matrices of contexts prepared in one call."""
-    if image is None:
-        image = prepare_image(model, np.zeros((model.config.visual_count,
-                                               model.config.visual_dim)), [])
+def encoded(model, *contexts, forward=None):
+    """The context Bi-GRU matrices of contexts prepared in one call, which
+    reads and extends forward (a fresh map when None)."""
+    image = prepare_image(model, np.zeros((model.config.visual_count,
+                                           model.config.visual_dim)), [])
     return [ctx.text[0]
-            for ctx in prepare_contexts(model, [(image, c) for c in contexts])]
+            for ctx in prepare_contexts(model, [(image, c) for c in contexts],
+                                        {} if forward is None else forward)]
 
 
 class TestEncodeContext:
@@ -111,25 +112,36 @@ class TestEncodeContext:
         with pytest.raises(VocabularyError):
             encoded(model, [model.config.vocab_size])
 
-    def test_returns_the_encoded_ids_and_forward_states(self, model, rng):
-        # The image keeps the forward state of every prefix it encoded.
-        image = prepare_image(model, features_for(model.config, rng), [])
-        states, = encoded(model, [], image=image)
-        assert list(image.forward) == [(mdl.POEM_START_ID,)]
+    def test_returns_the_encoded_ids_and_forward_states(self, model):
+        # The caller's map keeps the forward state of every prefix encoded.
+        forward = {}
+        states, = encoded(model, [], forward=forward)
+        assert list(forward) == [(mdl.POEM_START_ID,)]
         h = model.config.hidden_dim
-        assert np.array_equal(image.forward[(mdl.POEM_START_ID,)].data,
+        assert np.array_equal(forward[(mdl.POEM_START_ID,)].data,
                               states.data[0, :h])
-        encoded(model, [5, 6], image=image)
-        assert list(image.forward) == [(mdl.POEM_START_ID,), (5,), (5, 6)]
+        encoded(model, [5, 6], forward=forward)
+        assert list(forward) == [(mdl.POEM_START_ID,), (5,), (5, 6)]
+
+    def test_rebinds_no_field_of_its_images(self, model, rng):
+        images = [prepare_image(model, features_for(model.config, rng),
+                                [(3,)]) for _ in range(2)]
+        before = [dict(vars(image)) for image in images]
+        prepare_contexts(model, [(images[0], [5]), (images[1], [5, 6]),
+                                 (images[0], [])], {})
+        for image, fields in zip(images, before):
+            assert vars(image).keys() == fields.keys()
+            assert all(getattr(image, name) is value
+                       for name, value in fields.items())
 
     def test_extends_the_longest_shared_prefix(self, model, rng,
                                                monkeypatch):
         ids = [2 + rng.below(model.config.vocab_size - 2) for _ in range(12)]
         other = list(ids[:9])
         other[6] = ids[6] + 1 if ids[6] + 1 < model.config.vocab_size else 2
-        image = prepare_image(model, features_for(model.config, rng), [])
-        encoded(model, ids[:4], other, image=image)
-        earlier = dict(image.forward)
+        forward = {}
+        encoded(model, ids[:4], other, forward=forward)
+        earlier = dict(forward)
         fresh, = encoded(model, ids)
         steps = []
         gru = gru_step
@@ -139,18 +151,18 @@ class TestEncodeContext:
             return gru(cell, h, x)
 
         monkeypatch.setattr("imagepoet.layers.gru_step", counting)
-        extended, = encoded(model, ids, image=image)
+        extended, = encoded(model, ids, forward=forward)
         # Six of the other context's states are shared; twelve backward.
         assert steps.count(model.encoder_fw) == 6
         assert steps.count(model.encoder_bw) == 12
-        assert all(image.forward[p] is s for p, s in earlier.items())
+        assert all(forward[p] is s for p, s in earlier.items())
         assert extended.data.tobytes() == fresh.data.tobytes()
 
 
 class TestDecodeStep:
     def test_empty_keywords_leave_state_untouched(self, model, rng):
         image = prepare_image(model, features_for(model.config, rng), [])
-        ctx = prepare_context(model, image, [2])
+        ctx = prepare_context(model, image, [2], {})
         s = ctx.state
         step = decode_step(model, ctx, s, LINE_START_ID)
         assert step.topic_state is step.state
@@ -161,7 +173,7 @@ class TestDecodeStep:
         model = init_params(config, SeededRng(8))
         features = features_for(config, rng)
         ctx = prepare_context(model, prepare_image(model, features, [(3,)]),
-                              [1, 2])
+                              [1, 2], {})
         s = ctx.state
         for _ in range(4):
             step = decode_step(model, ctx, s, 3)
@@ -172,7 +184,7 @@ class TestDecodeStep:
         features = np.zeros((model.config.visual_count,
                              model.config.visual_dim))
         ctx = prepare_context(model, prepare_image(model, features, [(3,)]),
-                              [1, 2])
+                              [1, 2], {})
         s = ctx.state
         for _ in range(4):
             step = decode_step(model, ctx, s, 3)
@@ -183,7 +195,7 @@ class TestDecodeStep:
     def test_step_matches_hand_composition(self, model, rng):
         image = prepare_image(model, features_for(model.config, rng),
                               [(3, 4), (9,)])
-        ctx = prepare_context(model, image, [1, 2, 3])
+        ctx = prepare_context(model, image, [1, 2, 3], {})
         s_prev = ctx.state
         y_prev = 7
         step = decode_step(model, ctx, s_prev, y_prev)
@@ -231,7 +243,7 @@ class TestOutputProbs:
         config = toy_config(topic_weight=0.0)
         model = init_params(config, SeededRng(9))
         image = prepare_image(model, features_for(config, rng), [(3, 4)])
-        ctx = prepare_context(model, image, [1])
+        ctx = prepare_context(model, image, [1], {})
         s = ctx.state
         step = decode_step(model, ctx, s, LINE_START_ID)
         p_g = nm.softmax(model.head_generic.logits(model.head_generic.hidden(
@@ -242,7 +254,7 @@ class TestOutputProbs:
 
     def test_no_keywords_disable_the_bias(self, model, rng):
         image = prepare_image(model, features_for(model.config, rng), [])
-        ctx = prepare_context(model, image, [1])
+        ctx = prepare_context(model, image, [1], {})
         s = ctx.state
         step = decode_step(model, ctx, s, LINE_START_ID)
         p_g = nm.softmax(model.head_generic.logits(model.head_generic.hidden(
@@ -257,7 +269,7 @@ class TestOutputProbs:
             keywords = [(rng.below(20), rng.below(20))]
             image = prepare_image(model, features_for(model.config, rng),
                                   keywords)
-            ctx = prepare_context(model, image, [rng.below(20)])
+            ctx = prepare_context(model, image, [rng.below(20)], {})
             s = ctx.state
             step = decode_step(model, ctx, s, LINE_START_ID)
             p, p_g, p_t = step.p, step.p_generic, step.p_topic
@@ -360,7 +372,7 @@ class TestHoistedWork:
             counts.append(len(stacks) - len(target) - len(depths))
         assert counts == [5 + 3 + 1] * 2
         ctx = prepare_context(model, prepare_image(model, features, keywords),
-                              [1, 2])
+                              [1, 2], {})
         stacks.clear()
         decode_step(model, ctx, ctx.state, LINE_START_ID)
         assert len(stacks) == 4
@@ -408,7 +420,7 @@ class TestHoistedWork:
                                                    monkeypatch):
         image = prepare_image(model, features_for(model.config, rng),
                               [(3, 4), (9,)])
-        ctx = prepare_context(model, image, [1])
+        ctx = prepare_context(model, image, [1], {})
         s = ctx.state
         step = decode_step(model, ctx, s, LINE_START_ID)
         vector = nm.concat([step.topic_state, step.visual_context,
@@ -437,7 +449,7 @@ class TestHoistedWork:
 class TestGeneration:
     def test_line_is_reversed_emission(self, model, rng):
         image = prepare_image(model, features_for(model.config, rng), [(3,)])
-        ctx = prepare_context(model, image, [])
+        ctx = prepare_context(model, image, [], {})
         s, y_prev, emitted = ctx.state, LINE_START_ID, []
         for _ in range(model.config.chars_per_line):
             step = decode_step(model, ctx, s, y_prev)
@@ -450,7 +462,7 @@ class TestGeneration:
         config = toy_config(chars_per_line=chars)
         model = init_params(config, SeededRng(10))
         image = prepare_image(model, features_for(config, rng), [(3,)])
-        ctx = prepare_context(model, image, [])
+        ctx = prepare_context(model, image, [], {})
         assert len(generate_line(model, ctx)) == chars
 
     def test_poem_shape_and_determinism(self, model, rng):
@@ -471,17 +483,20 @@ class TestGeneration:
             preceding = [c for line in lines for c in line]
             assert len(preceding) == i * g
             image = prepare_image(model, features, keywords)
-            ctx = prepare_context(model, image, preceding)
+            ctx = prepare_context(model, image, preceding, {})
             assert ctx.text[0].shape[0] == (i * g if i else 1)
             lines.append(generate_line(model, ctx))
         assert lines == poem
 
     def test_forward_encoder_reads_each_line_once(self, model, rng,
                                                  monkeypatch):
-        # One image per poem, and each new line read once from it.
+        # One image and one map of forward states per poem, and each new
+        # line read once from the map.
         steps = []
         images = []
+        maps = []
         gru, prepare = gru_step, mdl.prepare_image
+        prepare_line = mdl.prepare_context
 
         def counting(cell, h, x):
             steps.append(cell)
@@ -491,16 +506,23 @@ class TestGeneration:
             images.append(prepare(*args, **kwargs))
             return images[-1]
 
+        def preparing_line(model, image, preceding, forward):
+            maps.append(forward)
+            return prepare_line(model, image, preceding, forward)
+
         monkeypatch.setattr("imagepoet.layers.gru_step", counting)
         monkeypatch.setattr(mdl, "prepare_image", preparing)
+        monkeypatch.setattr(mdl, "prepare_context", preparing_line)
         poem = generate_poem(model, features_for(model.config, rng), [(3,)])
         assert len(images) == 1
+        assert len(maps) == model.config.lines_per_poem
+        assert all(forward is maps[0] for forward in maps)
         g, lines = model.config.chars_per_line, model.config.lines_per_poem
         # The marker context, then each new line once; the first line's
         # context extends the marker's state only if it begins with it.
         shared = int(poem[0][0] == mdl.POEM_START_ID)
         assert steps.count(model.encoder_fw) == 1 + (lines - 1) * g - shared
-        assert len(images[0].forward) == steps.count(model.encoder_fw)
+        assert len(maps[0]) == steps.count(model.encoder_fw)
         assert steps.count(model.encoder_bw) == 1 + sum(
             i * g for i in range(lines))
 

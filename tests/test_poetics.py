@@ -2,9 +2,8 @@ import pytest
 
 from imagepoet.errors import DataError
 from imagepoet.poetics import (FormReport, PoeticLexicon, load_lexicon,
-                               load_pattern, reverse_line, validate_form,
-                               validate_rhyme, validate_structure,
-                               validate_tones)
+                               load_pattern, validate_form, validate_rhyme,
+                               validate_structure, validate_tones)
 
 from poetics_cases import ALL_STAR, CASES, PAT1, STRICT_PASS, lexicon
 
@@ -55,18 +54,6 @@ def test_wildcarding_cells_is_monotone():
                         for k, row in enumerate(PAT1)]
             assert not validate_tones(poem, weakened, lex)
     assert not validate_tones(poem, ALL_STAR, lex)
-
-
-class TestReverseLine:
-    def test_basic(self):
-        assert reverse_line([1, 2, 3]) == [3, 2, 1]
-
-    def test_involution(self):
-        line = [5, 1, 4, 1, 5]
-        assert reverse_line(reverse_line(line)) == line
-
-    def test_empty(self):
-        assert reverse_line([]) == []
 
 
 class TestStructureDirect:

@@ -11,6 +11,7 @@ from imagepoet import model as mdl
 from imagepoet import numerics as nm
 from imagepoet import topic_memory as tmem
 from imagepoet import training
+from imagepoet.checkpoint import model_from_bytes
 from imagepoet.datapipe import split_pool
 from imagepoet.errors import (ConfigError, DimensionError, DomainError,
                               NumericalError, VocabularyError)
@@ -164,7 +165,7 @@ class TestCrossEntropy:
         with Tape() as tape:
             image = mdl.prepare_image(model, sample.features,
                                       sample.keywords)
-            ctx = mdl.prepare_context(model, image, sample.preceding)
+            ctx = mdl.prepare_context(model, image, sample.preceding, {})
             s, y_prev, want = ctx.state, mdl.LINE_START_ID, None
             for target_id in reversed(sample.target):
                 step = mdl.decode_step(model, ctx, s, y_prev)
@@ -581,7 +582,7 @@ class TestOneDecoderStep:
         g = model.config.chars_per_line
         sample = nested_pool(model.config, rng, 1, seed=3)[0]
         image = mdl.prepare_image(model, sample.features, sample.keywords)
-        ctx = mdl.prepare_context(model, image, sample.preceding)
+        ctx = mdl.prepare_context(model, image, sample.preceding, {})
         rows, decoder = record_row_steps(model, monkeypatch)
         mdl.generate_line(model, ctx)
         assert rows == [1] * g
@@ -612,7 +613,7 @@ class TestOneDecoderStep:
         images = {}
         lines = [(images.setdefault(id(s.features), mdl.prepare_image(
             model, s.features, s.keywords)), s.preceding) for s in pool]
-        ctxs = mdl.prepare_contexts(model, lines)
+        ctxs = mdl.prepare_contexts(model, lines, {})
         queries = [ctx.state for ctx in ctxs]
         # Rows that read one id, and rows that read others.
         y_prev = [s.target[-1] if i % 3 else 4 for i, s in enumerate(pool)]
@@ -1125,7 +1126,7 @@ class TestTrainLoop:
                        TrainConfig(batch_size=3, max_epochs=4, seed=1))
         recorded = [v for _, _, v in result.history if v is not None]
         assert result.best_valid <= min(recorded)
-        best = result.load_model()
+        best = model_from_bytes(result.best_checkpoint)
         assert abs(evaluate_loss(best, valid) - result.best_valid) < 1e-12
 
     def test_nan_validation_loss_is_a_numerical_error(self, config, rng):
