@@ -25,7 +25,7 @@ import struct
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError
-from .model import check_ids
+from .layers import check_ids, int_ids
 from .poetics import claim_key, content_lines, text_lines
 from .rng import SeededRng
 from .training import TrainSample
@@ -182,13 +182,8 @@ def load_corpus(path, lines_per_poem=None, chars_per_line=None,
                                     concepts)
             elif "poem_id" in record:
                 poem_id = str(record["poem_id"])
-                lines = [tuple(_not_str(l, "a line"))
+                lines = [int_ids(_not_str(l, "a line"), "character")
                          for l in _not_str(record["lines"], "lines")]
-                # type(), not isinstance(): true and false are not ids.
-                bad = [c for l in lines for c in l if type(c) is not int]
-                if bad:
-                    raise TypeError("character id %r is not an integer"
-                                    % (bad[0],))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise DataError("%s:%d: malformed record: %s: %s"
                             % (path, number, type(exc).__name__, exc))

@@ -34,9 +34,21 @@ def param(rng, *shape):
                   requires_grad=True)
 
 
+def int_ids(values, what):
+    """values as a tuple of ints.  Python and numpy integers are ids; a
+    float or a bool is not, and is a DomainError naming what, where int()
+    would truncate it."""
+    ids = tuple(values)
+    for c in ids:
+        if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+            raise DomainError("%s id %r is not an integer" % (what, c))
+    return tuple(int(c) for c in ids)
+
+
 def check_ids(ids, vocab_size, what):
-    """ids, unless one lies outside [0, vocab_size); what names them in
-    the error."""
+    """ids as a tuple of ints (int_ids), unless one lies outside
+    [0, vocab_size); what names them in the error."""
+    ids = int_ids(ids, what)
     for c in ids:
         if not 0 <= c < vocab_size:
             raise VocabularyError("%s character id %d outside vocabulary "
@@ -74,8 +86,8 @@ class EmbeddingTable(ParamGroup):
         """The row of one character id, or the (n, dim) matrix of the rows
         of a sequence of ids."""
         one = np.ndim(char_ids) == 0
-        ids = check_ids([int(c) for c in ([char_ids] if one else char_ids)],
-                        self.vocab_size, "embedded")
+        ids = check_ids([char_ids] if one else char_ids, self.vocab_size,
+                        "embedded")
         return nm.take(self.weights, ids[0] if one else ids)
 
 

@@ -19,9 +19,9 @@ A decode step is step_rows, which advances a (B, h) matrix of decoder
 states by one character, each row attending with its own state and
 context, then head_input (the keyword memory read) and head_probs (both
 heads and their mixture).  Greedy decoding steps one row (decode_step);
-teacher-forced scoring (training._loss_sums) steps many samples' rows at
-once.  Either way a weight that every row multiplies is read once for
-all of them, as one GEMM:
+teacher-forced scoring (training._wave_loss_sum) steps many samples'
+rows at once.  Either way a weight that every row multiplies is read
+once for all of them, as one GEMM:
 * prepare_contexts maps the stacked means of all its contexts to their
   initial states with one state-map linear, and projects the text keys
   of all of them with one matmul over their concatenation;
@@ -43,7 +43,7 @@ import numpy as np
 
 from . import numerics as nm
 from . import topic_memory as tmem
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, DomainError
 from .layers import (AttentionParams, EmbeddingTable, GRUCell, OutputHead,
                      ParamGroup, attend, gru_step, bigru_encode, check_ids,
                      param, project_keys)
@@ -149,7 +149,7 @@ class PoemModel:
 
     def zero_grads(self):
         for _, p in self.parameters():
-            p.zero_grad()
+            p.grad = None
 
     def param_count(self):
         return sum(p.size for _, p in self.parameters())
@@ -229,12 +229,14 @@ def prepare_image(model, features, keywords, project=True):
         raise DimensionError("visual features %s, expected (%d, %d)"
                              % (feats.shape, config.visual_count,
                                 config.visual_dim))
+    if not np.isfinite(feats).all():
+        raise DomainError("visual features hold a non-finite value")
     keys = Tensor(feats)
     return ImageContext(
         bank=bank,
-        topic_ids=check_ids(
-            tuple(sorted({int(c) for kw in keywords for c in kw})),
-            config.vocab_size, "keyword"),
+        topic_ids=tuple(sorted(set(check_ids(
+            [c for kw in keywords for c in kw], config.vocab_size,
+            "keyword")))),
         visual=(project_keys(model.visual_attention, keys) if project
                 else (keys, None)))
 
@@ -254,8 +256,8 @@ def prepare_contexts(model, lines, forward):
     """
     encoded = bigru_encode(
         model.encoder_fw, model.encoder_bw, model.embedding,
-        [tuple(int(c) for c in preceding) or (POEM_START_ID,)
-         for _, preceding in lines], forward)
+        [check_ids(preceding, model.config.vocab_size, "preceding")
+         or (POEM_START_ID,) for _, preceding in lines], forward)
     sizes = [h.shape[0] for h in encoded]
     # Each initial state is tanh of a learned map of its context's mean;
     # the means are stacked, so the map reads its weight once for all.

@@ -16,8 +16,8 @@ the backward sweep (OuterGrad).
 
 In the backward pass a leaf (requires_grad) sums its contributions into
 one buffer of its own; any other adjoint is a fresh sum.  Tape.backward
-adds into .grad, and a leaf without one adopts its pass's buffer.
-Callers drop .grad before a fresh pass (see Tensor.zero_grad).
+adds into .grad, and a leaf whose .grad is None adopts its pass's
+buffer.  Callers set .grad to None before a fresh pass.
 """
 
 import numpy as np
@@ -43,23 +43,9 @@ class Tensor:
         # True when a gradient can flow from this tensor to a leaf; ops set
         # it on their outputs while a tape is active.
         self.needs_grad = self.requires_grad
-        # The gradient buffer is made on first use, so a model that never
-        # trains holds none.  np.zeros alone does not ensure that: when the
-        # allocator hands back recycled heap memory, calloc writes its zeros
-        # and every page of the buffer becomes resident.
-        self._grad = None
-
-    @property
-    def grad(self):
-        """Accumulated gradient, zeros until written; None without
-        requires_grad."""
-        if self._grad is None and self.requires_grad:
-            self._grad = np.zeros(self.data.shape)
-        return self._grad
-
-    @grad.setter
-    def grad(self, value):
-        self._grad = value
+        # Accumulated gradient: None until a backward pass writes it, so a
+        # model that never trains holds no gradient buffer.
+        self.grad = None
 
     @property
     def shape(self):
@@ -71,11 +57,6 @@ class Tensor:
 
     def item(self):
         return float(self.data)
-
-    def zero_grad(self):
-        # Dropped, not zeroed: the next Tape.backward adopts the array its
-        # pass made, and reading .grad first makes zeros.
-        self._grad = None
 
     def __repr__(self):
         return "Tensor(shape=%s, requires_grad=%s)" % (self.shape,
@@ -149,7 +130,7 @@ class Tape:
                     continue
                 buf = grads.get(tensor)
                 if buf is None and accumulate:
-                    buf = tensor._grad
+                    buf = tensor.grad
                 if isinstance(grad, OuterGrad):
                     us, vs = outers.setdefault(tensor, ([], []))
                     us.append(grad.u)
@@ -175,11 +156,12 @@ class Tape:
     def backward(self, loss):
         """Accumulate dloss/dtensor into .grad for every reachable leaf.
 
-        A leaf holding a gradient buffer has its gradient added into it;
-        a leaf holding none adopts the returned array.
+        A leaf whose .grad is an array has its gradient added into it, a
+        leaf whose .grad is None adopts the returned array, and a leaf the
+        pass never reached keeps its .grad.
         """
         for tensor, grad in self.gradients(loss, accumulate=True).items():
-            tensor._grad = grad
+            tensor.grad = grad
 
 
 class RowGrad:
@@ -516,7 +498,8 @@ def difference_error(f, x, analytic, h=1e-5):
 
     f() evaluates a scalar Tensor from the current values of x, whose data
     is moved one coordinate at a time by +-h and restored; analytic holds
-    x.size gradient values.  Relative error per coordinate is
+    x.size gradient values, or is None for a zero gradient (the .grad of
+    a leaf the pass never reached).  Relative error per coordinate is
     |analytic - numeric| / max(1, |numeric|).  A NaN error makes the
     result NaN, which no tolerance accepts.
     """
@@ -530,7 +513,8 @@ def difference_error(f, x, analytic, h=1e-5):
         f_minus = f().item()
         flat[i] = saved
         numeric[i] = (f_plus - f_minus) / (2.0 * h)
-    errors = (np.abs(np.reshape(analytic, -1) - numeric)
+    analytic = 0.0 if analytic is None else np.reshape(analytic, -1)
+    errors = (np.abs(analytic - numeric)
               / np.maximum(1.0, np.abs(numeric)))
     return float(errors.max()) if errors.size else 0.0
 
@@ -538,7 +522,7 @@ def difference_error(f, x, analytic, h=1e-5):
 def grad_check(f, x, h=1e-5):
     """difference_error of x's tape gradient through f, a map from x to a
     scalar Tensor."""
-    x.zero_grad()
+    x.grad = None
     with Tape() as tape:
         y = f(x)
     tape.backward(y)

@@ -61,6 +61,7 @@ from . import model as mdl
 from . import numerics as nm
 from .checkpoint import checkpoint_bytes
 from .errors import ConfigError, DomainError, NumericalError
+from .layers import int_ids
 from .numerics import Tape
 from .rng import SeededRng
 
@@ -70,18 +71,6 @@ from .rng import SeededRng
 # 22 MiB per paper-scale sample, so this bounds that memory whatever the
 # batch size.
 WAVE_SAMPLES = 16
-
-
-def _ids(values, field):
-    """values as a tuple of ints.  As in a corpus, a float or a bool is not
-    an id: it is a DomainError naming field, where int() would truncate
-    it.  Python and numpy integers are ids."""
-    ids = tuple(values)
-    for c in ids:
-        if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
-            raise DomainError("TrainSample %s id %r is not an integer"
-                              % (field, c))
-    return tuple(int(c) for c in ids)
 
 
 @dataclasses.dataclass
@@ -101,9 +90,10 @@ class TrainSample:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.keywords = [_ids(kw, "keywords") for kw in self.keywords]
-        self.preceding = _ids(self.preceding, "preceding")
-        self.target = _ids(self.target, "target")
+        self.keywords = [int_ids(kw, "TrainSample keywords")
+                         for kw in self.keywords]
+        self.preceding = int_ids(self.preceding, "TrainSample preceding")
+        self.target = int_ids(self.target, "TrainSample target")
 
 
 @dataclasses.dataclass
@@ -233,8 +223,8 @@ def accumulate_gradients(model, batch, worker_threads=1):
     Returns the batch's mean per-character loss.  Each wave of _waves is
     recorded on one tape, and its loss sum scaled by 1/chars of the whole
     batch seeds its backward pass, which runs before the next wave is
-    recorded.  A parameter holding no gradient buffer adopts the first
-    pass's array, and later passes add into it.  A batch of one wave is
+    recorded.  A parameter whose .grad is None adopts the first pass's
+    array, and later passes add into it.  A batch of one wave is
     one tape, as cross_entropy_loss records it.  worker_threads is
     ignored.
     """
@@ -255,10 +245,10 @@ def clip_gradients(params, max_norm):
     The norm is computed even when clipping is off (max_norm <= 0).  A
     non-finite norm raises NumericalError: scaling by it would zero every
     gradient, and unscaled its squares would freeze AdaDelta's E[g^2].
-    A parameter without a gradient buffer (one the batch never read) has
-    a zero gradient and is skipped.
+    A parameter whose .grad is None (one the batch never read) has a zero
+    gradient and is skipped.
     """
-    grads = [(name, p._grad) for name, p in params if p._grad is not None]
+    grads = [(name, p.grad) for name, p in params if p.grad is not None]
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for name, grad in grads:
@@ -387,8 +377,8 @@ def adadelta_update(state, params):
     cache.  A block computes the step s = -dx and subtracts it; negation
     is exact, so every element gets the whole-array formula's bits.  A block whose
     gradient is all zero (embedding and topic-head rows a batch never
-    read), and every block of a parameter without a gradient buffer (one
-    the batch never read), only decays both averages by rho: for g = +0
+    read), and every block of a parameter whose .grad is None (one the
+    batch never read), only decays both averages by rho: for g = +0
     that is the formula's exact result, and x is left as it is.
     The blocks of all parameters are split between the calling thread
     and one worker thread (_sweep); a block's arithmetic is the same on
@@ -399,8 +389,7 @@ def adadelta_update(state, params):
     """
     blocks = []
     for name, p in params:
-        # Not p.grad, which would allocate a buffer of zeros.
-        grad = None if p._grad is None else p._grad.reshape(-1)
+        grad = None if p.grad is None else p.grad.reshape(-1)
         sq_g = state.sq_grad[name].reshape(-1)
         sq_d = state.sq_delta[name].reshape(-1)
         x = p.data.reshape(-1)

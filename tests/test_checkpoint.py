@@ -11,8 +11,9 @@ from imagepoet.checkpoint import (MAGIC, checkpoint_bytes, load_checkpoint,
 from imagepoet.errors import (CheckpointShapeError, CheckpointTruncatedError,
                               CheckpointValueError, CheckpointVersionError,
                               ConfigError)
-from imagepoet.model import ModelConfig, init_params
+from imagepoet.model import ModelConfig, generate_poem, init_params
 from imagepoet.rng import SeededRng
+from imagepoet.training import TrainSample, evaluate_loss
 
 from conftest import toy_config, with_config
 
@@ -25,6 +26,20 @@ def test_round_trip_is_bitwise_exact(model, tmp_path):
     for (name, a), (_, b) in zip(model.parameters(), loaded.parameters()):
         assert np.array_equal(a.data, b.data), name
         assert a.data.tobytes() == b.data.tobytes(), name
+
+
+def test_a_loaded_model_that_generates_and_scores_holds_no_gradient(
+        model, tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    config = loaded.config
+    grid = np.ones((config.visual_count, config.visual_dim))
+    generate_poem(loaded, grid, [(3, 4)])
+    evaluate_loss(loaded, [TrainSample(features=grid, keywords=[(3, 4)],
+                                       preceding=(2,),
+                                       target=(5,) * config.chars_per_line)])
+    assert all(p.grad is None for _, p in loaded.parameters())
 
 
 def test_bytes_round_trip_matches_file_round_trip(model, tmp_path):

@@ -7,7 +7,8 @@ import pytest
 from imagepoet import model as mdl
 from imagepoet import numerics as nm
 from imagepoet import topic_memory as tmem
-from imagepoet.errors import ConfigError, DimensionError, VocabularyError
+from imagepoet.errors import (ConfigError, DimensionError, DomainError,
+                              VocabularyError)
 from imagepoet.layers import attend, bigru_encode, gru_step
 from imagepoet.model import (LINE_START_ID, ModelConfig, decode_step,
                              generate_line, generate_poem, init_params,
@@ -15,6 +16,7 @@ from imagepoet.model import (LINE_START_ID, ModelConfig, decode_step,
                              prepare_image)
 from imagepoet.numerics import Tensor, grad_check
 from imagepoet.rng import SeededRng
+from imagepoet.training import TrainSample, evaluate_loss
 
 from conftest import toy_config
 from oracles import bigru_ref
@@ -529,6 +531,26 @@ class TestGeneration:
     def test_bad_feature_shape_rejected(self, model):
         with pytest.raises(DimensionError):
             generate_poem(model, np.zeros((2, 2)), [])
+
+    def test_a_keyword_id_that_is_not_an_integer_is_a_domain_error(
+            self, model, rng):
+        # int() would read 2.7 as id 2 and True as id 1.
+        features = features_for(model.config, rng)
+        for keywords in ([(2.7, 3)], [(True, 3)], [(1,), (True,)]):
+            with pytest.raises(DomainError, match="not an integer"):
+                generate_poem(model, features, keywords)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_feature_grid_is_a_domain_error(self, model, rng,
+                                                         value):
+        grid = features_for(model.config, rng)
+        grid[1, 2] = value
+        with pytest.raises(DomainError, match="non-finite"):
+            generate_poem(model, grid, [(3, 4)])
+        sample = TrainSample(features=grid, keywords=[(3, 4)], preceding=(),
+                             target=(5,) * model.config.chars_per_line)
+        with pytest.raises(DomainError, match="non-finite"):
+            evaluate_loss(model, [sample])
 
 
 def pinned_poem(config, seed, keywords, spread):

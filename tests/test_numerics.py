@@ -181,7 +181,7 @@ class TestBackward:
         tape.backward(loss)
         tape.backward(loss)
         assert np.array_equal(x.grad, [12.0])
-        x.zero_grad()
+        x.grad = None
         tape.backward(loss)
         assert np.array_equal(x.grad, [6.0])
 
@@ -194,7 +194,7 @@ class TestBackward:
         tape.backward(loss)
         assert np.array_equal(a.grad, [3.0, 4.0])
         assert np.array_equal(b.grad, [1.0, 2.0])
-        assert np.array_equal(c.grad, [0.0, 0.0])
+        assert c.grad is None
 
 
 class TestGradCheck:
@@ -499,7 +499,7 @@ class TestAccumulation:
         grads = tape.gradients(loss, accumulate=True)
         assert grads[w] is held
         assert np.max(np.abs(held - (start + fresh[w]))) < 1e-12
-        assert x._grad is None and np.array_equal(grads[x], fresh[x])
+        assert x.grad is None and np.array_equal(grads[x], fresh[x])
 
     def test_repeated_row_lookups_add_up(self, rng):
         m = Tensor(arr(rng, 5, 3), requires_grad=True)
@@ -637,8 +637,16 @@ class TestDeterminism:
 
 
 class TestTensorInvariants:
+    @pytest.mark.parametrize("requires_grad", [True, False])
+    def test_a_fresh_tensor_holds_no_gradient(self, requires_grad):
+        t = Tensor(np.zeros((3, 2)), requires_grad=requires_grad)
+        assert t.grad is None
+
     def test_grad_shape_matches_data(self):
         t = Tensor(np.zeros((3, 2)), requires_grad=True)
+        with Tape() as tape:
+            loss = nm.sum_all(nm.mul(t, t))
+        tape.backward(loss)
         assert t.grad.shape == t.data.shape
 
     def test_gradient_buffer_stays_unmapped_until_written(self):
@@ -649,28 +657,30 @@ class TestTensorInvariants:
         before = resident_bytes()
         t = Tensor(np.zeros((2048, 2048)), requires_grad=True)
         grown = resident_bytes() - before
-        assert t.grad.shape == (2048, 2048)
+        assert t.grad is None
         assert grown < 8 << 20, grown
 
     def test_gradient_buffer_is_made_on_first_use(self):
         # A model that never trains (a loaded checkpoint used to generate)
-        # must not allocate its gradients: on recycled heap memory calloc
-        # writes the zeros, and every page of the buffer becomes resident.
+        # must not allocate its gradients: the first backward pass that
+        # reaches a parameter makes its buffer.
         data = np.zeros((512, 512))
         tracemalloc.start()
         try:
             t = Tensor(data, requires_grad=True)
             made, _ = tracemalloc.get_traced_memory()
-            assert t.grad.shape == data.shape
+            with Tape() as tape:
+                loss = nm.sum_all(t)
+            tape.backward(loss)
             used, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert made < data.nbytes // 2, made
         assert used - made >= data.nbytes
-        t.grad += 1.0
-        t.zero_grad()
-        assert np.array_equal(t.grad, np.zeros(data.shape))
-        assert Tensor(data).grad is None
+        assert np.array_equal(t.grad, np.ones(data.shape))
+        t.grad = None
+        tape.backward(loss)
+        assert np.array_equal(t.grad, np.ones(data.shape))
 
     def test_values_finite_after_chained_ops(self, rng):
         x = Tensor(arr(rng, 6))

@@ -746,6 +746,7 @@ class TestAdaDelta:
         x = Tensor(np.zeros(SWEEP_BLOCK + 3), requires_grad=True)
         params = [("late", x)]
         state = AdaDeltaState(params)
+        x.grad = np.zeros(x.shape)
         x.grad[SWEEP_BLOCK + 1] = float("inf")
         with pytest.raises(NumericalError, match="'late'"):
             adadelta_update(state, params)
@@ -800,6 +801,8 @@ class TestAdaDelta:
         late = Tensor(np.zeros(SWEEP_BLOCK + 1), requires_grad=True)
         params = [("early", early), ("late", late)]
         state = AdaDeltaState(params)
+        early.grad = np.zeros(early.shape)
+        late.grad = np.zeros(late.shape)
         early.grad[SWEEP_BLOCK + 7] = float("inf")
         late.grad[3] = float("nan")
         with pytest.raises(NumericalError, match="'early'"):
@@ -847,7 +850,7 @@ class TestAdaDelta:
         adadelta_update(state, params)
         for name, p in topic:
             x, sq_g, sq_d = before[name]
-            assert p._grad is None
+            assert p.grad is None
             assert p.data.tobytes() == x.tobytes()
             assert state.sq_grad[name].tobytes() == (state.rho
                                                      * sq_g).tobytes()
@@ -1130,10 +1133,18 @@ class TestTrainLoop:
         assert abs(evaluate_loss(best, valid) - result.best_valid) < 1e-12
 
     def test_nan_validation_loss_is_a_numerical_error(self, config, rng):
-        pool = make_pool(config, rng, 4, preceding_len=0)
-        valid = make_pool(config, rng, 1, preceding_len=0)
-        valid[0].features[0, 0] = np.nan
+        # Only the validation sample reads character c, whose embedding
+        # row is NaN: a non-finite feature grid is rejected up front.
+        c = config.vocab_size - 1
+        pool = [TrainSample(features=s.features, keywords=s.keywords,
+                            preceding=(),
+                            target=tuple(min(t, c - 1) for t in s.target))
+                for s in make_pool(config, rng, 4, preceding_len=0)]
+        valid = [TrainSample(features=pool[0].features, keywords=[(3,)],
+                             preceding=(),
+                             target=(c,) * config.chars_per_line)]
         model = init_params(config, SeededRng(24))
+        model.embedding.weights.data[c] = np.nan
         with pytest.raises(NumericalError):
             train(model, pool, valid,
                   TrainConfig(batch_size=2, max_epochs=2, seed=1))
@@ -1182,7 +1193,7 @@ class TestTrainLoop:
 
         def recording(model):
             holding.append([name for name, p in model.parameters()
-                            if p._grad is not None])
+                            if p.grad is not None])
             return b""
 
         monkeypatch.setattr(training, "checkpoint_bytes", recording)

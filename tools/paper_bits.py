@@ -67,7 +67,7 @@ def main():
     grads = hashlib.sha256()
     for name, p in model.parameters():
         grads.update(name.encode())
-        grads.update(b"-" if p._grad is None else p._grad.tobytes())
+        grads.update(b"-" if p.grad is None else p.grad.tobytes())
     print(grads.hexdigest()[:16])
     return 0
 

@@ -5,8 +5,8 @@ and module, class or function docstrings.  Run from anywhere:
 
     python tools/src_lines.py [DIR]
 
-DIR defaults to the repository's src/ directory.  Uses the standard
-library only.
+DIR defaults to the repository's src/ directory; a DIR that is not a
+directory exits 2.  Uses the standard library only.
 """
 
 import ast
@@ -46,6 +46,9 @@ def count(source):
 def main(argv):
     root = argv[1] if len(argv) > 1 else os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    if not os.path.isdir(root):
+        print("src_lines: %s is not a directory" % root, file=sys.stderr)
+        return 2
     physical = code = 0
     for folder, dirs, files in os.walk(root):
         dirs.sort()
