@@ -14,6 +14,11 @@ A reader accepts only the names and extents, in the order, that the
 stored config implies: each stored parameter header must equal the one
 the writer makes for that parameter.  It also rejects a non-finite value
 and any byte after the last parameter.
+
+The stored values, parameter after parameter, are the model's one
+weight array (model.init_params) in its own order, with the headers
+between them: a model in that layout writes the bytes format 1 always
+had, and a reader reads each parameter's values straight into its view.
 """
 
 import contextlib
@@ -25,6 +30,7 @@ import sys
 
 import numpy as np
 
+from . import numerics as nm
 from .errors import (CheckpointError, CheckpointShapeError,
                      CheckpointTruncatedError, CheckpointValueError,
                      CheckpointVersionError)
@@ -92,7 +98,11 @@ def read_checkpoint(fh):
     short only at the end of the stream.  A seekable stream too short for
     the values its config declares is rejected before they are allocated;
     a pipe cannot tell its length, so it is rejected at its first short
-    read.  Values are read straight into the parameters' buffers.
+    read.  The model is init_params(config) with no rng: one array of
+    zeros, of which every parameter is a view in checkpoint order.  Each
+    parameter's values are read straight into its view, and checked
+    finite by their min and max (numerics.finite_range), so a load
+    allocates no array beyond that one.
     """
     if _read_exact(fh, len(MAGIC)) != MAGIC:
         raise CheckpointVersionError("not a checkpoint file (bad magic)")
@@ -129,7 +139,7 @@ def read_checkpoint(fh):
         _read_into(fh, target.data)
         if sys.byteorder != "little":
             target.data.byteswap(inplace=True)
-        if not np.isfinite(target.data).all():
+        if nm.finite_range(target.data) is None:
             raise CheckpointValueError("parameter %r holds a non-finite "
                                        "value" % name)
     if fh.read(1):

@@ -17,6 +17,7 @@ Conventions pinned here (and relied on by the oracles in the test suite):
 """
 
 import collections
+import math
 
 import numpy as np
 
@@ -25,13 +26,35 @@ from .errors import DimensionError, DomainError, VocabularyError
 from .numerics import Tensor
 
 
-def param(rng, *shape):
-    """Trainable tensor drawn uniform on [-0.08, 0.08]; zeros if rng is None."""
-    if rng is None:
-        return Tensor(np.zeros(shape), requires_grad=True)
-    n = int(np.prod(shape))
-    return Tensor(rng.uniform_array(n, -0.08, 0.08).reshape(shape),
-                  requires_grad=True)
+class FlatWeights:
+    """One C-contiguous float64 array, handed out in order as the views of
+    the parameters that param makes from it.
+
+    The array is drawn uniform on [-0.08, 0.08] from rng in one sweep
+    (SeededRng.fill_uniform), or is zeros if rng is None.  The stream is
+    counter-based, so each view holds the values that drawing its
+    parameter alone, in the same order, would give.
+    """
+
+    def __init__(self, size, rng=None):
+        self.array = (np.zeros(size) if rng is None
+                      else rng.fill_uniform(np.empty(size), -0.08, 0.08))
+        self.used = 0
+
+    def take(self, shape):
+        """The next prod(shape) values, as a view of that shape."""
+        start = self.used
+        self.used += math.prod(shape)
+        return self.array[start:self.used].reshape(shape)
+
+
+def param(source, *shape):
+    """Trainable tensor of the given shape whose data is the next view of
+    source, a FlatWeights.  A SeededRng or None as source gives the
+    tensor a FlatWeights of its own, drawn from that rng or zeros."""
+    if not isinstance(source, FlatWeights):
+        source = FlatWeights(math.prod(shape), source)
+    return Tensor(source.take(shape), requires_grad=True)
 
 
 def int_ids(values, what):
@@ -75,8 +98,8 @@ class EmbeddingTable(ParamGroup):
     _FIELDS = ("weights",)
 
     @classmethod
-    def create(cls, vocab_size, dim, rng=None):
-        return cls(param(rng, vocab_size, dim))
+    def create(cls, vocab_size, dim, source=None):
+        return cls(param(source, vocab_size, dim))
 
     @property
     def vocab_size(self):
@@ -97,12 +120,12 @@ class GRUCell(ParamGroup):
     _FIELDS = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
 
     @classmethod
-    def create(cls, input_dim, hidden_dim, rng=None):
+    def create(cls, input_dim, hidden_dim, source=None):
         params = []
         for gate in ("z", "r", "h"):
-            params += [param(rng, hidden_dim, input_dim),
-                       param(rng, hidden_dim, hidden_dim),
-                       param(rng, hidden_dim)]
+            params += [param(source, hidden_dim, input_dim),
+                       param(source, hidden_dim, hidden_dim),
+                       param(source, hidden_dim)]
         return cls(*params)
 
     @property
@@ -216,10 +239,10 @@ class AttentionParams(ParamGroup):
     _FIELDS = ("score", "query_proj", "key_proj")
 
     @classmethod
-    def create(cls, query_dim, key_dim, proj_dim, rng=None):
-        return cls(param(rng, proj_dim),
-                   param(rng, proj_dim, query_dim),
-                   param(rng, key_dim, proj_dim))
+    def create(cls, query_dim, key_dim, proj_dim, source=None):
+        return cls(param(source, proj_dim),
+                   param(source, proj_dim, query_dim),
+                   param(source, key_dim, proj_dim))
 
 
 def project_keys(params, keys):
@@ -248,11 +271,11 @@ class OutputHead(ParamGroup):
     _FIELDS = ("w_hidden", "b_hidden", "w_out", "b_out")
 
     @classmethod
-    def create(cls, input_dim, hidden_dim, output_dim, rng=None):
-        return cls(param(rng, hidden_dim, input_dim),
-                   param(rng, hidden_dim),
-                   param(rng, output_dim, hidden_dim),
-                   param(rng, output_dim))
+    def create(cls, input_dim, hidden_dim, output_dim, source=None):
+        return cls(param(source, hidden_dim, input_dim),
+                   param(source, hidden_dim),
+                   param(source, output_dim, hidden_dim),
+                   param(source, output_dim))
 
     def hidden(self, features):
         """The hidden layer tanh(W1 f + b1) of each row of a

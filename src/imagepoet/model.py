@@ -44,9 +44,9 @@ import numpy as np
 from . import numerics as nm
 from . import topic_memory as tmem
 from .errors import ConfigError, DimensionError, DomainError
-from .layers import (AttentionParams, EmbeddingTable, GRUCell, OutputHead,
-                     ParamGroup, attend, gru_step, bigru_encode, check_ids,
-                     param, project_keys)
+from .layers import (AttentionParams, EmbeddingTable, FlatWeights, GRUCell,
+                     OutputHead, ParamGroup, attend, gru_step, bigru_encode,
+                     check_ids, param, project_keys)
 from .numerics import Tensor
 
 # Reserved vocabulary ids.
@@ -158,27 +158,34 @@ class PoemModel:
 def init_params(config, rng=None):
     """Fresh model, every parameter uniform on [-0.08, 0.08] from rng.
 
-    With rng None every parameter is zero; checkpoint loading fills such
-    a model in.  Parameters are drawn in checkpoint order.
+    All the parameters are views of one float64 array of
+    config.param_count() values, each at its offset in parameters()
+    order, which is checkpoint order.  The array is drawn by one sweep
+    over it (layers.FlatWeights), so each parameter holds the values
+    drawing it alone in that order would give.  With rng None it is one
+    array of zeros, which checkpoint loading reads into.
     """
     config.validate()
     h, v, dv = config.hidden_dim, config.vocab_size, config.visual_dim
     head_in = h + dv + 2 * h
+    weights = FlatWeights(config.param_count(), rng)
     return PoemModel(config, [
-        ("embedding", "embedding", EmbeddingTable.create(v, h, rng)),
-        ("encoder.fw", "encoder_fw", GRUCell.create(h, h, rng)),
-        ("encoder.bw", "encoder_bw", GRUCell.create(h, h, rng)),
-        ("keyword.fw", "keyword_fw", GRUCell.create(h, h // 2, rng)),
-        ("keyword.bw", "keyword_bw", GRUCell.create(h, h // 2, rng)),
-        ("decoder", "decoder", GRUCell.create(h + 2 * h + dv, h, rng)),
+        ("embedding", "embedding", EmbeddingTable.create(v, h, weights)),
+        ("encoder.fw", "encoder_fw", GRUCell.create(h, h, weights)),
+        ("encoder.bw", "encoder_bw", GRUCell.create(h, h, weights)),
+        ("keyword.fw", "keyword_fw", GRUCell.create(h, h // 2, weights)),
+        ("keyword.bw", "keyword_bw", GRUCell.create(h, h // 2, weights)),
+        ("decoder", "decoder", GRUCell.create(h + 2 * h + dv, h, weights)),
         ("attention.text", "text_attention",
-         AttentionParams.create(h, 2 * h, h, rng)),
+         AttentionParams.create(h, 2 * h, h, weights)),
         ("attention.visual", "visual_attention",
-         AttentionParams.create(h, dv, h, rng)),
-        ("head.generic", "head_generic", OutputHead.create(head_in, h, v, rng)),
-        ("head.topic", "head_topic", OutputHead.create(head_in, h, v, rng)),
+         AttentionParams.create(h, dv, h, weights)),
+        ("head.generic", "head_generic",
+         OutputHead.create(head_in, h, v, weights)),
+        ("head.topic", "head_topic",
+         OutputHead.create(head_in, h, v, weights)),
         ("init_state", "state_map",
-         StateMap(param(rng, h, 2 * h), param(rng, h))),
+         StateMap(param(weights, h, 2 * h), param(weights, h))),
     ])
 
 
@@ -214,6 +221,20 @@ class GenerationContext:
     text: tuple
 
 
+def check_grid(config, features):
+    """features as a float64 array; a DimensionError unless it is a
+    (visual_count, visual_dim) grid, and a DomainError if it holds a
+    non-finite value."""
+    feats = np.asarray(features, dtype=np.float64)
+    if feats.shape != (config.visual_count, config.visual_dim):
+        raise DimensionError("visual features %s, expected (%d, %d)"
+                             % (feats.shape, config.visual_count,
+                                config.visual_dim))
+    if nm.finite_range(feats) is None:
+        raise DomainError("visual features hold a non-finite value")
+    return feats
+
+
 def prepare_image(model, features, keywords, project=True):
     """The keyword bank, topic vocabulary and visual keys of one image.
 
@@ -224,14 +245,7 @@ def prepare_image(model, features, keywords, project=True):
     bank = tmem.encode_keywords(model.embedding, model.keyword_fw,
                                 model.keyword_bw, keywords)
     config = model.config
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.shape != (config.visual_count, config.visual_dim):
-        raise DimensionError("visual features %s, expected (%d, %d)"
-                             % (feats.shape, config.visual_count,
-                                config.visual_dim))
-    if not np.isfinite(feats).all():
-        raise DomainError("visual features hold a non-finite value")
-    keys = Tensor(feats)
+    keys = Tensor(check_grid(config, features))
     return ImageContext(
         bank=bank,
         topic_ids=tuple(sorted(set(check_ids(

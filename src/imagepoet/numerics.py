@@ -20,18 +20,69 @@ adds into .grad, and a leaf whose .grad is None adopts its pass's
 buffer.  Callers set .grad to None before a fresh pass.
 """
 
+import math
+import threading
+
 import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError
 
-# Elements per block when a pass sweeps whole parameters (seeded draws,
-# the AdaDelta step and the zero fill of its state): 256 KiB of float64,
-# so each block's temporaries stay in L2 between ufuncs instead of
-# streaming parameter-sized arrays.  The AdaDelta sweeps deal their blocks
-# to the calling thread and one worker thread (training._sweep), each
-# block with its own scratch and the same arithmetic, so the split changes
-# no bit; BLAS calls stay on the calling thread.
+# Elements per block when a pass sweeps a weight-sized array (the seeded
+# draw of a model's parameters, the AdaDelta step and the zero fill of
+# its state): 256 KiB of float64, so each block's temporaries stay in L2
+# between ufuncs instead of streaming parameter-sized arrays.  Past two
+# blocks a sweep deals its blocks to the calling thread and one worker
+# thread (sweep), each block with its own scratch and the same
+# arithmetic, so the split changes no bit; BLAS calls stay on the
+# calling thread.
 SWEEP_BLOCK = 32768
+
+
+def sweep(body, blocks, values, scratch):
+    """body(block, scratch[0]) for every block, in order, on this thread;
+    or, when the blocks hold more than 2 * SWEEP_BLOCK values in all,
+    split between this thread and one worker thread.
+
+    Split, the blocks go to the two threads alternately, so runs of cheap
+    blocks spread evenly between them; the worker gets scratch[1], which
+    the caller made, so the worker allocates no array data.  numpy lets
+    the two run at once by releasing the GIL inside each ufunc.  Each
+    thread stops at its first failing block, and the failure of the
+    earliest block is raised here, as the in-order sweep would raise it.
+    body must not call the BLAS, so that no result depends on concurrent
+    BLAS calls (ROADMAP item 9).  Smaller sweeps start no thread: at toy
+    sizes the thread costs more than it saves.
+    """
+    if values <= 2 * SWEEP_BLOCK:
+        for block in blocks:
+            body(block, scratch[0])
+        return
+    failures = []
+
+    def half(first):
+        for index in range(first, len(blocks), 2):
+            try:
+                body(blocks[index], scratch[first])
+            except Exception as exc:  # re-raised on the calling thread
+                failures.append((index, exc))
+                return
+
+    worker = threading.Thread(target=half, args=(1,))
+    worker.start()
+    try:
+        half(0)
+    finally:
+        worker.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+
+
+def finite_range(a):
+    """(min, max) of the nonempty array a, or None when a holds a
+    non-finite value.  Two reductions, so unlike np.isfinite(a).all() it
+    makes no array as large as a; NaN fails every comparison."""
+    lo, hi = a.min(), a.max()
+    return (lo, hi) if -math.inf < lo <= hi < math.inf else None
 
 
 class Tensor:

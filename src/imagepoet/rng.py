@@ -8,20 +8,28 @@ The generator is SplitMix64: the i-th draw mixes the state
     z ^= z >> 31
 
 Because the stream is counter-based, scalar and vectorized draws produce
-the same sequence (a vectorized draw is filled block by block, each block
-starting at its own counter), and identical seeds reproduce identical
-sequences on any platform.  Doubles are built from the top 53 bits:
+the same sequence, and identical seeds reproduce identical sequences on
+any platform.  A vectorized draw (fill_uniform) is one in-place sweep
+over its array, block by block, each block starting at its own counter;
+past two blocks the blocks are split between the calling thread and one
+worker thread, which changes no bit.  A model's parameters are drawn by
+one such sweep over the one array they are views of, in checkpoint
+order (model.init_params).  Doubles are built from the top 53 bits:
 ``(z >> 11) * 2**-53`` in [0, 1).
 """
 
 import numpy as np
 
-from .numerics import SWEEP_BLOCK
+from .numerics import SWEEP_BLOCK, sweep
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
+# Draw i of a block is its base state plus _STEPS[i - 1], mod 2**64.
+_STEPS = np.arange(1, SWEEP_BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+_ROUNDS = ((np.uint64(30), np.uint64(_MIX1)),
+           (np.uint64(27), np.uint64(_MIX2)))
 
 
 class SeededRng:
@@ -45,19 +53,40 @@ class SeededRng:
         return lo + u * (hi - lo)
 
     def uniform_array(self, n, lo=0.0, hi=1.0):
-        """n doubles from the same stream, vectorized block by block."""
-        out = np.empty(n)
-        for start in range(0, n, SWEEP_BLOCK):
-            stop = min(start + SWEEP_BLOCK, n)
-            with np.errstate(over="ignore"):
-                counters = np.arange(self._counter + start + 1,
-                                     self._counter + stop + 1, dtype=np.uint64)
-                z = np.uint64(self.seed) + counters * np.uint64(_GAMMA)
-                z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-                z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-                z = z ^ (z >> np.uint64(31))
-            u = (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-            out[start:stop] = lo + u * (hi - lo)
+        """n doubles from the same stream (fill_uniform)."""
+        return self.fill_uniform(np.empty(n), lo, hi)
+
+    def fill_uniform(self, out, lo=0.0, hi=1.0):
+        """Fill the 1-d float64 array out, in place, with the stream's
+        next out.size doubles, uniform in [lo, hi); return out.
+
+        One sweep over out in blocks of SWEEP_BLOCK values (numerics.sweep),
+        each block starting at its own counter, through two uint64 scratch
+        arrays per thread and the shared table of i * GAMMA, so a block
+        allocates nothing.  The arithmetic is the scalar draw's, element
+        for element, on either thread.
+        """
+        n = out.size
+        base = self.seed + self._counter * _GAMMA
+        width = min(n, SWEEP_BLOCK)
+        scratch = [(np.empty(width, np.uint64), np.empty(width, np.uint64))
+                   for _ in range(2)]
+
+        def fill(start, temps):
+            m = min(SWEEP_BLOCK, n - start)
+            z, t = temps[0][:m], temps[1][:m]
+            np.add(_STEPS[:m], np.uint64((base + start * _GAMMA) & _MASK),
+                   out=z)
+            for shift, mix in _ROUNDS:
+                z ^= np.right_shift(z, shift, out=t)
+                z *= mix
+            z ^= np.right_shift(z, np.uint64(31), out=t)
+            z >>= np.uint64(11)
+            part = np.multiply(z, 2.0 ** -53, out=out[start:start + m])
+            part *= hi - lo
+            part += lo
+
+        sweep(fill, range(0, n, SWEEP_BLOCK), n, scratch)
         self._counter += n
         return out
 

@@ -41,19 +41,20 @@ tape and runs its backward pass, which writes its gradients straight
 into .grad on the calling thread, before it records the next wave; so
 no tape holds more than WAVE_SAMPLES samples, whatever the batch size.
 
-The AdaDelta step and the zero fill of its state are elementwise sweeps
-over blocks of numerics.SWEEP_BLOCK values.  Past two blocks they run on
-the calling thread and one worker thread, which numpy lets run at once
-by releasing the GIL inside each ufunc; each block's arithmetic is the
-same on either thread, so the split changes no bit.  Every BLAS call
-(the clip's norm among them) stays on the calling thread.
+AdaDelta's two running averages are one flat array each, in the layout
+of the parameters (AdaDeltaState), as the model's parameters are views
+of one array.  The AdaDelta step and the zero fill of its averages are
+elementwise sweeps over blocks of numerics.SWEEP_BLOCK values, which
+past two blocks run on the calling thread and one worker thread
+(numerics.sweep); each block's arithmetic is the same on either thread,
+so the split changes no bit.  Every BLAS call (the clip's norm among
+them) stays on the calling thread.
 """
 
 import dataclasses
 import functools
 import itertools
 import math
-import threading
 
 import numpy as np
 
@@ -266,44 +267,6 @@ def clip_gradients(params, max_norm):
     return factor
 
 
-def _sweep(body, blocks, values, scratch):
-    """body(block, scratch[0]) for every block, in order, on this thread;
-    or, when the blocks hold more than 2 * SWEEP_BLOCK values in all,
-    split between this thread and one worker thread.
-
-    Split, the blocks go to the two threads alternately, so runs of cheap
-    blocks spread evenly between them; the worker gets scratch[1], which
-    the caller made, so the worker allocates no array data.  Each thread stops
-    at its first failing block, and the failure of the earliest block is
-    raised here, as the in-order sweep would raise it.  body must not
-    call the BLAS, so that no result depends on concurrent BLAS calls
-    (ROADMAP item 9).  Smaller sweeps start no thread: at toy sizes the
-    thread costs more than it saves.
-    """
-    if values <= 2 * nm.SWEEP_BLOCK:
-        for block in blocks:
-            body(block, scratch[0])
-        return
-    failures = []
-
-    def half(first):
-        for index in range(first, len(blocks), 2):
-            try:
-                body(blocks[index], scratch[first])
-            except Exception as exc:  # re-raised on the calling thread
-                failures.append((index, exc))
-                return
-
-    worker = threading.Thread(target=half, args=(1,))
-    worker.start()
-    try:
-        half(0)
-    finally:
-        worker.join()
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-
-
 def _fill_zeros(block, scratch):
     flat, start = block
     flat[start:start + nm.SWEEP_BLOCK].fill(0.0)
@@ -311,26 +274,34 @@ def _fill_zeros(block, scratch):
 
 class AdaDeltaState:
     """Running averages E[g^2] and E[dx^2] per parameter, and the step's
-    scratch: two block-sized arrays for each of its two threads."""
+    scratch: two block-sized arrays for each of its two threads.
+
+    Each average is one float64 array in the layout of params:
+    sq_grad[name] and sq_delta[name] are views at the parameter's offset
+    in params order, as a model's parameters are views of its one array
+    (model.init_params).
+    """
 
     def __init__(self, params, rho=0.95, eps=1e-6):
         self.rho = rho
         self.eps = eps
-        self.sq_grad = {name: np.empty_like(p.data) for name, p in params}
-        self.sq_delta = {name: np.empty_like(p.data) for name, p in params}
+        starts = list(itertools.accumulate((p.size for _, p in params),
+                                           initial=0))
+        arrays = [np.empty(starts[-1]) for _ in range(2)]
+        self.sq_grad, self.sq_delta = (
+            {name: flat[start:start + p.size].reshape(p.shape)
+             for (name, p), start in zip(params, starts)}
+            for flat in arrays)
         # Made once: block-sized arrays made at every step land in freed
         # heap holes, which measured train-paper peak_rss_mb 25 MiB higher.
         self.scratch = [(np.empty(nm.SWEEP_BLOCK), np.empty(nm.SWEEP_BLOCK))
                         for _ in range(2)]
-        # Zeroed here, by both threads (_sweep): np.zeros would leave the
-        # pages unmapped for the first step to fault in, reading each
-        # before writing it, which measured slower in total.
-        arrays = [a.reshape(-1) for a in (*self.sq_grad.values(),
-                                          *self.sq_delta.values())]
-        _sweep(_fill_zeros,
-               [(flat, start) for flat in arrays
-                for start in range(0, flat.size, nm.SWEEP_BLOCK)],
-               sum(flat.size for flat in arrays), [None, None])
+        # Zeroed here, by both threads in one sweep, so the first step
+        # finds the pages mapped.
+        nm.sweep(_fill_zeros,
+                 [(flat, start) for flat in arrays
+                  for start in range(0, flat.size, nm.SWEEP_BLOCK)],
+                 2 * starts[-1], [None, None])
 
 
 def _step_block(block, scratch, rho, eps):
@@ -344,11 +315,11 @@ def _step_block(block, scratch, rho, eps):
     g = None if grad is None else grad[part]
     sq_g, sq_d, x = sq_grad[part], sq_delta[part], data[part]
     if g is not None:
-        lo, hi = g.min(), g.max()
-        if not -math.inf < lo <= hi < math.inf:  # NaN fails every test
+        span = nm.finite_range(g)
+        if span is None:
             raise NumericalError("non-finite gradient in parameter %r"
                                  % name)
-    if g is None or lo == hi == 0.0:
+    if g is None or span == (0.0, 0.0):
         sq_g *= rho
         sq_d *= rho
         return
@@ -381,10 +352,10 @@ def adadelta_update(state, params):
     batch never read), only decays both averages by rho: for g = +0
     that is the formula's exact result, and x is left as it is.
     The blocks of all parameters are split between the calling thread
-    and one worker thread (_sweep); a block's arithmetic is the same on
-    either, so the split changes no bit.  A non-finite gradient raises
-    NumericalError naming the first parameter, in order, that holds one;
-    the step is then partly done.  Parameters and accumulators are
+    and one worker thread (numerics.sweep); a block's arithmetic is the
+    same on either, so the split changes no bit.  A non-finite gradient
+    raises NumericalError naming the first parameter, in order, that
+    holds one; the step is then partly done.  Parameters and accumulators are
     C-contiguous, so their flat reshapes are views.
     """
     blocks = []
@@ -395,8 +366,8 @@ def adadelta_update(state, params):
         x = p.data.reshape(-1)
         blocks += [(name, grad, sq_g, sq_d, x, start)
                    for start in range(0, x.size, nm.SWEEP_BLOCK)]
-    _sweep(functools.partial(_step_block, rho=state.rho, eps=state.eps),
-           blocks, sum(p.size for _, p in params), state.scratch)
+    nm.sweep(functools.partial(_step_block, rho=state.rho, eps=state.eps),
+             blocks, sum(p.size for _, p in params), state.scratch)
 
 
 def _make_batches(pool, batch_size, rng):
@@ -425,6 +396,11 @@ def train(model, train_pool, valid_pool, config, log=None):
     config.validate()
     if not train_pool or not valid_pool:
         raise ConfigError("training needs nonempty train and validation pools")
+    # Every grid is checked before the first batch, so a bad validation
+    # grid does not wait for the first validation pass.
+    grids = {id(s.features): s.features for s in (*train_pool, *valid_pool)}
+    for features in grids.values():
+        mdl.check_grid(model.config, features)
     rng = SeededRng(config.seed)
     params = model.parameters()
     state = AdaDeltaState(params, rho=config.rho, eps=config.eps)

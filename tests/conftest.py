@@ -3,6 +3,7 @@ import struct
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TESTS = Path(__file__).resolve().parent
@@ -32,6 +33,22 @@ def with_config(blob, **fields):
     patched = json.dumps(config, sort_keys=True).encode()
     return (blob[:at] + struct.pack("<I", len(patched)) + patched
             + blob[at + 4 + length:])
+
+
+def flat_base(arrays):
+    """The one 1-d C-contiguous float64 array of which arrays are views,
+    laid end to end in order from its first value to its last."""
+    base = arrays[0].base
+    assert isinstance(base, np.ndarray) and base.ndim == 1
+    assert base.dtype == np.float64 and base.flags.c_contiguous
+    start = base.ctypes.data
+    offset = 0
+    for a in arrays:
+        assert a.base is base and a.flags.c_contiguous
+        assert a.ctypes.data == start + 8 * offset
+        offset += a.size
+    assert offset == base.size
+    return base
 
 
 @pytest.fixture

@@ -7,6 +7,8 @@ import pytest
 from imagepoet import model as mdl
 from imagepoet import numerics as nm
 from imagepoet import topic_memory as tmem
+from imagepoet.checkpoint import (checkpoint_bytes, load_checkpoint,
+                                  model_from_bytes, save_checkpoint)
 from imagepoet.errors import (ConfigError, DimensionError, DomainError,
                               VocabularyError)
 from imagepoet.layers import attend, bigru_encode, gru_step
@@ -18,7 +20,7 @@ from imagepoet.numerics import Tensor, grad_check
 from imagepoet.rng import SeededRng
 from imagepoet.training import TrainSample, evaluate_loss
 
-from conftest import toy_config
+from conftest import flat_base, toy_config
 from oracles import bigru_ref
 
 
@@ -77,6 +79,29 @@ class TestInitParams:
     def test_parameter_names_unique(self, model):
         names = [name for name, _ in model.parameters()]
         assert len(names) == len(set(names))
+
+
+class TestFlatLayout:
+    """Every parameter is a view of one array of config.param_count()
+    values, at its offset in parameters() order."""
+
+    @pytest.mark.parametrize("seed", [5, None])
+    def test_a_fresh_model_is_views_of_one_array(self, config, seed):
+        model = init_params(config, None if seed is None else SeededRng(seed))
+        base = flat_base([p.data for _, p in model.parameters()])
+        assert base.size == config.param_count()
+        assert base.any() == (seed is not None)
+
+    def test_a_loaded_model_is_views_of_one_array(self, config, tmp_path):
+        written = init_params(config, SeededRng(5))
+        want = flat_base([p.data for _, p in written.parameters()])
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(written, path)
+        for model in (load_checkpoint(path),
+                      model_from_bytes(checkpoint_bytes(written))):
+            base = flat_base([p.data for _, p in model.parameters()])
+            assert base.size == config.param_count()
+            assert base.tobytes() == want.tobytes()
 
 
 def encoded(model, *contexts, forward=None):

@@ -8,7 +8,7 @@ import pytest
 from imagepoet import numerics as nm
 from imagepoet.errors import ContractError, DimensionError, DomainError
 from imagepoet.layers import GRUCell, gru_step
-from imagepoet.numerics import Tape, Tensor, grad_check
+from imagepoet.numerics import SWEEP_BLOCK, Tape, Tensor, grad_check
 from imagepoet.rng import SeededRng
 
 from oracles import matmul_3loop
@@ -686,3 +686,36 @@ class TestTensorInvariants:
         x = Tensor(arr(rng, 6))
         out = nm.softmax(nm.tanh(nm.sigmoid(nm.scale(x, 100.0))))
         assert np.all(np.isfinite(out.data))
+
+
+class TestSweep:
+    def test_a_split_fill_is_the_one_thread_fill_and_the_scalar_stream(
+            self, monkeypatch):
+        # Past two blocks the fill splits between two threads; chunks of
+        # at most two blocks fill on the calling thread alone.  Three
+        # scalar draws first put the counter off a block boundary.
+        n = 3 * SWEEP_BLOCK + 11
+        split, chunked, scalar = SeededRng(8), SeededRng(8), SeededRng(8)
+        for r in (split, chunked, scalar):
+            r.uniform()
+            r.uniform()
+            r.uniform()
+        threads = []
+
+        class Recording(nm.threading.Thread):
+            def start(self):
+                threads.append(self)
+                super().start()
+
+        monkeypatch.setattr(nm.threading, "Thread", Recording)
+        whole = split.fill_uniform(np.empty(n), -0.08, 0.08)
+        assert len(threads) == 1
+        pieces = np.empty(n)
+        for start in range(0, n, SWEEP_BLOCK + 7):
+            chunked.fill_uniform(pieces[start:start + SWEEP_BLOCK + 7],
+                                 -0.08, 0.08)
+        assert len(threads) == 1
+        draws = np.array([scalar.uniform(-0.08, 0.08) for _ in range(n)])
+        assert whole.tobytes() == pieces.tobytes() == draws.tobytes()
+        # The counter continues after all n draws on every path.
+        assert split.uniform() == chunked.uniform() == scalar.uniform()

@@ -15,4 +15,4 @@ def test_paper_scale_poem_loss_and_gradient_bits_are_pinned():
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [
         "2c5a78dd695ee6ac", "9.034002121313254", "8.885605158620399",
-        "e4abe3b52b6df12a"]
+        "e4abe3b52b6df12a", "f1fedc4efe4f228c"]

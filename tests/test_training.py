@@ -25,7 +25,7 @@ from imagepoet.training import (AdaDeltaState, TrainConfig, TrainSample,
                                 evaluate_loss, train)
 from imagepoet.verify import full_model_grad_check
 
-from conftest import toy_config
+from conftest import flat_base, toy_config
 from oracles import batch_loss_ref
 
 
@@ -764,20 +764,24 @@ class TestAdaDelta:
         params = [(name, Tensor(rng.uniform_array(n, -1.0, 1.0),
                                 requires_grad=True))
                   for name, n in sizes.items()]
+        # Drawn before threads are counted: a draw of over two blocks
+        # splits too.
+        steps = [{name: rng.uniform_array(p.size, -2.0, 2.0)
+                  for name, p in params} for _ in range(2)]
         threads = []
 
-        class Recording(training.threading.Thread):
+        class Recording(nm.threading.Thread):
             def start(self):
                 threads.append(self)
                 super().start()
 
-        monkeypatch.setattr(training.threading, "Thread", Recording)
+        monkeypatch.setattr(nm.threading, "Thread", Recording)
         state = AdaDeltaState(params, rho=rho, eps=eps)
         want = {name: (p.data.copy(), np.zeros(p.size), np.zeros(p.size))
                 for name, p in params}
-        for _ in range(2):
+        for grads in steps:
             for name, p in params:
-                g = rng.uniform_array(p.size, -2.0, 2.0)
+                g = grads[name]
                 g[zero.get(name, slice(0))] = 0.0
                 p.grad = g.copy()
                 x, sq_g, sq_d = want[name]
@@ -814,17 +818,32 @@ class TestAdaDelta:
         x.grad = np.full(x.shape, 0.5)
         x_state = AdaDeltaState([("x", x)])  # fills four blocks: split
 
-        class Refused(training.threading.Thread):
+        class Refused(nm.threading.Thread):
             def start(self):
                 raise AssertionError("a toy step started a thread")
 
-        monkeypatch.setattr(training.threading, "Thread", Refused)
+        monkeypatch.setattr(nm.threading, "Thread", Refused)
         adadelta_update(x_state, [("x", x)])
         assert not np.array_equal(x.data, np.ones(x.shape))
         model.zero_grads()
         accumulate_gradients(model, [make_sample(model.config, rng)])
         params = model.parameters()
         adadelta_update(AdaDeltaState(params), params)
+
+    def test_averages_are_views_of_two_arrays_in_the_parameter_layout(
+            self, model):
+        params = model.parameters()
+        state = AdaDeltaState(params)
+        bases = [flat_base([averages[name] for name, _ in params])
+                 for averages in (state.sq_grad, state.sq_delta)]
+        model_base = flat_base([p.data for _, p in params])
+        for averages, base in zip((state.sq_grad, state.sq_delta), bases):
+            assert base.size == model.config.param_count()
+            assert not base.any()
+            assert not np.shares_memory(base, model_base)
+            for name, p in params:
+                assert averages[name].shape == p.shape
+        assert not np.shares_memory(*bases)
 
     def test_a_parameter_the_batch_never_read_gets_no_gradient_buffer(
             self, rng):
@@ -1148,6 +1167,30 @@ class TestTrainLoop:
         with pytest.raises(NumericalError):
             train(model, pool, valid,
                   TrainConfig(batch_size=2, max_epochs=2, seed=1))
+
+    @pytest.mark.parametrize("bad, error", [("nan", DomainError),
+                                            ("shape", DimensionError)])
+    def test_a_bad_validation_grid_is_rejected_before_the_first_batch(
+            self, config, rng, monkeypatch, bad, error):
+        pool = make_pool(config, rng, 8, preceding_len=0)
+        valid = make_pool(config, rng, 1, preceding_len=0)
+        if bad == "nan":
+            valid[0].features[1, 2] = np.nan
+        else:
+            valid[0].features = valid[0].features[:, 1:]
+        calls = []
+        inner = training.accumulate_gradients
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            return inner(*args)
+
+        monkeypatch.setattr(training, "accumulate_gradients", counting)
+        model = init_params(config, SeededRng(25))
+        with pytest.raises(error):
+            train(model, pool, valid, TrainConfig(
+                batch_size=2, max_epochs=2, validate_every=2, seed=1))
+        assert calls == []
 
     def test_log_lines_have_the_documented_shape(self, config, rng):
         pool = make_pool(config, rng, 4, preceding_len=0)

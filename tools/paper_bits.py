@@ -1,16 +1,17 @@
-"""Print four paper-scale values that a change meant to keep bits must keep.
+"""Print five paper-scale values that a change meant to keep bits must keep.
 
 The model is init_params(ModelConfig(), SeededRng(1)).  numpy's
 default_rng(2) then draws three images, each a uniform(-1, 1) 196x512
 feature grid, three 2-id keywords and four 7-id lines; line k of an image
 is a sample whose context is lines 0..k-1, which gives 12 samples.  The
-four printed lines are:
+five printed lines are:
 
     the first 16 hex digits of sha256 of repr of image 0's poem
     the 12 samples' evaluate_loss
     accumulate_gradients of image 0's four samples, after zero_grads
     the first 16 hex digits of sha256 over each parameter's name and
         gradient bytes ("-" for no buffer), in parameters() order
+    the same digest over each parameter's name and initial data bytes
 
 Run from anywhere, with the BLAS pinned to one thread, since the
 gradient bits depend on the thread count:
@@ -56,19 +57,29 @@ def pool(config):
     return samples
 
 
+def digest(model, field):
+    """The first 16 hex digits of sha256 over each parameter's name and
+    the bytes of its field ("data" or "grad"; "-" for no buffer), in
+    parameters() order."""
+    h = hashlib.sha256()
+    for name, p in model.parameters():
+        h.update(name.encode())
+        value = getattr(p, field)
+        h.update(b"-" if value is None else value.tobytes())
+    return h.hexdigest()[:16]
+
+
 def main():
     model = ip.init_params(ip.ModelConfig(), ip.SeededRng(1))
+    init = digest(model, "data")
     samples = pool(model.config)
     poem = ip.generate_poem(model, samples[0].features, samples[0].keywords)
     print(hashlib.sha256(repr(poem).encode()).hexdigest()[:16])
     print(repr(training.evaluate_loss(model, samples)))
     model.zero_grads()
     print(repr(training.accumulate_gradients(model, samples[:LINES])))
-    grads = hashlib.sha256()
-    for name, p in model.parameters():
-        grads.update(name.encode())
-        grads.update(b"-" if p.grad is None else p.grad.tobytes())
-    print(grads.hexdigest()[:16])
+    print(digest(model, "grad"))
+    print(init)
     return 0
 
 
